@@ -34,6 +34,7 @@ from scipy.spatial.distance import cdist
 from .dynamics import (
     EtdStepper,
     Nonlinearity,
+    _rk4_step,
     compute_M_and_mu,
     evolve_ode,
     evolve_pde,
@@ -223,12 +224,45 @@ def _clean_direction(vec: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _rk4_step(v, h, rhs):
-    k1 = rhs(v)
-    k2 = rhs(v + 0.5 * h * k1)
-    k3 = rhs(v + 0.5 * h * k2)
-    k4 = rhs(v + h * k3)
-    return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _shoot_arcs(step, starts, dt: float, stride: int, horizon: float, targets,
+                stop_ball: float, check=None) -> list[np.ndarray]:
+    """Shoot every row of `starts` in lockstep until it stops; return all samples.
+
+    `step(batch, t)` advances the rows still active by `dt`.  Every `stride`
+    steps each active row is passed to `check(row, t)`, sampled, and retired
+    once it lies within `stop_ball` of a target; the others run until the
+    horizon.  Samples come back row by row, each led by its start state, the
+    order in which shooting one row at a time would produce them.
+    """
+    samples = [[row.copy()] for row in starts]
+    active = np.arange(len(starts))
+    batch = np.array(starts, dtype=float)
+    t = 0.0
+    step_count = 0
+    while active.size and t < horizon:
+        batch = step(batch, t)
+        t += dt
+        step_count += 1
+        if step_count % stride:
+            continue
+        running = np.ones(active.size, dtype=bool)
+        for i, row in enumerate(batch):
+            if check is not None:
+                check(row, t)
+            samples[active[i]].append(row.copy())
+            running[i] = not any(np.linalg.norm(row - tgt) < stop_ball for tgt in targets)
+        if not running.all():
+            batch, active = batch[running], active[running]
+    return [point for row in samples for point in row]
+
+
+def _etd_flow(stepper: EtdStepper, c: np.ndarray, T: float) -> np.ndarray:
+    """Advance a state or a batch of states by T in steps of the stepper's dt."""
+    t = 0.0
+    for _ in range(int(np.ceil(T / stepper.dt - 1e-12))):
+        c = stepper.step(c, t)
+        t += stepper.dt
+    return c
 
 
 def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
@@ -258,31 +292,22 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
             directions.append(_clean_direction(vec.real))
     if box is None:
         box = (F.bound if F.bound else 10.0) + 2.0
-    targets = [o.vector() for o in others]
 
     def rhs(u):
         return -u + F(u)
 
-    stride = max(1, round(sample_dt / dt))
-    points = []
-    for direction in directions:
-        for sign in (+1.0, -1.0):
-            v = base + sign * offset * direction
-            t = 0.0
-            points.append(v.copy())
-            step_count = 0
-            while t < horizon:
-                v = _rk4_step(v, dt, rhs)
-                t += dt
-                step_count += 1
-                if step_count % stride:
-                    continue
-                if np.linalg.norm(v) > box:
-                    raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
-                points.append(v.copy())
-                if any(np.linalg.norm(v - tgt) < stop_ball for tgt in targets):
-                    break
-    return np.array(points)
+    def step(batch, t):
+        # rows are states; F takes the component axis first
+        return _rk4_step(batch.T, dt, rhs).T
+
+    def inside_box(v, t):
+        if np.linalg.norm(v) > box:
+            raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
+
+    starts = [base + sign * offset * direction
+              for direction in directions for sign in (+1.0, -1.0)]
+    return np.array(_shoot_arcs(step, starts, dt, max(1, round(sample_dt / dt)), horizon,
+                                [o.vector() for o in others], stop_ball, inside_box))
 
 
 @dataclass
@@ -454,6 +479,27 @@ def _pde_residual_jacobian(E: DiffusionSpec, basis: CosineBasis, F: Nonlinearity
     return residual, jacobian
 
 
+def _galerkin_head(u: SpectralField, E: DiffusionSpec, F: Nonlinearity, leading_modes: int):
+    """Galerkin matrix of -A + F'(u) on the leading m modes of each component.
+
+    Returns (head, jvals, gains, m), with jvals = F'(u) on the grid.
+    """
+    basis = u.basis
+    n = u.components
+    m = min(leading_modes, basis.mode_count + 1)
+    phi = basis.synthesis_matrix()
+    G = basis.quad_points
+    jvals = F.jac(basis.to_grid(u.coeffs))
+    gains = E.gains(basis)
+    head = np.zeros((n * m, n * m))
+    for i in range(n):
+        for j in range(n):
+            block = (phi[:m] * jvals[i, j][None, :]) @ phi[:m].T / G
+            head[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
+    head -= np.diag(gains[:, :m].ravel())
+    return head, jvals, gains, m
+
+
 def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity,
                                leading_modes: int = 50) -> np.ndarray:
     """Eigenvalues of the flow linearization -A + F'(u) at a state u.
@@ -462,23 +508,10 @@ def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlineari
     tail is diagonal-dominated and appended analytically as
     -(eps_i lam_k + 1) + mean(F'_ii).
     """
-    basis = u.basis
-    n = u.components
-    K1 = basis.mode_count + 1
-    m = min(leading_modes, K1)
-    phi = basis.synthesis_matrix()
-    G = basis.quad_points
-    jvals = F.jac(u.basis.to_grid(u.coeffs))
-    gains = E.gains(basis)
-    head = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(n):
-            block = (phi[:m] * jvals[i, j][None, :]) @ phi[:m].T / G
-            head[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    head -= np.diag(gains[:, :m].ravel())
+    head, jvals, gains, m = _galerkin_head(u, E, F, leading_modes)
     eigs = np.linalg.eigvals(head)
     tail = []
-    for i in range(n):
+    for i in range(u.components):
         diag_avg = float(np.mean(jvals[i, i]))
         tail.extend(-gains[i, m:] + diag_avg)
     return np.concatenate([eigs, np.array(tail, dtype=complex)])
@@ -530,28 +563,15 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity, seeds: list[SpectralF
 def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
                              leading_modes: int = 50) -> list[np.ndarray]:
     u = eq.location
-    basis = u.basis
-    n = u.components
-    K1 = basis.mode_count + 1
-    m = min(leading_modes, K1)
-    phi = basis.synthesis_matrix()
-    G = basis.quad_points
-    jvals = F.jac(basis.to_grid(u.coeffs))
-    gains = E.gains(basis)
-    head = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(n):
-            block = (phi[:m] * jvals[i, j][None, :]) @ phi[:m].T / G
-            head[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    head -= np.diag(gains[:, :m].ravel())
+    head, _, _, m = _galerkin_head(u, E, F, leading_modes)
     eigvals, eigvecs = np.linalg.eig(head)
     directions = []
     for lam, vec in zip(eigvals, eigvecs.T):
         if lam.real > HYPERBOLICITY_TOL:
             if abs(lam.imag) > HYPERBOLICITY_TOL:
                 raise NotImplementedError("complex unstable pairs are not supported")
-            full = np.zeros((n, K1))
-            full[:, :m] = _clean_direction(vec.real).reshape(n, m)
+            full = np.zeros_like(u.coeffs)
+            full[:, :m] = _clean_direction(vec.real).reshape(u.components, m)
             directions.append(full)
     return directions
 
@@ -559,26 +579,11 @@ def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinea
 def _pde_manifold_arc(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
                       others, offset: float, dt: float, sample_dt: float,
                       stop_ball: float, horizon: float) -> np.ndarray:
-    basis = eq.location.basis
-    stepper = EtdStepper(basis, E, F, dt)
-    stride = max(1, round(sample_dt / dt))
-    targets = [o.location.coeffs for o in others]
-    points = []
-    for direction in _pde_unstable_directions(eq, E, F):
-        for sign in (+1.0, -1.0):
-            c = eq.location.coeffs + sign * offset * direction
-            t = 0.0
-            points.append(c.copy())
-            step_count = 0
-            while t < horizon:
-                c = stepper.step(c, t)
-                t += dt
-                step_count += 1
-                if step_count % stride:
-                    continue
-                points.append(c.copy())
-                if any(np.linalg.norm(c - tgt) < stop_ball for tgt in targets):
-                    break
+    stepper = EtdStepper(eq.location.basis, E, F, dt)
+    starts = [eq.location.coeffs + sign * offset * direction
+              for direction in _pde_unstable_directions(eq, E, F) for sign in (+1.0, -1.0)]
+    points = _shoot_arcs(stepper.step, starts, dt, max(1, round(sample_dt / dt)), horizon,
+                         [o.location.coeffs for o in others], stop_ball)
     return np.array(points) if points else np.zeros((0,) + eq.location.coeffs.shape)
 
 
@@ -621,22 +626,16 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     base_points = ode_cloud.points
     if len(base_points) and t_trans > 0 and n_tails > 0:
         pick = np.linspace(0, len(base_points) - 1, n_tails).astype(int)
-        stepper = EtdStepper(basis, E, F, dt)
-        steps = int(np.ceil(t_trans / dt - 1e-12))
         kmax = min(w_modes, basis.mode_count)
-        for idx in pick:
-            c = np.zeros((E.components, basis.mode_count + 1))
+        tails = np.zeros((n_tails, E.components, basis.mode_count + 1))
+        for c, idx in zip(tails, pick):
             c[:, 0] = base_points[idx]
             w = np.zeros_like(c)
             w[:, 1:kmax + 1] = rng.standard_normal((E.components, kmax))
             w *= w_amplitude / np.sqrt(np.sum(w**2))
-            c = c + w
-            t = 0.0
-            for _ in range(steps):
-                c = stepper.step(c, t)
-                t += dt
-            points.append(c.copy())
-            provenance.append("long_time_sampling")
+            c += w
+        points.extend(_etd_flow(EtdStepper(basis, E, F, dt), tails, t_trans))
+        provenance.extend(["long_time_sampling"] * n_tails)
 
     meta = {"F": F.name, "params": F.params, "d_eps": E.d_eps, "K": basis.mode_count,
             "t_trans": t_trans, "w_amplitude": w_amplitude, "n_tails": n_tails,
@@ -707,17 +706,8 @@ def invariance_probe(cloud: AttractorCloud, F: Nonlinearity, T: float = 1.0,
         moved = states[-1].T
         emb_moved = moved.reshape(moved.shape[0], -1)
     else:
-        stepper = EtdStepper(cloud.basis, cloud.diffusion, F, dt)
-        steps = int(np.ceil(T / dt - 1e-12))
-        moved = []
-        for i in idx:
-            c = cloud.points[i].copy()
-            t = 0.0
-            for _ in range(steps):
-                c = stepper.step(c, t)
-                t += dt
-            moved.append(c)
-        emb_moved = EnergyNorm(cloud.diffusion, cloud.basis).embed(np.array(moved))
+        moved = _etd_flow(EtdStepper(cloud.basis, cloud.diffusion, F, dt), cloud.points[idx], T)
+        emb_moved = EnergyNorm(cloud.diffusion, cloud.basis).embed(moved)
     return _one_sided(emb_moved, emb_cloud)
 
 

@@ -414,20 +414,24 @@ class EtdStepper:
         z = -h * self._gains
         return np.exp(z), h * _phi1(z), h * _phi2(z)
 
-    def _nonlinear(self, c: np.ndarray, t_now: float) -> np.ndarray:
-        values = self.nonlinearity(c @ self._phi_mat)
-        if not np.all(np.isfinite(values)):
-            raise BlowUpError(t_now, float("inf"))
-        return values @ self._phi_mat.T / self.basis.quad_points
+    def _nonlinear(self, c: np.ndarray) -> np.ndarray:
+        # F takes the component axis first; a batch (rows, n, K+1) has it second
+        values = self.nonlinearity((c @ self._phi_mat).swapaxes(0, -2))
+        return values.swapaxes(0, -2) @ self._phi_mat.T / self.basis.quad_points
 
     def step(self, c: np.ndarray, t_now: float = 0.0, weights=None) -> np.ndarray:
+        """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
+
+        A non-finite value of F spreads into the new coefficients, so the one
+        post-step max|c| test catches it at the step where it appeared.
+        """
         ef, p1, p2 = weights if weights is not None else (self.exp_full, self.w1, self.w2)
-        n0 = self._nonlinear(c, t_now)
+        n0 = self._nonlinear(c)
         if self.scheme == "etd1":
             c = ef * c + p1 * n0
         else:
             a = ef * c + p1 * n0
-            c = a + p2 * (self._nonlinear(a, t_now) - n0)
+            c = a + p2 * (self._nonlinear(a) - n0)
         top = float(np.max(np.abs(c)))
         if not np.isfinite(top) or top > _BLOWUP_LIMIT:
             raise BlowUpError(t_now, top)
@@ -482,6 +486,15 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
                       v=v, w_xhalf=w_xhalf, w_l2=w_l2, q_l2=q_l2, scheme=scheme)
 
 
+def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:
+    """One classic RK4 step of v' = rhs(v); elementwise, so any batch shape works."""
+    k1 = rhs(v)
+    k2 = rhs(v + 0.5 * h * k1)
+    k3 = rhs(v + 0.5 * h * k2)
+    k4 = rhs(v + h * k3)
+    return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def evolve_ode(v0: np.ndarray, F: Nonlinearity, T: float, dt: float = 1e-3,
                stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 on v' = -v + F(v); returns (times, values).
@@ -501,11 +514,7 @@ def evolve_ode(v0: np.ndarray, F: Nonlinearity, T: float, dt: float = 1e-3,
     t = 0.0
     for step in range(steps):
         h = min(dt, T - t)
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v = _rk4_step(v, h, rhs)
         t += h
         if (step + 1) % stride == 0 or step == steps - 1:
             times.append(t)

@@ -415,7 +415,7 @@ def run_sweep(cfg: SweepConfig, out_root=None, jobs: int = 1):
             try:
                 value, extras = measure(d, ctx, point_seeds[index])
                 return index, float(value), extras, "ok"
-            except Exception as err:  # recorded, excluded from the fit
+            except (RuntimeError, ValueError) as err:  # domain errors: recorded, not fitted
                 return index, None, None, f"failed: {type(err).__name__}: {err}"
 
         if jobs > 1:

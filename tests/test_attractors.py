@@ -253,6 +253,105 @@ class TestAttractorPDE:
         assert drift < 1e-4
 
 
+def arcs_one_at_a_time(step, starts, dt, stride, horizon, targets, stop_ball, check=None):
+    """Oracle: shoot each start state alone, sampling every `stride` steps."""
+    points = []
+    for start in starts:
+        c = start.copy()
+        t = 0.0
+        points.append(c.copy())
+        step_count = 0
+        while t < horizon:
+            c = step(c, t)
+            t += dt
+            step_count += 1
+            if step_count % stride:
+                continue
+            if check is not None:
+                check(c, t)
+            points.append(c.copy())
+            if any(np.linalg.norm(c - tgt) < stop_ball for tgt in targets):
+                break
+    return np.array(points)
+
+
+def nan_from_call(first_nan_call):
+    """tanh forcing that returns NaN from its `first_nan_call`-th evaluation on."""
+    calls = [0]
+
+    def fn(u):
+        calls[0] += 1
+        return 2.0 * np.tanh(u) * (np.nan if calls[0] >= first_nan_call else 1.0)
+
+    return dyn.Nonlinearity("nan_tanh", {}, fn, TANH2.jac, 2.0, 2.0)
+
+
+class TestLockstepShooting:
+    # one target only: the + arc stops at u*, the - arc runs to the horizon
+    DT, SAMPLE_DT, HORIZON = 1e-2, 2e-2, 40.0
+
+    def test_pde_arcs_match_one_at_a_time(self):
+        basis = sp.build_basis(DOM, 8)
+        E = sp.diffusion([8.0])
+        eqs = at.find_equilibria_pde(E, TANH2, [sp.constant_field([v], basis)
+                                                for v in (-USTAR, 0.0, USTAR)])
+        origin = min(eqs, key=lambda e: abs(e.vector()[0]))
+        top = max(eqs, key=lambda e: e.vector()[0])
+        stepper = dyn.EtdStepper(basis, E, TANH2, self.DT)
+        starts = [origin.location.coeffs + sign * 1e-5 * direction
+                  for direction in at._pde_unstable_directions(origin, E, TANH2)
+                  for sign in (+1.0, -1.0)]
+        oracle = arcs_one_at_a_time(stepper.step, starts, self.DT, 2, self.HORIZON,
+                                    [top.location.coeffs], 1e-6)
+        got = at._pde_manifold_arc(origin, E, TANH2, [top], 1e-5, self.DT, self.SAMPLE_DT,
+                                   1e-6, self.HORIZON)
+        assert np.array_equal(got, oracle)
+        minus = next(i for i, c in enumerate(got) if i and np.array_equal(c, starts[1]))
+        assert np.linalg.norm(got[minus - 1] - top.location.coeffs) < 1e-6
+        assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
+
+    def test_ode_arcs_match_one_at_a_time(self, tanh_equilibria):
+        origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
+        top = max(tanh_equilibria, key=lambda e: e.vector()[0])
+        box = 4.0
+
+        def rhs(u):
+            return -u + TANH2(u)
+
+        def check(v, t):
+            if np.linalg.norm(v) > box:
+                raise at.EscapeError("escaped")
+
+        starts = [origin.vector() + sign * 1e-5 * np.array([1.0]) for sign in (+1.0, -1.0)]
+        oracle = arcs_one_at_a_time(lambda v, t: dyn._rk4_step(v, self.DT, rhs), starts,
+                                    self.DT, 2, self.HORIZON, [top.vector()], 1e-6, check)
+        got = at.unstable_manifold_ode(origin, TANH2, [top], dt=self.DT,
+                                       sample_dt=self.SAMPLE_DT, horizon=self.HORIZON, box=box)
+        assert np.array_equal(got, oracle)
+        minus = next(i for i, v in enumerate(got) if i and np.array_equal(v, starts[1]))
+        assert np.linalg.norm(got[minus - 1] - top.vector()) < 1e-6
+        assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
+
+    @pytest.mark.parametrize("scheme,first_nan_call", [("etd1", 7), ("etd2rk", 7),
+                                                       ("etd2rk", 8)])
+    def test_nan_forcing_raises_at_its_step(self, scheme, first_nan_call):
+        # the step whose F evaluation first returns NaN is the step that raises
+        dt = 1e-3
+        nan_step = (first_nan_call - 1) // (1 if scheme == "etd1" else 2)
+        t_nan = 0.0
+        for _ in range(nan_step):
+            t_nan += dt
+        basis = sp.build_basis(DOM, 8)
+        E = sp.diffusion([2.0])
+        u0 = sp.constant_field([0.5], basis) + sp.mode_field(basis, 1, amplitude=0.2)
+        with pytest.raises(dyn.BlowUpError) as single:
+            dyn.evolve_pde(u0, E, nan_from_call(first_nan_call), T=1.0, dt=dt, scheme=scheme)
+        stepper = dyn.EtdStepper(basis, E, nan_from_call(first_nan_call), dt, scheme)
+        with pytest.raises(dyn.BlowUpError) as batch:
+            at._etd_flow(stepper, np.stack([u0.coeffs] * 5), 1.0)
+        assert single.value.time == batch.value.time == t_nan
+
+
 class TestHausdorff:
     def test_identical_clouds(self, tanh_cloud):
         basis = sp.build_basis(DOM, 8)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigdiff import dynamics as dyn
 from bigdiff import spectral as sp
@@ -350,6 +352,50 @@ class TestEvolvePDE:
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,v_1,v_2,w_xhalf,w_l2,Q_l2"
+
+
+# one nonlinearity per component count; all are evaluated through the grid
+_STEPPER_F = {1: [dyn.tanh_pitchfork(2.0), dyn.saturated_cubic(2.0)],
+              2: [dyn.coupled_tanh(1.2, 0.6)]}
+
+
+@st.composite
+def stepper_cases(draw):
+    n = draw(st.sampled_from([1, 2]))
+    F = draw(st.sampled_from(_STEPPER_F[n]))
+    basis = sp.build_basis(DOM, draw(st.sampled_from([4, 8, 16, 32])))
+    eps = [draw(st.floats(0.25, 16.0)) for _ in range(n)]
+    dt = draw(st.sampled_from([1e-3, 5e-3, 1e-2]))
+    scheme = draw(st.sampled_from(["etd1", "etd2rk"]))
+    return basis, sp.diffusion(eps), F, dt, scheme
+
+
+class TestEtdStepperProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_batch_step_equals_row_steps(self, case, rows, seed):
+        basis, E, F, dt, scheme = case
+        stepper = dyn.EtdStepper(basis, E, F, dt, scheme)
+        c = np.random.default_rng(seed).standard_normal((rows, E.components,
+                                                         basis.mode_count + 1))
+        batch = stepper.step(c)
+        assert batch.shape == c.shape
+        for i in range(rows):
+            assert np.array_equal(batch[i], stepper.step(c[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases(), steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_zero_forcing_is_the_exact_semigroup(self, case, steps, seed):
+        basis, E, _, dt, scheme = case
+        stepper = dyn.EtdStepper(basis, E, dyn.zero_nonlinearity(), dt, scheme)
+        u = sp.random_field(basis, E.components, np.random.default_rng(seed))
+        c = u.coeffs
+        for _ in range(steps):
+            c = stepper.step(c)
+        exact = dyn.linear_semigroup_apply(u, E, steps * dt).coeffs
+        np.testing.assert_allclose(c, exact, rtol=1e-12, atol=1e-300)
+        one = dyn.linear_semigroup_apply(u, E, dt).coeffs
+        assert np.array_equal(stepper.step(u.coeffs), one)
 
 
 class TestEvolveODE:

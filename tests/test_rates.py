@@ -25,6 +25,8 @@ def flaky_measure(d, ctx, s):
 rt.register_quantity("_test_flaky", -0.5, lambda p, s: {}, flaky_measure)
 rt.register_quantity("_test_allfail", -0.5, lambda p, s: {},
                      lambda d, ctx, s: (_ for _ in ()).throw(RuntimeError("no")))
+rt.register_quantity("_test_typeerror", -0.5, lambda p, s: {},
+                     lambda d, ctx, s: (_ for _ in ()).throw(TypeError("programmer error")))
 
 
 class TestLoglogFit:
@@ -118,6 +120,16 @@ class TestRunSweep:
         cfg = rt.SweepConfig("_test_allfail", (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(rt.FitError):
             rt.run_sweep(cfg, out_root=tmp_path)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_programmer_error_is_raised_not_recorded(self, tmp_path, jobs):
+        # only domain errors become "failed:" points; a TypeError is a bug
+        cfg = rt.SweepConfig("_test_typeerror", (1.0, 2.0, 4.0, 8.0))
+        with pytest.raises(TypeError, match="programmer error"):
+            rt.run_sweep(cfg, out_root=tmp_path, jobs=jobs)
+        (record_path,) = tmp_path.glob("*/record.json")
+        assert rt.load_run(record_path).status == "incomplete"
+        assert not list(tmp_path.glob("*/points.csv"))
 
     def test_projection_gap_identically_zero(self, tmp_path):
         cfg = rt.SweepConfig("projection_gap", (1.0, 2.0, 4.0, 8.0),
