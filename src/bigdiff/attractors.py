@@ -45,8 +45,6 @@ from .spectral import (
     EnergyNorm,
     SpectralField,
     constant_field,
-    energy_norm,
-    l2_norm,
 )
 
 __all__ = [
@@ -523,9 +521,8 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity, seeds: list[SpectralF
     """Newton on A u = F(u) in coefficient space from the given seed fields.
 
     The diagonal operator preconditions the linear solves (the system is
-    scaled by 1/gains).  Seeds that fail to converge are reported by index in
-    the returned list's companion `failures` attribute-free form: they are
-    simply skipped; callers who care pass better seeds.
+    scaled by 1/gains).  Seeds that do not converge are skipped; callers who
+    care pass better seeds.
     """
     if not seeds:
         raise ValueError("need at least one seed field")

@@ -18,8 +18,6 @@ environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
-import json
 import os
 import sys
 
@@ -44,10 +42,6 @@ _RUNTIME_ERRORS = (
 )
 
 
-def _utc_stamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-
-
 def _say(args, *message) -> None:
     if not args.quiet:
         print(*message)
@@ -62,8 +56,6 @@ def _load(args) -> Config:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.data["run"]["seed"] = args.seed
-    if args.jobs is not None:
-        cfg.data["run"]["jobs"] = args.jobs
     if args.quiet:
         cfg.data["run"]["quiet"] = True
     root = args.out_root or os.environ.get("BIGDIFF_OUT_ROOT") or cfg.get("run", "out_root")
@@ -73,35 +65,22 @@ def _load(args) -> Config:
 
 
 def _new_run_dir(cfg: Config, name: str) -> str:
-    run_dir = os.path.join(cfg.get("run", "out_root"), f"{_utc_stamp()}-{name}")
-    os.makedirs(run_dir, exist_ok=True)
+    run_dir = rt.new_run_dir(cfg.get("run", "out_root"), name)
     cfg.write(os.path.join(run_dir, "resolved.ini"))
     return run_dir
 
 
-def _write_record(run_dir: str, name: str, cfg: Config, status: str, metrics: dict,
-                  started: str) -> rt.RunRecord:
-    record = rt.RunRecord(
-        quantity=name,
-        config={"resolved_ini": os.path.abspath(os.path.join(run_dir, "resolved.ini"))},
-        version=__version__,
-        seed=cfg.get("run", "seed"),
-        started=started,
-        finished=_dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
-        status=status,
-        paths={"run_dir": os.path.abspath(run_dir)},
-        metrics=metrics,
-    )
-    rt.persist_run(record, os.path.join(run_dir, "record.json"))
-    return record
+def _sweep(cfg: Config, sweep_cfg: rt.SweepConfig):
+    """Run a sweep under the configured out root, with resolved.ini beside its record."""
+    fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"))
+    cfg.write(os.path.join(os.path.dirname(record.paths["record"]), "resolved.ini"))
+    return fit, record
 
 
-def _finish_sweep_record(record: rt.RunRecord, cfg: Config, verdict: bool, detail: str) -> None:
+def _finish_sweep_record(record: rt.RunRecord, verdict: bool, detail: str) -> None:
     record.metrics["verdict"] = "PASS" if verdict else "FAIL"
     record.metrics["verdict_detail"] = detail
     rt.persist_run(record, record.paths["record"])
-    run_dir = os.path.dirname(record.paths["record"])
-    cfg.write(os.path.join(run_dir, "resolved.ini"))
 
 
 def _read_details(record: rt.RunRecord) -> list[dict]:
@@ -127,8 +106,7 @@ def cmd_resolvent_rate(args) -> int:
         params={"modes": cfg.get("domain", "modes"),
                 "components": cfg.get("domain", "components"), "trials": 64},
         seed=cfg.get("run", "seed"))
-    fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"),
-                               jobs=cfg.get("run", "jobs"))
+    fit, record = _sweep(cfg, sweep_cfg)
     tol = cfg.get("tolerances", "slope")
     details = _read_details(record)
     attained = max(abs(row["attained_product"] - 1.0) for row in details)
@@ -138,7 +116,7 @@ def cmd_resolvent_rate(args) -> int:
     _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
     detail = f"slope={fit.slope:.6f} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
     passed = slope_ok and attained_ok
-    _finish_sweep_record(record, cfg, passed, detail)
+    _finish_sweep_record(record, passed, detail)
     return _verdict("resolvent-rate", detail, passed)
 
 
@@ -152,8 +130,7 @@ def cmd_decay(args) -> int:
                 "nonlinearity": spec,
                 "m_horizon": cfg.get("semigroup", "m_horizon")},
         seed=cfg.get("run", "seed"))
-    fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"),
-                               jobs=cfg.get("run", "jobs"))
+    fit, record = _sweep(cfg, sweep_cfg)
     details = _read_details(record)
     one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in details)
     detail = f"min_margin={min(r['fitted_rate'] - r['theoretical_rate'] for r in details):.4g}"
@@ -167,13 +144,13 @@ def cmd_decay(args) -> int:
         _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
                    f"theoretical {row['theoretical_rate']:.4f}")
     passed = one_sided_ok and linear_ok
-    _finish_sweep_record(record, cfg, passed, detail)
+    _finish_sweep_record(record, passed, detail)
     return _verdict("decay", detail, passed)
 
 
 def cmd_eigs(args) -> int:
     cfg = _load(args)
-    started = _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    started = rt.utc_now()
     basis = cfg.basis()
     E = cfg.diffusion_spec()
     count = min(args.count, E.components * (basis.mode_count + 1))
@@ -191,15 +168,15 @@ def cmd_eigs(args) -> int:
     above = np.sort(gains[gains > 1.0])
     identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
     detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
-    _write_record(run_dir, "eigs", cfg, "complete",
-                  {"table": [float(x) for x in table],
-                   "verdict": "PASS" if identity_ok else "FAIL"}, started)
+    rt.write_record(run_dir, "eigs", cfg.get("run", "seed"), started, "complete",
+                    metrics={"table": [float(x) for x in table],
+                             "verdict": "PASS" if identity_ok else "FAIL"})
     return _verdict("eigs", detail, identity_ok)
 
 
 def cmd_example_optimal(args) -> int:
     cfg = _load(args)
-    started = _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    started = rt.utc_now()
     eps_values = [float(x) for x in args.eps.split(",")]
     basis = cfg.basis()
     reports = [el.optimal_example_check(e, basis) for e in eps_values]
@@ -221,9 +198,10 @@ def cmd_example_optimal(args) -> int:
               and abs(slope + 1.0) < 1e-6)
     detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
               f"exponent={slope:.3f}")
-    _write_record(run_dir, "example-optimal", cfg, "complete",
-                  {"worst_error": worst_err, "spread": spread, "exponent": float(slope),
-                   "verdict": "PASS" if passed else "FAIL"}, started)
+    rt.write_record(run_dir, "example-optimal", cfg.get("run", "seed"), started, "complete",
+                    metrics={"worst_error": worst_err, "spread": spread,
+                             "exponent": float(slope),
+                             "verdict": "PASS" if passed else "FAIL"})
     return _verdict("example-optimal", detail, passed)
 
 
@@ -242,7 +220,7 @@ def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_
 
 def cmd_attractor(args) -> int:
     cfg = _load(args)
-    started = _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    started = rt.utc_now()
     run_dir = _new_run_dir(cfg, "attractor")
     try:
         F = cfg.nonlinearity()
@@ -279,13 +257,13 @@ def cmd_attractor(args) -> int:
         passed = res.sym <= 2 * resolution
         detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
                   f"resolution={resolution:.4g}")
-        _write_record(run_dir, "attractor", cfg, "complete",
-                      {"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
-                       "resolution": resolution, "n_equilibria": len(equilibria),
-                       "verdict": "PASS" if passed else "FAIL"}, started)
+        rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "complete",
+                        metrics={"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
+                                 "resolution": resolution, "n_equilibria": len(equilibria),
+                                 "verdict": "PASS" if passed else "FAIL"})
         return _verdict("attractor", detail, passed)
     except BaseException:
-        _write_record(run_dir, "attractor", cfg, "incomplete", {}, started)
+        rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "incomplete")
         raise
 
 
@@ -304,8 +282,7 @@ def cmd_hausdorff_sweep(args) -> int:
                 "arc_dt": cfg.get("attractor", "arc_dt"),
                 "m_horizon": cfg.get("semigroup", "m_horizon")},
         seed=cfg.get("run", "seed"))
-    fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"),
-                               jobs=cfg.get("run", "jobs"))
+    fit, record = _sweep(cfg, sweep_cfg)
     details = _read_details(record)
     values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in details])
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
@@ -323,7 +300,7 @@ def cmd_hausdorff_sweep(args) -> int:
     passed = nonincreasing and slope_ok and threshold_ok
     detail = (f"slope={slope_txt} bound={cfg.get('tolerances', 'hausdorff_slope'):g} "
               f"nonincreasing={nonincreasing} below_resolution_past_threshold={threshold_ok}")
-    _finish_sweep_record(record, cfg, passed, detail)
+    _finish_sweep_record(record, passed, detail)
     return _verdict("hausdorff-sweep", detail, passed)
 
 
@@ -342,8 +319,7 @@ def cmd_manifold(args) -> int:
                 "sample_dt": cfg.get("attractor", "sample_dt"),
                 "arc_dt": cfg.get("attractor", "arc_dt")},
         seed=cfg.get("run", "seed"))
-    defl_fit, defl_record = rt.run_sweep(defl_cfg, out_root=cfg.get("run", "out_root"),
-                                         jobs=cfg.get("run", "jobs"))
+    defl_fit, defl_record = _sweep(cfg, defl_cfg)
     graph_cfg = rt.SweepConfig(
         "graph_sup", cfg.get("sweep", "d_eps"),
         params={**common,
@@ -351,30 +327,28 @@ def cmd_manifold(args) -> int:
                 "iters": cfg.get("manifold", "iterations"),
                 "seed_amplitude": cfg.get("manifold", "seed_amplitude")},
         seed=cfg.get("run", "seed"))
-    graph_fit, graph_record = rt.run_sweep(graph_cfg, out_root=cfg.get("run", "out_root"),
-                                           jobs=cfg.get("run", "jobs"))
-    zero_floor = cfg.get("tolerances", "zero_floor")
+    graph_fit, graph_record = _sweep(cfg, graph_cfg)
     defl_values = np.array([row["deflection"] for row in _read_details(defl_record)])
-    if np.all(defl_values <= zero_floor):
+    if np.all(defl_values <= rt.ZERO_FLOOR):
         defl_ok = True
         defl_txt = "identically-zero"
         _say(args, "deflection identically zero at solver tolerance; bound trivially satisfied")
     else:
         scaled = defl_values * np.sqrt(np.array(defl_cfg.d_eps_values))
-        positive = scaled[scaled > zero_floor]
+        positive = scaled[scaled > rt.ZERO_FLOOR]
         defl_ok = positive.max() / positive.min() <= 2.0
         defl_txt = f"band_ratio={positive.max() / positive.min():.3f}"
     graph_rows = _read_details(graph_record)
     factors = [row["contraction_factor"] for row in graph_rows]
     graph_ok = all(f < 1.0 for f in factors)
-    sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= zero_floor))
+    sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= rt.ZERO_FLOOR))
     for d, f in zip(graph_cfg.d_eps_values, factors):
         _say(args, f"d={d:g}: graph contraction factor {f:.4f}")
     passed = defl_ok and graph_ok and sup_ok
     detail = (f"deflection={defl_txt} contraction_max={max(factors):.4f} "
               f"graph_sup_zero={sup_ok}")
-    _finish_sweep_record(defl_record, cfg, passed, detail)
-    _finish_sweep_record(graph_record, cfg, passed, detail)
+    _finish_sweep_record(defl_record, passed, detail)
+    _finish_sweep_record(graph_record, passed, detail)
     return _verdict("manifold", detail, passed)
 
 
@@ -404,7 +378,6 @@ def cmd_report(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    parser.add_argument("--jobs", type=int, default=None, help="override [run] jobs")
     parser.add_argument("--quiet", action="store_true", help="only print VERDICT lines")
     parser.add_argument("--out-root", default=None,
                         help="override the output root (also: BIGDIFF_OUT_ROOT)")

@@ -1,11 +1,11 @@
 """Flat INI configuration with strict key checking and full defaults.
 
-Every key has a documented default (see DEFAULTS and the README table); a
-config file only overrides what it names.  Unknown sections or keys are
-rejected so typos cannot silently fall back to defaults.  Values are coerced
-by the type of their default; empty values mean "use the default".  The
-resolved configuration can be written back out and re-parsed to reproduce a
-run exactly.
+Every key has a documented default (see DEFAULTS and the README table) and
+is read by at least one command; a config file only overrides what it names.
+Unknown sections or keys are rejected so typos cannot silently fall back to
+defaults.  Values are coerced by the type of their default; empty values
+mean "use the default".  The resolved configuration can be written back out
+and re-parsed to reproduce a run exactly.
 """
 
 from __future__ import annotations
@@ -47,19 +47,12 @@ DEFAULTS = {
         "a": 1.2,               # coupled_tanh diagonal
         "c": 0.6,               # coupled_tanh coupling / linear slope
     },
-    "dynamics": {
-        "dt": 1e-3,
-        "horizon": 20.0,
-        "scheme": "etd2rk",     # etd1 | etd2rk
-        "stride": 10,           # diagnostics every this many steps
-    },
     "semigroup": {
         "m_horizon": 10.0,      # horizon for the operational constants M, mu
     },
     "attractor": {
         "n_tails": 24,
         "w_amplitude": 0.3,     # L2 size of the mean-free tail perturbations
-        "w_modes": 8,
         "t_trans": 1.0,
         "sample_dt": 0.01,      # arc and breadcrumb sampling interval
         "arc_dt": 5e-4,
@@ -80,15 +73,11 @@ DEFAULTS = {
         "attained": 1e-12,      # |gap * sqrt(d lam1 + 1) - 1|
         "decay_rel": 1e-3,      # relative rate error, linear decay case
         "seminorm_const": 1e-10,
-        "projection": 1e-12,
-        "contour": 1e-8,
         "hausdorff_slope": -0.4,
-        "zero_floor": 1e-10,    # below this a measurement counts as zero
     },
     "run": {
         "out_root": "runs",
         "seed": 1234,
-        "jobs": 1,
         "quiet": False,
     },
 }
@@ -245,16 +234,10 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("[domain] modes must be >= 2")
     if any(e <= 0 for e in cfg.get("diffusion", "eps")):
         raise ConfigError("[diffusion] eps entries must be positive")
-    if cfg.get("dynamics", "dt") <= 0:
-        raise ConfigError("[dynamics] dt must be positive")
-    if cfg.get("dynamics", "scheme") not in ("etd1", "etd2rk"):
-        raise ConfigError("[dynamics] scheme must be etd1 or etd2rk")
     sweep = cfg.get("sweep", "d_eps")
     if len(sweep) < 4:
         raise ConfigError("[sweep] d_eps needs at least 4 values")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError("[sweep] d_eps must be strictly increasing")
-    if cfg.get("run", "jobs") < 1:
-        raise ConfigError("[run] jobs must be >= 1")
     if not np.isfinite(cfg.get("tolerances", "slope")):
         raise ConfigError("[tolerances] slope must be finite")

@@ -30,11 +30,8 @@ from .spectral import (
     CosineBasis,
     DiffusionSpec,
     SpectralField,
-    constant_field,
-    energy_norm,
     l2_norm,
     to_grid,
-    to_spectral,
 )
 
 __all__ = [

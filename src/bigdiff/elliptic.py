@@ -27,14 +27,11 @@ from .spectral import (
     DiffusionSpec,
     SpectralField,
     average_projection,
-    constant_field,
     energy_norm,
     l2_norm,
-    random_field,
 )
 
 __all__ = [
-    "ResolventGapReport",
     "OptimalExampleReport",
     "SpectralProjection",
     "solve_resolvent",
@@ -103,39 +100,6 @@ def resolvent_gap_sampled(E: DiffusionSpec, basis: CosineBasis, trials: int,
     bmat = q.T @ (t[:, None] * q)
     top = float(np.linalg.eigvalsh(bmat)[-1])
     return float(np.sqrt(max(top, 0.0)))
-
-
-@dataclass(frozen=True)
-class ResolventGapReport:
-    """One sweep row: exact and sampled gap at a given d = min eps."""
-
-    d_eps: float
-    exact_gap: float
-    sampled_gap: float
-    sample_count: int
-
-    @property
-    def bound_constant(self) -> float:
-        """C in gap = C d^{-1/2}, i.e. exact_gap * sqrt(d_eps)."""
-        return self.exact_gap * np.sqrt(self.d_eps)
-
-    def csv_row(self) -> dict:
-        return {
-            "d_eps": self.d_eps,
-            "exact_gap": self.exact_gap,
-            "sampled_gap": self.sampled_gap,
-            "bound_constant": self.bound_constant,
-        }
-
-
-def gap_report(E: DiffusionSpec, basis: CosineBasis, trials: int = 64,
-               seed: int | None = 0) -> ResolventGapReport:
-    return ResolventGapReport(
-        d_eps=E.d_eps,
-        exact_gap=resolvent_gap_exact(E, basis),
-        sampled_gap=resolvent_gap_sampled(E, basis, trials, seed),
-        sample_count=trials,
-    )
 
 
 class SpectralProjection:

@@ -6,11 +6,12 @@ owning module, fits ordinary least squares on (log d, log value), and
 persists a run directory containing the raw points, the fit, plain
 two-column plot data, and a JSON run record.  Identical config + seed
 reproduces every CSV byte for byte (per-point seeds are spawned from the
-master seed by index, so parallel execution order cannot matter).
+master seed by index, so no point depends on the others).
 
-Measured zeros are not fitted: quantities that vanish identically (the
-projection gap, the manifold graph) are reported as "identically zero;
-bound trivially satisfied" instead of being forced through a log.
+Measured zeros are not fitted: a value at or below ZERO_FLOOR counts as
+zero, here and in the CLI verdicts, and quantities that vanish identically
+(the manifold graph) are reported as "identically zero; bound trivially
+satisfied" instead of being forced through a log.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,12 +39,15 @@ __all__ = [
     "run_sweep",
     "persist_run",
     "load_run",
+    "new_run_dir",
+    "write_record",
+    "utc_now",
     "register_quantity",
     "QUANTITIES",
     "ZERO_FLOOR",
 ]
 
-ZERO_FLOOR = 1e-13
+ZERO_FLOOR = 1e-10  # at or below this a measurement counts as zero
 
 
 class FitError(RuntimeError):
@@ -145,24 +148,6 @@ def _measure_resolvent(d, ctx, point_seed):
     return exact, {"exact_gap": exact, "sampled_gap": sampled,
                    "bound_constant": exact * np.sqrt(d),
                    "attained_product": exact * np.sqrt(lam2)}
-
-
-def _prepare_projection(params, seed):
-    basis, n = _ctx_basis(params)
-    return {"basis": basis, "n": n,
-            "delta": float(params.get("delta", 0.5)),
-            "contour_nodes": int(params.get("contour_nodes", 64))}
-
-
-def _measure_projection(d, ctx, point_seed):
-    E = diffusion([d] * ctx["n"])
-    q_eigen = _elliptic.spectral_projection_Q(E, ctx["basis"], ctx["delta"])
-    gap = _elliptic.projection_gap(q_eigen)
-    q_contour = _elliptic.spectral_projection_Q(E, ctx["basis"], ctx["delta"],
-                                                mode="contour",
-                                                contour_nodes=ctx["contour_nodes"])
-    contour_dev = float(np.max(np.abs(q_contour.weights - q_eigen.weights)))
-    return gap, {"projection_gap": gap, "contour_deviation": contour_dev}
 
 
 def _prepare_decay(params, seed):
@@ -274,7 +259,6 @@ def _measure_graph(d, ctx, point_seed):
 
 QUANTITIES = {
     "resolvent_gap": (-0.5, _prepare_resolvent, _measure_resolvent),
-    "projection_gap": (-0.5, _prepare_projection, _measure_projection),
     "w_decay_rate": (float("nan"), _prepare_decay, _measure_decay),
     "hausdorff": (-0.5, _prepare_hausdorff, _measure_hausdorff),
     "deflection": (-0.5, _prepare_deflection, _measure_deflection),
@@ -292,7 +276,7 @@ def register_quantity(name: str, predicted_slope: float, prepare, measure) -> No
 
 @dataclass
 class RunRecord:
-    """Everything needed to reproduce and audit one sweep run."""
+    """Everything needed to reproduce and audit one run."""
 
     quantity: str
     config: dict
@@ -318,14 +302,54 @@ def load_run(path) -> RunRecord:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as err:
         raise RecordError(f"corrupt run record {path}: line {err.lineno}: {err.msg}") from err
     try:
         return RunRecord(**raw)
     except TypeError as err:
         raise RecordError(f"run record {path} has unexpected fields: {err}") from err
+
+
+def utc_now() -> str:
+    """The current UTC time as a record's `started`/`finished` text."""
+    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+def new_run_dir(out_root, name: str) -> str:
+    """Create and return the run directory <out_root>/<UTC stamp>-<name>."""
+    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
+    run_dir = os.path.join(str(out_root), f"{stamp}-{name}")
+    os.makedirs(run_dir, exist_ok=True)
+    return run_dir
+
+
+def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
+                 config: dict | None = None, paths: dict | None = None,
+                 metrics: dict | None = None) -> RunRecord:
+    """Build a run's RunRecord, stamp it and persist it as <run_dir>/record.json.
+
+    A "running" record has an empty `finished`; any other status is stamped
+    now.  `config` defaults to the run directory's resolved.ini (the CLI
+    writes one into every run directory) and `paths` to the run directory.
+    With `run_dir` None the record is only returned.
+    """
+    run_dir = None if run_dir is None else os.path.abspath(run_dir)
+    if config is None:
+        config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
+    record = RunRecord(
+        quantity=quantity,
+        config=config,
+        version=__version__,
+        seed=seed,
+        started=started,
+        finished="" if status == "running" else utc_now(),
+        status=status,
+        paths={"run_dir": run_dir} if paths is None else paths,
+        metrics={} if metrics is None else metrics,
+    )
+    if run_dir is not None:
+        persist_run(record, os.path.join(run_dir, "record.json"))
+    return record
 
 
 def _fmt(x) -> str:
@@ -362,11 +386,12 @@ def _write_fit_csv(path, fit: RateFit | None):
                               (fit.slope, fit.intercept, fit.r_squared, fit.predicted_slope)) + "\n")
 
 
-def _utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+_RUN_FILES = {"points": "points.csv", "fit": "fit.csv", "plot": "plot.dat",
+              "plot_loglog": "plot_loglog.dat", "config": "config.json",
+              "record": "record.json"}
 
 
-def run_sweep(cfg: SweepConfig, out_root=None, jobs: int = 1):
+def run_sweep(cfg: SweepConfig, out_root=None):
     """Measure the configured quantity at every d, fit, and persist a run.
 
     Returns (RateFit | None, RunRecord); the fit is None when every surviving
@@ -374,67 +399,42 @@ def run_sweep(cfg: SweepConfig, out_root=None, jobs: int = 1):
     when fewer than 4 points survive outright failures.
     """
     predicted, prepare, measure = QUANTITIES[cfg.quantity]
-    record = RunRecord(
-        quantity=cfg.quantity,
-        config={"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
-                "params": cfg.params, "seed": cfg.seed},
-        version=__version__,
-        seed=cfg.seed,
-        started=_utc_now(),
-        finished="",
-        status="running",
-        paths={},
-        metrics={},
-    )
-    run_dir = None
+    config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
+              "params": cfg.params, "seed": cfg.seed}
+    started = utc_now()
+    run_dir, paths = None, {}
     if out_root is not None:
-        stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-        run_dir = os.path.join(str(out_root), f"{stamp}-{cfg.quantity}")
-        os.makedirs(run_dir, exist_ok=True)
-        paths = {
-            "points": os.path.join(run_dir, "points.csv"),
-            "fit": os.path.join(run_dir, "fit.csv"),
-            "plot": os.path.join(run_dir, "plot.dat"),
-            "plot_loglog": os.path.join(run_dir, "plot_loglog.dat"),
-            "config": os.path.join(run_dir, "config.json"),
-            "record": os.path.join(run_dir, "record.json"),
-        }
-        record.paths = {k: os.path.abspath(v) for k, v in paths.items()}
+        run_dir = new_run_dir(out_root, cfg.quantity)
+        paths = {key: os.path.abspath(os.path.join(run_dir, name))
+                 for key, name in _RUN_FILES.items()}
         with open(paths["config"], "w") as fh:
-            json.dump(record.config, fh, indent=2, sort_keys=True)
+            json.dump(config, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        persist_run(record, paths["record"])
 
+    def record(status, metrics=None):
+        return write_record(run_dir, cfg.quantity, cfg.seed, started, status,
+                            config=config, paths=paths, metrics=metrics)
+
+    record("running")
     try:
         ctx = prepare(cfg.params, cfg.seed)
         point_seeds = [int(s.generate_state(1)[0]) for s in
                        np.random.SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
-
-        def one(index):
-            d = cfg.d_eps_values[index]
-            try:
-                value, extras = measure(d, ctx, point_seeds[index])
-                return index, float(value), extras, "ok"
-            except (RuntimeError, ValueError) as err:  # domain errors: recorded, not fitted
-                return index, None, None, f"failed: {type(err).__name__}: {err}"
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, range(len(cfg.d_eps_values))))
-        else:
-            results = [one(i) for i in range(len(cfg.d_eps_values))]
-        results.sort(key=lambda item: item[0])
-
         rows = []
         extras_list = []
+        values = []
         fit_d, fit_v = [], []
         zeros = 0
-        for index, value, extras, status in results:
-            d = cfg.d_eps_values[index]
-            extras_list.append(extras)
-            if status != "ok":
-                rows.append((d, None, status.replace(",", ";")))
+        for d, point_seed in zip(cfg.d_eps_values, point_seeds):
+            try:
+                value, extras = measure(d, ctx, point_seed)
+            except (RuntimeError, ValueError) as err:  # domain errors: recorded, not fitted
+                extras_list.append(None)
+                rows.append((d, None, f"failed: {type(err).__name__}: {err}".replace(",", ";")))
                 continue
+            value = float(value)
+            extras_list.append(extras)
+            values.append(value)
             if value <= ZERO_FLOOR:
                 zeros += 1
                 rows.append((d, value, "zero"))
@@ -465,30 +465,22 @@ def run_sweep(cfg: SweepConfig, out_root=None, jobs: int = 1):
             with open(paths["plot_loglog"], "w") as fh:
                 for d, v in zip(fit_d, fit_v):
                     fh.write(f"{_fmt(np.log10(d))} {_fmt(np.log10(v))}\n")
-            if _write_details_csv(os.path.join(run_dir, "details.csv"),
-                                  cfg.d_eps_values, extras_list):
-                record.paths["details"] = os.path.abspath(os.path.join(run_dir, "details.csv"))
+            details = os.path.abspath(os.path.join(run_dir, "details.csv"))
+            if _write_details_csv(details, cfg.d_eps_values, extras_list):
+                paths["details"] = details
     except BaseException:
-        if run_dir is not None:
-            record.status = "incomplete"
-            record.finished = _utc_now()
-            persist_run(record, paths["record"])
+        record("incomplete")
         raise
 
-    record.status = "complete"
-    record.finished = _utc_now()
-    record.metrics = {
+    return fit, record("complete", {
         "n_points": len(cfg.d_eps_values),
         "n_ok": len(fit_d),
         "n_zero": zeros,
         "n_failed": len(cfg.d_eps_values) - surviving,
         "note": note,
-        "values": [v for _, v, _, s in results if s == "ok"],
+        "values": values,
         "slope": fit.slope if fit else None,
         "intercept": fit.intercept if fit else None,
         "r_squared": fit.r_squared if fit else None,
         "predicted_slope": predicted if fit else None,
-    }
-    if run_dir is not None:
-        persist_run(record, record.paths["record"])
-    return fit, record
+    })

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bigdiff import attractors as at
 from bigdiff import dynamics as dyn
@@ -398,6 +401,38 @@ class TestHausdorff:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             at.AttractorCloud(np.zeros((0, 1)), "ode", [])
+
+
+def _ode_clouds(count):
+    """`count` small random ODE clouds sharing one dimension n in {1, 2}."""
+    coords = st.floats(-5.0, 5.0, allow_nan=False)
+    return st.integers(1, 2).flatmap(lambda n: st.tuples(*[
+        st.integers(1, 20).flatmap(lambda m: arrays(float, (m, n), elements=coords))
+        for _ in range(count)]))
+
+
+class TestHausdorffProperties:
+    BASIS = sp.build_basis(DOM, 8)
+
+    @given(clouds=_ode_clouds(2), eps=st.floats(0.5, 50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric(self, clouds, eps):
+        a, b = (at.AttractorCloud(p, "ode", ["x"] * len(p)) for p in clouds)
+        E = sp.diffusion([eps] * a.points.shape[1])
+        assert (at.hausdorff_distance(a, b, E, self.BASIS).sym
+                == at.hausdorff_distance(b, a, E, self.BASIS).sym)
+
+    @given(clouds=_ode_clouds(3))
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_inequality(self, clouds):
+        a, b, c = (at.AttractorCloud(p, "ode", ["x"] * len(p)) for p in clouds)
+        E = sp.diffusion([1.0] * a.points.shape[1])
+
+        def d(x, y):
+            return at.hausdorff_distance(x, y, E, self.BASIS).sym
+
+        ab, bc = d(a, b), d(b, c)
+        assert d(a, c) <= ab + bc + 1e-12 * (1.0 + ab + bc)
 
 
 class TestManifoldDeflection:

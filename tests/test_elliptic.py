@@ -116,13 +116,6 @@ class TestGapSampled:
         with pytest.raises(ValueError):
             el.resolvent_gap_sampled(sp.diffusion([1.0]), basis, trials=0)
 
-    def test_report_row(self):
-        basis = sp.build_basis(DOM, 16)
-        rep = el.gap_report(sp.diffusion([4.0]), basis, trials=40, seed=1)
-        row = rep.csv_row()
-        assert set(row) == {"d_eps", "exact_gap", "sampled_gap", "bound_constant"}
-        assert row["bound_constant"] == pytest.approx(rep.exact_gap * 2.0, rel=1e-15)
-
 
 class TestSpectralProjection:
     def test_eigen_mode_equals_average(self):
