@@ -89,6 +89,14 @@ class ContractionError(RuntimeError):
 
 
 HYPERBOLICITY_TOL = 1e-8
+LEADING_MODES = 50  # Galerkin modes per component diagonalized in PDE linearizations
+NEWTON_TOL = 1e-12  # residual at which a Newton root counts as converged
+MERGE_TOL = 1e-8    # roots closer than this are one root
+# every unstable-manifold arc, ODE or PDE, starts ARC_OFFSET from its equilibrium
+# and runs until it comes within STOP_BALL of another one or ARC_HORIZON runs out
+ARC_OFFSET = 1e-5
+STOP_BALL = 1e-6
+ARC_HORIZON = 60.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ class EquilibriumPoint:
 
     @property
     def stability(self) -> str:
-        if np.min(np.abs(self.eigenvalues.real)) <= HYPERBOLICITY_TOL:
+        if not hyperbolicity_check(self):
             return "nonhyperbolic"
         if self.unstable_count == 0:
             return "stable"
@@ -123,12 +131,12 @@ class EquilibriumPoint:
         return self.location.coeffs[:, 0].copy()
 
 
-def hyperbolicity_check(eq: EquilibriumPoint, tol: float = HYPERBOLICITY_TOL) -> bool:
+def hyperbolicity_check(eq: EquilibriumPoint) -> bool:
     """True iff the linearization spectrum stays away from the imaginary axis."""
-    return bool(np.min(np.abs(eq.eigenvalues.real)) > tol)
+    return bool(np.min(np.abs(eq.eigenvalues.real)) > HYPERBOLICITY_TOL)
 
 
-def _damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=100):
+def _damped_newton(residual, jacobian, x0, tol: float, max_iter: int):
     """Newton with backtracking line search; returns (root, |residual|) or None.
 
     Converged roots are polished with a few full Newton steps so the final
@@ -173,13 +181,30 @@ def _damped_newton(residual, jacobian, x0, tol=1e-12, max_iter=100):
     return x, size
 
 
+def _newton_roots(residual, jacobian, seeds, tol: float, merge_tol: float,
+                  max_iter: int) -> list[tuple[np.ndarray, float]]:
+    """(root, |residual|) from every seed whose damped Newton converges.
+
+    Non-convergent seeds are dropped (their basins are covered by neighbors);
+    a root within `merge_tol` of an earlier one is dropped as a duplicate.
+    """
+    roots = []
+    for seed in seeds:
+        hit = _damped_newton(residual, jacobian, seed, tol=tol, max_iter=max_iter)
+        if hit is None:
+            continue
+        if not any(np.linalg.norm(hit[0] - r) < merge_tol for r, _ in roots):
+            roots.append(hit)
+    return roots
+
+
 def find_equilibria_ode(F: Nonlinearity, box: float, grid_density: int = 11,
-                        tol: float = 1e-12, merge_tol: float = 1e-8,
+                        tol: float = NEWTON_TOL, merge_tol: float = MERGE_TOL,
                         components: int = 1) -> list[EquilibriumPoint]:
     """Damped Newton on -u + F(u) = 0 from every node of a grid over [-box, box]^n.
 
-    Non-convergent seeds are dropped (their basins are covered by neighbors);
-    duplicates merge at `merge_tol`.  Finding nothing at all is an error.
+    Roots outside the search box are dropped: a dissipative field has none
+    there.  Finding nothing at all is an error.
     """
     axes = [np.linspace(-box, box, grid_density)] * components
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, components)
@@ -190,16 +215,8 @@ def find_equilibria_ode(F: Nonlinearity, box: float, grid_density: int = 11,
     def jacobian(u):
         return -np.eye(components) + F.jac(u)
 
-    roots = []
-    for seed in seeds:
-        hit = _damped_newton(residual, jacobian, seed, tol=tol)
-        if hit is None:
-            continue
-        root, size = hit
-        if np.max(np.abs(root)) > box + merge_tol:
-            continue  # outside the search box; not a root of a dissipative field
-        if not any(np.linalg.norm(root - r) < merge_tol for r, _ in roots):
-            roots.append((root, size))
+    roots = _newton_roots(residual, jacobian, seeds, tol, merge_tol, max_iter=100)
+    roots = [(root, size) for root, size in roots if np.max(np.abs(root)) <= box + merge_tol]
     if not roots:
         raise NoEquilibriaError("no equilibrium found in the search box")
     out = []
@@ -220,6 +237,18 @@ def _clean_direction(vec: np.ndarray) -> np.ndarray:
     out = vec.copy()
     out[np.abs(out) < 1e-12 * np.max(np.abs(out))] = 0.0
     return out / np.linalg.norm(out)
+
+
+def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
+    """Cleaned real eigenvectors of `matrix` whose eigenvalues lie right of the axis."""
+    eigvals, eigvecs = np.linalg.eig(matrix)
+    directions = []
+    for lam, vec in zip(eigvals, eigvecs.T):
+        if lam.real > HYPERBOLICITY_TOL:
+            if abs(lam.imag) > HYPERBOLICITY_TOL:
+                raise NotImplementedError("complex unstable pairs are not supported")
+            directions.append(_clean_direction(vec.real))
+    return directions
 
 
 def _shoot_arcs(step, starts, dt: float, stride: int, horizon: float, targets,
@@ -264,14 +293,13 @@ def _etd_flow(stepper: EtdStepper, c: np.ndarray, T: float) -> np.ndarray:
 
 
 def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
-                          offset: float = 1e-5, dt: float = 1e-3,
-                          sample_dt: float = 1e-2, stop_ball: float = 1e-6,
-                          horizon: float = 60.0, box: float | None = None) -> np.ndarray:
+                          dt: float = 1e-3, sample_dt: float = 1e-2,
+                          horizon: float = ARC_HORIZON, box: float | None = None) -> np.ndarray:
     """Shoot the 1-d unstable directions of a hyperbolic equilibrium.
 
-    Integrates v' = -v + F(v) from eq +- offset*xi along each unstable
-    eigendirection xi, sampling every `sample_dt` until the orbit enters a
-    `stop_ball` of another equilibrium or the horizon runs out.  Orbits
+    Integrates v' = -v + F(v) from eq +- ARC_OFFSET*xi along each unstable
+    eigendirection xi, sampling every `sample_dt` until the orbit comes within
+    STOP_BALL of another equilibrium or the horizon runs out.  Orbits
     escaping the absorbing box abort the computation.
     """
     if eq.unstable_count == 0:
@@ -279,15 +307,7 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
     if not hyperbolicity_check(eq):
         raise ValueError("equilibrium is not hyperbolic")
     base = eq.vector()
-    n = base.size
-    jac = -np.eye(n) + F.jac(base)
-    eigvals, eigvecs = np.linalg.eig(jac)
-    directions = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam.real > HYPERBOLICITY_TOL:
-            if abs(lam.imag) > HYPERBOLICITY_TOL:
-                raise NotImplementedError("complex unstable pairs are not supported")
-            directions.append(_clean_direction(vec.real))
+    directions = _unstable_directions(-np.eye(base.size) + F.jac(base))
     if box is None:
         box = (F.bound if F.bound else 10.0) + 2.0
 
@@ -302,10 +322,10 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
         if np.linalg.norm(v) > box:
             raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
 
-    starts = [base + sign * offset * direction
+    starts = [base + sign * ARC_OFFSET * direction
               for direction in directions for sign in (+1.0, -1.0)]
     return np.array(_shoot_arcs(step, starts, dt, max(1, round(sample_dt / dt)), horizon,
-                                [o.vector() for o in others], stop_ball, inside_box))
+                                [o.vector() for o in others], STOP_BALL, inside_box))
 
 
 @dataclass
@@ -369,13 +389,10 @@ class AttractorCloud:
         return max(worst, floor)
 
 
-def attractor_ode(F: Nonlinearity, box: float | None = None, grid_density: int = 11,
-                  components: int = 1, offset: float = 1e-5, dt: float = 1e-3,
-                  sample_dt: float = 1e-2, stop_ball: float = 1e-6,
-                  horizon: float = 60.0) -> AttractorCloud:
+def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
+                  dt: float = 1e-3, sample_dt: float = 1e-2) -> AttractorCloud:
     """ODE attractor as the union of equilibria and unstable-manifold arcs."""
-    if box is None:
-        box = (F.bound if F.bound else 10.0) + 1.0
+    box = (F.bound if F.bound else 10.0) + 1.0
     equilibria = find_equilibria_ode(F, box, grid_density, components=components)
     for eq in equilibria:
         if not hyperbolicity_check(eq):
@@ -386,19 +403,17 @@ def attractor_ode(F: Nonlinearity, box: float | None = None, grid_density: int =
         if eq.unstable_count == 0:
             continue
         arc = unstable_manifold_ode(eq, F, others=[o for o in equilibria if o is not eq],
-                                    offset=offset, dt=dt, sample_dt=sample_dt,
-                                    stop_ball=stop_ball, horizon=horizon, box=box + 1.0)
+                                    dt=dt, sample_dt=sample_dt, box=box + 1.0)
         points.extend(arc)
         provenance.extend(["manifold_union"] * len(arc))
-    meta = {"F": F.name, "params": F.params, "sample_dt": sample_dt, "offset": offset}
+    meta = {"F": F.name, "params": F.params, "sample_dt": sample_dt, "offset": ARC_OFFSET}
     return AttractorCloud(np.array(points), "ode", provenance, meta)
 
 
 def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | None = None,
                            components: int = 1, t_burn: float = 4.0, t_end: float = 20.0,
                            dt: float = 1e-3, sample_dt: float = 1e-2,
-                           dedup_cell: float = 1.25e-3, seed: int = 0,
-                           scale_decades: float = 8.0) -> AttractorCloud:
+                           dedup_cell: float = 1.25e-3, seed: int = 0) -> AttractorCloud:
     """Long-time sampling: post-burn-in orbit segments of many seeds.
 
     Orbits are integrated in lockstep; states for t in [t_burn, t_end] are
@@ -406,7 +421,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     `dedup_cell` (first occupant wins), which bounds the cloud size by the
     attractor volume instead of seeds x samples.
 
-    Seed magnitudes are geometric over `scale_decades` decades below `box`
+    Seed magnitudes are geometric over the eight decades below `box`
     rather than uniform: uniform seeds all escape the neighborhood of an
     unstable equilibrium before the burn-in ends, leaving the slow middle of
     the attractor uncovered, while geometric magnitudes put some orbit in
@@ -414,9 +429,10 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     """
     if box is None:
         box = (F.bound if F.bound else 10.0) + 1.0
+    decades = 8.0
     if components == 1:
         half = n_seeds // 2
-        mags = box * 10.0 ** np.linspace(0.0, -scale_decades, half)
+        mags = box * 10.0 ** np.linspace(0.0, -decades, half)
         parts = [mags, -mags]
         if n_seeds % 2:
             parts.append(np.zeros(1))
@@ -425,7 +441,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         rng = np.random.default_rng(seed)
         direction = rng.standard_normal((components, n_seeds))
         direction /= np.sqrt(np.sum(direction**2, axis=0))
-        radius = box * 10.0 ** rng.uniform(-scale_decades, 0.0, size=n_seeds)
+        radius = box * 10.0 ** rng.uniform(-decades, 0.0, size=n_seeds)
         v = direction * radius
     stride = max(1, round(sample_dt / dt))
 
@@ -451,63 +467,36 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     return AttractorCloud(points, "ode", ["long_time_sampling"] * len(points), meta)
 
 
-def _pde_residual_jacobian(E: DiffusionSpec, basis: CosineBasis, F: Nonlinearity):
-    gains = E.gains(basis)
-    phi = basis.synthesis_matrix()
-    G = basis.quad_points
-    n = E.components
-    K1 = basis.mode_count + 1
-
-    def residual(flat):
-        c = flat.reshape(n, K1)
-        fhat = F(c @ phi) @ phi.T / G
-        return (gains * c - fhat).ravel()
-
-    def jacobian(flat):
-        c = flat.reshape(n, K1)
-        jvals = F.jac(c @ phi)  # (n, n, G)
-        full = np.zeros((n * K1, n * K1))
-        for i in range(n):
-            for j in range(n):
-                block = (phi * jvals[i, j][None, :]) @ phi.T / G
-                full[i * K1:(i + 1) * K1, j * K1:(j + 1) * K1] = -block
-        full[np.arange(n * K1), np.arange(n * K1)] += gains.ravel()
-        return full
-
-    return residual, jacobian
-
-
-def _galerkin_head(u: SpectralField, E: DiffusionSpec, F: Nonlinearity, leading_modes: int):
+def _galerkin_head(c: np.ndarray, basis: CosineBasis, E: DiffusionSpec, F: Nonlinearity,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin matrix of -A + F'(u) on the leading m modes of each component.
 
-    Returns (head, jvals, gains, m), with jvals = F'(u) on the grid.
+    `c` holds the coefficients of u; returns (head, jvals), with jvals = F'(u)
+    on the grid.
     """
-    basis = u.basis
-    n = u.components
-    m = min(leading_modes, basis.mode_count + 1)
-    phi = basis.synthesis_matrix()
-    G = basis.quad_points
-    jvals = F.jac(basis.to_grid(u.coeffs))
-    gains = E.gains(basis)
+    n = c.shape[0]
+    phi = basis.synthesis_matrix()[:m]
+    jvals = F.jac(basis.to_grid(c))
     head = np.zeros((n * m, n * m))
     for i in range(n):
         for j in range(n):
-            block = (phi[:m] * jvals[i, j][None, :]) @ phi[:m].T / G
+            block = (phi * jvals[i, j][None, :]) @ phi.T / basis.quad_points
             head[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
-    head -= np.diag(gains[:, :m].ravel())
-    return head, jvals, gains, m
+    head -= np.diag(E.gains(basis)[:, :m].ravel())
+    return head, jvals
 
 
-def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity,
-                               leading_modes: int = 50) -> np.ndarray:
+def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity) -> np.ndarray:
     """Eigenvalues of the flow linearization -A + F'(u) at a state u.
 
     A Galerkin matrix on the leading modes is diagonalized exactly; the far
     tail is diagonal-dominated and appended analytically as
     -(eps_i lam_k + 1) + mean(F'_ii).
     """
-    head, jvals, gains, m = _galerkin_head(u, E, F, leading_modes)
+    m = min(LEADING_MODES, u.basis.mode_count + 1)
+    head, jvals = _galerkin_head(u.coeffs, u.basis, E, F, m)
     eigs = np.linalg.eigvals(head)
+    gains = E.gains(u.basis)
     tail = []
     for i in range(u.components):
         diag_avg = float(np.mean(jvals[i, i]))
@@ -515,9 +504,8 @@ def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlineari
     return np.concatenate([eigs, np.array(tail, dtype=complex)])
 
 
-def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity, seeds: list[SpectralField],
-                        tol: float = 1e-12, merge_tol: float = 1e-8,
-                        leading_modes: int = 50) -> list[EquilibriumPoint]:
+def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
+                        seeds: list[SpectralField]) -> list[EquilibriumPoint]:
     """Newton on A u = F(u) in coefficient space from the given seed fields.
 
     The diagonal operator preconditions the linear solves (the system is
@@ -527,49 +515,45 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity, seeds: list[SpectralF
     if not seeds:
         raise ValueError("need at least one seed field")
     basis = seeds[0].basis
-    residual, jacobian = _pde_residual_jacobian(E, basis, F)
-    inv_gains = 1.0 / E.gains(basis).ravel()
+    phi = basis.synthesis_matrix()
+    n = E.components
+    K1 = basis.mode_count + 1
+    gains = E.gains(basis)
+    inv_gains = 1.0 / gains.ravel()
+
+    def residual(flat):
+        c = flat.reshape(n, K1)
+        fhat = F(c @ phi) @ phi.T / basis.quad_points
+        return (gains * c - fhat).ravel()
 
     def residual_pc(flat):
         return inv_gains * residual(flat)
 
     def jacobian_pc(flat):
-        return inv_gains[:, None] * jacobian(flat)
+        return inv_gains[:, None] * -_galerkin_head(flat.reshape(n, K1), basis, E, F, K1)[0]
 
-    roots = []
-    for seed in seeds:
-        hit = _damped_newton(residual_pc, jacobian_pc, seed.coeffs.ravel(), tol=tol, max_iter=60)
-        if hit is None:
-            continue
-        root, _ = hit
-        if not any(np.linalg.norm(root - r) < merge_tol for r in roots):
-            roots.append(root)
+    roots = _newton_roots(residual_pc, jacobian_pc, [seed.coeffs.ravel() for seed in seeds],
+                          NEWTON_TOL, MERGE_TOL, max_iter=60)
     if not roots:
         raise NoEquilibriaError("no PDE equilibrium found from the given seeds")
     out = []
-    n = E.components
-    K1 = basis.mode_count + 1
-    for root in sorted(roots, key=lambda r: tuple(np.round(r, 12))):
+    for root, _ in sorted(roots, key=lambda item: tuple(np.round(item[0], 12))):
         u = SpectralField(root.reshape(n, K1), basis)
         res = float(np.linalg.norm(residual(root)))
-        eigs = pde_linearization_spectrum(u, E, F, leading_modes)
+        eigs = pde_linearization_spectrum(u, E, F)
         out.append(EquilibriumPoint(location=u, eigenvalues=eigs, residual=res, kind="pde"))
     return out
 
 
-def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
-                             leading_modes: int = 50) -> list[np.ndarray]:
+def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec,
+                             F: Nonlinearity) -> list[np.ndarray]:
     u = eq.location
-    head, _, _, m = _galerkin_head(u, E, F, leading_modes)
-    eigvals, eigvecs = np.linalg.eig(head)
+    m = min(LEADING_MODES, u.basis.mode_count + 1)
     directions = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam.real > HYPERBOLICITY_TOL:
-            if abs(lam.imag) > HYPERBOLICITY_TOL:
-                raise NotImplementedError("complex unstable pairs are not supported")
-            full = np.zeros_like(u.coeffs)
-            full[:, :m] = _clean_direction(vec.real).reshape(u.components, m)
-            directions.append(full)
+    for vec in _unstable_directions(_galerkin_head(u.coeffs, u.basis, E, F, m)[0]):
+        full = np.zeros_like(u.coeffs)
+        full[:, :m] = vec.reshape(u.components, m)
+        directions.append(full)
     return directions
 
 
@@ -579,33 +563,30 @@ def _pde_manifold_arc(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
     stepper = EtdStepper(eq.location.basis, E, F, dt)
     starts = [eq.location.coeffs + sign * offset * direction
               for direction in _pde_unstable_directions(eq, E, F) for sign in (+1.0, -1.0)]
-    points = _shoot_arcs(stepper.step, starts, dt, max(1, round(sample_dt / dt)), horizon,
-                         [o.location.coeffs for o in others], stop_ball)
-    return np.array(points) if points else np.zeros((0,) + eq.location.coeffs.shape)
+    return np.array(_shoot_arcs(stepper.step, starts, dt, max(1, round(sample_dt / dt)), horizon,
+                                [o.location.coeffs for o in others], stop_ball))
 
 
 def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
                   ode_cloud: AttractorCloud | None = None,
-                  n_tails: int = 24, w_amplitude: float = 0.1, w_modes: int = 8,
+                  n_tails: int = 24, w_amplitude: float = 0.1,
                   t_trans: float = 1.0, dt: float = 1e-3, sample_dt: float = 1e-2,
-                  offset: float = 1e-5, stop_ball: float = 1e-6, horizon: float = 60.0,
-                  seed: int = 0, grid_density: int = 11) -> AttractorCloud:
+                  seed: int = 0) -> AttractorCloud:
     """PDE attractor cloud: equilibria + shot unstable manifolds + tail states.
 
-    Tail initial conditions are ODE-attractor points (already on the limit
-    attractor) lifted to constants and perturbed by a mean-free field with
-    L2 norm `w_amplitude`; evolving them for `t_trans` leaves exactly the
-    mean-free content the homogenization estimates control.  `t_trans` and
-    `sample_dt` should stay commensurate so tails stay synchronized with the
-    arc sampling of the reference ODE cloud.
+    `ode_cloud` must come from `attractor_ode` (built here if omitted): its
+    equilibrium rows, lifted to constants, seed the PDE Newton solve.  Tails
+    start from its points (already on the limit attractor) lifted to
+    constants and perturbed by a mean-free field in modes 1..8 with L2 norm
+    `w_amplitude`; evolving them for `t_trans` leaves exactly the mean-free
+    content the homogenization estimates control.  `t_trans` and `sample_dt`
+    should stay commensurate so tails stay synchronized with the arc
+    sampling of the reference ODE cloud.
     """
     if ode_cloud is None:
-        ode_cloud = attractor_ode(F, components=E.components, offset=offset,
-                                  dt=dt, sample_dt=sample_dt, stop_ball=stop_ball,
-                                  horizon=horizon, grid_density=grid_density)
-    ode_eqs = find_equilibria_ode(F, (F.bound if F.bound else 10.0) + 1.0,
-                                  grid_density=grid_density, components=E.components)
-    seeds = [constant_field(eq.vector(), basis) for eq in ode_eqs]
+        ode_cloud = attractor_ode(F, components=E.components, dt=dt, sample_dt=sample_dt)
+    seeds = [constant_field(v, basis)
+             for v, kind in zip(ode_cloud.points, ode_cloud.provenance) if kind == "equilibrium"]
     equilibria = find_equilibria_pde(E, F, seeds)
 
     points = [eq.location.coeffs for eq in equilibria]
@@ -615,7 +596,7 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
         if eq.unstable_count == 0 or not hyperbolicity_check(eq):
             continue
         arc = _pde_manifold_arc(eq, E, F, [o for o in equilibria if o is not eq],
-                                offset, dt, sample_dt, stop_ball, horizon)
+                                ARC_OFFSET, dt, sample_dt, STOP_BALL, ARC_HORIZON)
         points.extend(arc)
         provenance.extend(["manifold_union"] * len(arc))
 
@@ -623,7 +604,7 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     base_points = ode_cloud.points
     if len(base_points) and t_trans > 0 and n_tails > 0:
         pick = np.linspace(0, len(base_points) - 1, n_tails).astype(int)
-        kmax = min(w_modes, basis.mode_count)
+        kmax = min(8, basis.mode_count)
         tails = np.zeros((n_tails, E.components, basis.mode_count + 1))
         for c, idx in zip(tails, pick):
             c[:, 0] = base_points[idx]
@@ -676,7 +657,7 @@ def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,
                            resolution_b=cloud_b.resolution())
 
 
-def manifold_deflection(cloud: AttractorCloud, E: DiffusionSpec | None = None) -> float:
+def manifold_deflection(cloud: AttractorCloud) -> float:
     """sup over cloud points of the mean-free energy norm |(I-P)u|.
 
     A lower proxy for the graph sup-norm of the invariant manifold,
@@ -684,8 +665,7 @@ def manifold_deflection(cloud: AttractorCloud, E: DiffusionSpec | None = None) -
     """
     if cloud.kind != "pde":
         raise ValueError("deflection needs a PDE cloud")
-    E = cloud.diffusion if E is None else E
-    gains = E.gains(cloud.basis)
+    gains = cloud.diffusion.gains(cloud.basis)
     wc = cloud.points.copy()
     wc[:, :, 0] = 0.0
     return float(np.sqrt(np.max(np.sum(gains[None] * wc**2, axis=(1, 2)))))
@@ -751,7 +731,6 @@ def load_cloud(csv_path, basis: CosineBasis | None = None,
 class GraphEstimate:
     """Grid-restricted graph of the invariant manifold over the constants."""
 
-    v_axes: list[np.ndarray]
     v_grid: np.ndarray          # (m, n) flattened grid nodes
     w_coeffs: np.ndarray        # (m, n, K+1), mode 0 identically zero
     sup_norm: float
@@ -762,18 +741,18 @@ class GraphEstimate:
 
 
 def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
-                    v_axes=None, iters: int = 8, dt: float = 1e-3,
-                    mu: float | None = None, horizon: float | None = None,
+                    iters: int = 8, dt: float = 1e-3, mu: float | None = None,
                     initial: np.ndarray | None = None, box: float | None = None,
-                    grid_points: int = 41, tol: float = 1e-14) -> GraphEstimate:
+                    grid_points: int = 41) -> GraphEstimate:
     """Fixed-point iteration of the manifold graph map on a grid of base points.
 
-    Each sweep integrates the base flow backward from every grid node over a
-    finite horizon and accumulates the mean-free forcing against the exact
+    Each sweep integrates the base flow backward from every grid node over the
+    horizon 10/gap and accumulates the mean-free forcing against the exact
     decaying propagator (composite trapezoid in time); the graph values are
     grid-interpolated.  Requires the spectral gap d*lam_1 + 1 - mu > Lip(F);
-    aborts if the iteration fails to contract.  Backward-flow states leaving
-    the grid hull are clamped to it and counted.
+    aborts if the iteration fails to contract, and stops early once a sweep
+    changes the graph by less than 1e-14.  Backward-flow states leaving the
+    grid hull are clamped to it and counted.
     """
     n = E.components
     lam2 = E.second_eigenvalue(basis)
@@ -784,14 +763,10 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
         raise SpectralGapError(
             f"spectral-gap precondition fails: d*lam1+1 - mu = {lam2 - mu:.4g} "
             f"must exceed Lip(F) = {F.lip:.4g}")
-    if horizon is None:
-        horizon = 10.0 / gap
-    if v_axes is None:
-        if box is None:
-            box = 1.2 * ((F.bound if F.bound else 10.0) + 0.5)
-        v_axes = [np.linspace(-box, box, grid_points) for _ in range(n)]
-    elif isinstance(v_axes, np.ndarray) and v_axes.ndim == 1:
-        v_axes = [v_axes]
+    horizon = 10.0 / gap
+    if box is None:
+        box = 1.2 * ((F.bound if F.bound else 10.0) + 0.5)
+    v_axes = [np.linspace(-box, box, grid_points) for _ in range(n)]
     grid_shape = tuple(len(ax) for ax in v_axes)
     mesh = np.meshgrid(*v_axes, indexing="ij")
     v_grid = np.stack([m.ravel() for m in mesh], axis=-1)  # (m, n)
@@ -869,9 +844,9 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
                 raise ContractionError(
                     f"graph iteration is not contracting (factor {factor:.3g} at sweep {sweep})")
         prev_diff = diff
-        if diff < tol:
+        if diff < 1e-14:
             break
 
-    return GraphEstimate(v_axes=list(v_axes), v_grid=v_grid, w_coeffs=s,
+    return GraphEstimate(v_grid=v_grid, w_coeffs=s,
                          sup_norm=sup_energy(s), contraction_factors=factors,
                          clamped=clamped_total, horizon=horizon, iterations=sweep + 1)

@@ -177,7 +177,7 @@ def cmd_eigs(args) -> int:
 def cmd_example_optimal(args) -> int:
     cfg = _load(args)
     started = rt.utc_now()
-    eps_values = [float(x) for x in args.eps.split(",")]
+    eps_values = args.eps
     basis = cfg.basis()
     reports = [el.optimal_example_check(e, basis) for e in eps_values]
     run_dir = _new_run_dir(cfg, "example-optimal")
@@ -375,6 +375,22 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _eps_list(text: str) -> list[float]:
+    """At least two distinct positive eps values: the exponent fit needs two."""
+    values = [float(x) for x in text.split(",")]  # argparse reports a ValueError as usage
+    if not all(0 < v < np.inf for v in values) or len(set(values)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected at least two distinct positive finite values, got {text!r}")
+    return values
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
@@ -403,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_txt)
         _add_common(p)
         p.set_defaults(handler=handler)
-    sub.choices["eigs"].add_argument("--count", type=int, default=8,
+    sub.choices["eigs"].add_argument("--count", type=_positive_int, default=8,
                                      help="number of eigenvalues to print")
-    sub.choices["example-optimal"].add_argument("--eps", default="1,4,16,64",
+    sub.choices["example-optimal"].add_argument("--eps", type=_eps_list, default="1,4,16,64",
                                                 help="comma list of eps values")
 
     p_report = sub.add_parser("report", help="summarize one or more run directories")

@@ -123,9 +123,6 @@ class Config:
     def __init__(self, data: dict):
         self.data = data
 
-    def __getitem__(self, section: str) -> dict:
-        return self.data[section]
-
     def get(self, section: str, key: str):
         return self.data[section][key]
 
@@ -138,9 +135,8 @@ class Config:
         modes = self.get("domain", "modes") if modes is None else modes
         return build_basis(self.domain(), modes, self.get("domain", "quad_points"))
 
-    def diffusion_spec(self, eps=None) -> DiffusionSpec:
-        eps = self.get("diffusion", "eps") if eps is None else eps
-        eps = tuple(eps)
+    def diffusion_spec(self) -> DiffusionSpec:
+        eps = self.get("diffusion", "eps")
         n = self.get("domain", "components")
         if len(eps) == 1 and n > 1:
             eps = eps * n
@@ -232,12 +228,25 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("[domain] components must be >= 1")
     if cfg.get("domain", "modes") < 2:
         raise ConfigError("[domain] modes must be >= 2")
-    if any(e <= 0 for e in cfg.get("diffusion", "eps")):
-        raise ConfigError("[diffusion] eps entries must be positive")
+    modes, quad_points = cfg.get("domain", "modes"), cfg.get("domain", "quad_points")
+    if quad_points is not None and quad_points < 2 * modes + 2:
+        raise ConfigError(f"[domain] quad_points must be >= 2*modes + 2 = {2 * modes + 2}")
+    eps = cfg.get("diffusion", "eps")
+    if not eps or any(e <= 0 for e in eps):
+        raise ConfigError("[diffusion] eps needs at least one entry, all positive")
+    m0 = cfg.get("diffusion", "m0")
+    if m0 is not None and not 0 < m0 <= min(eps):
+        raise ConfigError("[diffusion] m0 must satisfy 0 < m0 <= min(eps)")
     sweep = cfg.get("sweep", "d_eps")
     if len(sweep) < 4:
         raise ConfigError("[sweep] d_eps needs at least 4 values")
+    if any(v <= 0 for v in sweep):
+        raise ConfigError("[sweep] d_eps values must be positive")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError("[sweep] d_eps must be strictly increasing")
+    if not cfg.get("attractor", "arc_dt") > 0:
+        raise ConfigError("[attractor] arc_dt must be positive")
+    if not cfg.get("semigroup", "m_horizon") > 0:
+        raise ConfigError("[semigroup] m_horizon must be positive")
     if not np.isfinite(cfg.get("tolerances", "slope")):
         raise ConfigError("[tolerances] slope must be finite")

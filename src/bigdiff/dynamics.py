@@ -187,14 +187,14 @@ def _diagonal_jacobian(diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_nonlinearity(F: Nonlinearity, components: int, rng=None,
-                          samples: int = 64, fd_step: float = 1e-6) -> None:
+def validate_nonlinearity(F: Nonlinearity, components: int, rng=None) -> None:
     """Numerical sanity checks: boundedness, Jacobian vs finite differences,
     and the inward-pointing (dissipativeness) surrogate on |u| = B + 1.
 
     Raises ValueError on the first violated predicate.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    samples, fd_step = 64, 1e-6
     wide = rng.uniform(-50.0, 50.0, size=(components, samples))
     values = F(wide)
     if F.bound is not None:
@@ -286,8 +286,6 @@ class SemigroupConstants:
     M: float
     mu: float
     mu_bar: float
-    horizon: float
-    argmax_t: float
 
 
 def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0,
@@ -298,9 +296,9 @@ def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0
     located on a dense log grid with local refinement; mu = sqrt(2 M sqrt(pi))
     and mu_bar = (mu - 1)/lam_1.  The supremum over all t > 0 is infinite
     (kappa decays like e^{-lam_2 t} sqrt(lam_2), which beats t^{-1/2} only up
-    to constants), so M is reported together with its horizon; on any fixed
-    horizon it equals sqrt(lam_2 T*) once that exceeds 1, and therefore grows
-    with both T* and d.
+    to constants), so M means something only together with its horizon; on
+    any fixed horizon it equals sqrt(lam_2 T*) once that exceeds 1, and
+    therefore grows with both T* and d.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -321,11 +319,10 @@ def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0
     fine = np.linspace(lo, hi, refine)
     fvals = log_objective(fine)
     j = int(np.argmax(fvals))
-    best_t, best = (fine[j], fvals[j]) if fvals[j] >= vals[i] else (ts[i], vals[i])
+    best = fvals[j] if fvals[j] >= vals[i] else vals[i]
     M = max(1.0, float(np.exp(best)))
     mu = mu_from_M(M)
-    return SemigroupConstants(M=M, mu=mu, mu_bar=(mu - 1.0) / basis.lambda1,
-                              horizon=horizon, argmax_t=float(best_t))
+    return SemigroupConstants(M=M, mu=mu, mu_bar=(mu - 1.0) / basis.lambda1)
 
 
 @dataclass
@@ -340,13 +337,9 @@ class Trajectory:
     w_xhalf: np.ndarray  # energy norm of the mean-free part
     w_l2: np.ndarray
     q_l2: np.ndarray
-    scheme: str = "etd2rk"
 
     def state(self, index: int) -> SpectralField:
         return SpectralField(self.coeffs[index], self.basis)
-
-    def final_state(self) -> SpectralField:
-        return self.state(len(self.times) - 1)
 
     def to_csv(self, path) -> None:
         n = self.v.shape[1]
@@ -399,7 +392,6 @@ class EtdStepper:
         if scheme not in ("etd1", "etd2rk"):
             raise ValueError(f"unknown scheme {scheme!r}; expected 'etd1' or 'etd2rk'")
         self.basis = basis
-        self.diffusion = E
         self.nonlinearity = F
         self.dt = dt
         self.scheme = scheme
@@ -480,7 +472,7 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
         q = Q_of(v[i], SpectralField(wc[i], basis), F)
         q_l2[i] = l2_norm(q)
     return Trajectory(times=times, coeffs=coeffs, basis=basis, diffusion=E,
-                      v=v, w_xhalf=w_xhalf, w_l2=w_l2, q_l2=q_l2, scheme=scheme)
+                      v=v, w_xhalf=w_xhalf, w_l2=w_l2, q_l2=q_l2)
 
 
 def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:
@@ -524,34 +516,27 @@ class DecayFit:
     """Least-squares exponential fit of a positive trajectory quantity."""
 
     fitted_rate: float
-    fitted_amplitude: float
     residual: float
     theoretical_rate: float
-    window: tuple[float, float]
     truncated: bool
-    sample_count: int
 
 
 _FLOOR = 1e-290
 
 
 def decay_rate_fit(traj: Trajectory, quantity: str = "w_xhalf",
-                   window: tuple[float, float] | None = None,
                    mu: float | None = None) -> DecayFit:
     """Fit log(quantity) ~ log A - rate * t over the post-transient window.
 
-    Default window discards the first 20% of the horizon.  Samples at or
+    The window discards the first 20% of the horizon.  Samples at or
     below the machine floor are dropped and the fit flagged as truncated;
     the residual (RMS misfit of the line) is always reported.
     """
-    series = {"w_norm": traj.w_xhalf, "w_xhalf": traj.w_xhalf,
-              "w_l2": traj.w_l2, "Q_norm": traj.q_l2, "q_l2": traj.q_l2}.get(quantity)
+    series = {"w_xhalf": traj.w_xhalf, "Q_norm": traj.q_l2}.get(quantity)
     if series is None:
         raise ValueError(f"unknown quantity {quantity!r}")
     t = traj.times
-    if window is None:
-        window = (0.2 * t[-1], t[-1])
-    mask = (t >= window[0]) & (t <= window[1])
+    mask = t >= 0.2 * t[-1]
     alive = series > _FLOOR
     truncated = bool(np.any(mask & ~alive))
     mask &= alive
@@ -571,7 +556,5 @@ def decay_rate_fit(traj: Trajectory, quantity: str = "w_xhalf",
     resid = float(np.sqrt(np.mean((ys - (slope * ts + intercept)) ** 2)))
     lam2 = traj.diffusion.second_eigenvalue(traj.basis)
     theo = lam2 - mu if mu is not None else float("nan")
-    return DecayFit(fitted_rate=float(-slope), fitted_amplitude=float(np.exp(intercept)),
-                    residual=resid, theoretical_rate=theo,
-                    window=(float(ts[0]), float(ts[-1])), truncated=truncated,
-                    sample_count=int(np.count_nonzero(mask)))
+    return DecayFit(fitted_rate=float(-slope), residual=resid, theoretical_rate=theo,
+                    truncated=truncated)

@@ -92,16 +92,9 @@ class RateFit:
     amplitude: float
     r_squared: float
     predicted_slope: float
-    excluded: int = 0
-    note: str = ""
-
-    @property
-    def pairs(self):
-        return list(zip(self.d_eps, self.values))
 
 
-def loglog_fit(d_values, values, predicted_slope: float = -0.5,
-               excluded: int = 0, note: str = "") -> RateFit:
+def loglog_fit(d_values, values, predicted_slope: float = -0.5) -> RateFit:
     """OLS on (log d, log value); exact on synthetic power laws."""
     d = np.asarray(d_values, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -117,8 +110,7 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5,
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     return RateFit(d_eps=tuple(d), values=tuple(v), slope=float(slope),
                    intercept=float(intercept), amplitude=float(np.exp(intercept)),
-                   r_squared=r2, predicted_slope=predicted_slope,
-                   excluded=excluded, note=note)
+                   r_squared=r2, predicted_slope=predicted_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +120,9 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5,
 _DOM = DomainSpec()
 
 
-def _ctx_basis(params, components=None):
+def _ctx_basis(params):
     K = int(params.get("modes", 32))
-    n = int(params.get("components", 1)) if components is None else components
-    return build_basis(_DOM, K), n
+    return build_basis(_DOM, K), int(params.get("components", 1))
 
 
 def _prepare_resolvent(params, seed):
@@ -198,14 +189,18 @@ def _prepare_hausdorff(params, seed):
             "tail_seed": seed}
 
 
+def _pde_cloud(E, ctx):
+    return _attractors.attractor_pde(E, ctx["F"], ctx["basis"], ode_cloud=ctx["ode_cloud"],
+                                     n_tails=ctx["n_tails"],
+                                     w_amplitude=ctx["w_amplitude"],
+                                     t_trans=ctx["t_trans"], dt=ctx["arc_dt"],
+                                     sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
+
+
 def _measure_hausdorff(d, ctx, point_seed):
     basis = ctx["basis"]
     E = diffusion([d] * ctx["n"])
-    cloud = _attractors.attractor_pde(E, ctx["F"], basis, ode_cloud=ctx["ode_cloud"],
-                                      n_tails=ctx["n_tails"],
-                                      w_amplitude=ctx["w_amplitude"],
-                                      t_trans=ctx["t_trans"], dt=ctx["arc_dt"],
-                                      sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
+    cloud = _pde_cloud(E, ctx)
     res = _attractors.hausdorff_distance(cloud, ctx["ode_cloud"], E, basis)
     consts = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"])
     threshold_met = E.d_eps * basis.lambda1 > consts.mu - 1.0
@@ -215,19 +210,11 @@ def _measure_hausdorff(d, ctx, point_seed):
 
 
 def _prepare_deflection(params, seed):
-    ctx = _prepare_hausdorff({**params, "t_trans": params.get("t_trans", 10.0)}, seed)
-    return ctx
+    return _prepare_hausdorff({**params, "t_trans": params.get("t_trans", 10.0)}, seed)
 
 
 def _measure_deflection(d, ctx, point_seed):
-    basis = ctx["basis"]
-    E = diffusion([d] * ctx["n"])
-    cloud = _attractors.attractor_pde(E, ctx["F"], basis, ode_cloud=ctx["ode_cloud"],
-                                      n_tails=ctx["n_tails"],
-                                      w_amplitude=ctx["w_amplitude"],
-                                      t_trans=ctx["t_trans"], dt=ctx["arc_dt"],
-                                      sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
-    value = _attractors.manifold_deflection(cloud)
+    value = _attractors.manifold_deflection(_pde_cloud(diffusion([d] * ctx["n"]), ctx))
     return value, {"deflection": value, "scaled": value * np.sqrt(d)}
 
 
@@ -288,9 +275,6 @@ class RunRecord:
     paths: dict
     metrics: dict
 
-    def __eq__(self, other):
-        return isinstance(other, RunRecord) and asdict(self) == asdict(other)
-
 
 def persist_run(record: RunRecord, path) -> None:
     with open(path, "w") as fh:
@@ -331,9 +315,8 @@ def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
     A "running" record has an empty `finished`; any other status is stamped
     now.  `config` defaults to the run directory's resolved.ini (the CLI
     writes one into every run directory) and `paths` to the run directory.
-    With `run_dir` None the record is only returned.
     """
-    run_dir = None if run_dir is None else os.path.abspath(run_dir)
+    run_dir = os.path.abspath(run_dir)
     if config is None:
         config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
     record = RunRecord(
@@ -347,8 +330,7 @@ def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
         paths={"run_dir": run_dir} if paths is None else paths,
         metrics={} if metrics is None else metrics,
     )
-    if run_dir is not None:
-        persist_run(record, os.path.join(run_dir, "record.json"))
+    persist_run(record, os.path.join(run_dir, "record.json"))
     return record
 
 
@@ -391,7 +373,7 @@ _RUN_FILES = {"points": "points.csv", "fit": "fit.csv", "plot": "plot.dat",
               "record": "record.json"}
 
 
-def run_sweep(cfg: SweepConfig, out_root=None):
+def run_sweep(cfg: SweepConfig, out_root):
     """Measure the configured quantity at every d, fit, and persist a run.
 
     Returns (RateFit | None, RunRecord); the fit is None when every surviving
@@ -402,14 +384,12 @@ def run_sweep(cfg: SweepConfig, out_root=None):
     config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
               "params": cfg.params, "seed": cfg.seed}
     started = utc_now()
-    run_dir, paths = None, {}
-    if out_root is not None:
-        run_dir = new_run_dir(out_root, cfg.quantity)
-        paths = {key: os.path.abspath(os.path.join(run_dir, name))
-                 for key, name in _RUN_FILES.items()}
-        with open(paths["config"], "w") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    run_dir = new_run_dir(out_root, cfg.quantity)
+    paths = {key: os.path.abspath(os.path.join(run_dir, name))
+             for key, name in _RUN_FILES.items()}
+    with open(paths["config"], "w") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
     def record(status, metrics=None):
         return write_record(run_dir, cfg.quantity, cfg.seed, started, status,
@@ -450,24 +430,23 @@ def run_sweep(cfg: SweepConfig, out_root=None):
             fit = None
             note = "identically zero; bound trivially satisfied"
         elif len(fit_d) >= 4:
-            fit = loglog_fit(fit_d, fit_v, predicted_slope=predicted, excluded=zeros)
-            note = fit.note
+            fit = loglog_fit(fit_d, fit_v, predicted_slope=predicted)
+            note = ""
         else:
             fit = None
             note = f"only {len(fit_d)} nonzero points; {zeros} zero at tolerance"
 
-        if run_dir is not None:
-            _write_points_csv(paths["points"], rows)
-            _write_fit_csv(paths["fit"], fit)
-            with open(paths["plot"], "w") as fh:
-                for d, v in zip(fit_d, fit_v):
-                    fh.write(f"{_fmt(d)} {_fmt(v)}\n")
-            with open(paths["plot_loglog"], "w") as fh:
-                for d, v in zip(fit_d, fit_v):
-                    fh.write(f"{_fmt(np.log10(d))} {_fmt(np.log10(v))}\n")
-            details = os.path.abspath(os.path.join(run_dir, "details.csv"))
-            if _write_details_csv(details, cfg.d_eps_values, extras_list):
-                paths["details"] = details
+        _write_points_csv(paths["points"], rows)
+        _write_fit_csv(paths["fit"], fit)
+        with open(paths["plot"], "w") as fh:
+            for d, v in zip(fit_d, fit_v):
+                fh.write(f"{_fmt(d)} {_fmt(v)}\n")
+        with open(paths["plot_loglog"], "w") as fh:
+            for d, v in zip(fit_d, fit_v):
+                fh.write(f"{_fmt(np.log10(d))} {_fmt(np.log10(v))}\n")
+        details = os.path.abspath(os.path.join(run_dir, "details.csv"))
+        if _write_details_csv(details, cfg.d_eps_values, extras_list):
+            paths["details"] = details
     except BaseException:
         record("incomplete")
         raise

@@ -242,11 +242,9 @@ def field_from_coeffs(coeffs, basis: CosineBasis) -> SpectralField:
     return SpectralField(np.atleast_2d(coeffs), basis)
 
 
-def constant_field(value, basis: CosineBasis, components: int | None = None) -> SpectralField:
+def constant_field(value, basis: CosineBasis) -> SpectralField:
     """Lift a vector v in R^n to the spatially constant field v * phi_0."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
-    if components is not None and v.size == 1:
-        v = np.full(components, v[0])
     coeffs = np.zeros((v.size, basis.mode_count + 1))
     coeffs[:, 0] = v
     return SpectralField(coeffs, basis)
@@ -261,14 +259,9 @@ def mode_field(basis: CosineBasis, mode: int, amplitude: float = 1.0,
 
 
 def random_field(basis: CosineBasis, components: int, rng: np.random.Generator,
-                 kmax: int | None = None, zero_mean: bool = False,
                  l2_norm_value: float | None = None) -> SpectralField:
-    """Gaussian random coefficients up to mode kmax, optionally L2-normalized."""
-    kmax = basis.mode_count if kmax is None else min(kmax, basis.mode_count)
-    coeffs = np.zeros((components, basis.mode_count + 1))
-    coeffs[:, : kmax + 1] = rng.standard_normal((components, kmax + 1))
-    if zero_mean:
-        coeffs[:, 0] = 0.0
+    """Gaussian random coefficients in every mode, optionally L2-normalized."""
+    coeffs = rng.standard_normal((components, basis.mode_count + 1))
     if l2_norm_value is not None:
         size = np.sqrt(np.sum(coeffs**2))
         if size == 0.0:
@@ -329,16 +322,9 @@ class EnergyNorm:
         self.basis = basis
         self._weights = _freeze(np.sqrt(E.gains(basis)))
 
-    def norm(self, f: SpectralField) -> float:
-        return energy_norm(f, self.diffusion)
-
     def inner(self, f: SpectralField, g: SpectralField) -> float:
         _check_same_basis(f, g)
         return float(np.sum(self.diffusion.gains(self.basis) * f.coeffs * g.coeffs))
-
-    def weights(self) -> np.ndarray:
-        """sqrt(eps_i lam_k + 1) per coefficient, shape (n, K+1)."""
-        return self._weights
 
     def embed(self, coeffs: np.ndarray) -> np.ndarray:
         """Scale stacked coefficient arrays (m, n, K+1) into Euclidean space."""

@@ -246,6 +246,19 @@ class TestAttractorPDE:
         kinds = set(cloud.provenance)
         assert {"equilibrium", "manifold_union", "long_time_sampling"} <= kinds
 
+    def test_equilibria_seeded_from_the_ode_cloud(self, tanh_cloud, monkeypatch):
+        # the ODE equilibria are rows of ode_cloud, so no second ODE Newton solve runs
+        def solve_again(*args, **kwargs):
+            raise AssertionError("find_equilibria_ode called again")
+
+        monkeypatch.setattr(at, "find_equilibria_ode", solve_again)
+        basis = sp.build_basis(DOM, 8)
+        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, ode_cloud=tanh_cloud,
+                                 n_tails=2, t_trans=0.1, dt=1e-2, sample_dt=2e-2)
+        eqs = cloud.points[[p == "equilibrium" for p in cloud.provenance]]
+        np.testing.assert_allclose(eqs[:, 0, 0], [-USTAR, 0.0, USTAR], rtol=0, atol=1e-10)
+        assert np.max(np.abs(eqs[:, :, 1:])) < 1e-12
+
     def test_invariance_probe_fine_arcs(self):
         # fine arc sampling pushes the cloud gap below 1e-4 drift
         basis = sp.build_basis(DOM, 8)

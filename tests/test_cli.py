@@ -106,8 +106,12 @@ _BY_TYPE = {bool: st.booleans(), int: st.integers(-10**6, 10**6), float: _FINITE
 _VALID = {
     ("domain", "components"): st.integers(1, 8),
     ("domain", "modes"): st.integers(2, 512),
+    ("domain", "quad_points"): st.none() | st.integers(2 * 512 + 2, 10**6),
+    ("diffusion", "m0"): st.none() | st.floats(1e-9, 1e-6),  # at most every drawn eps
     ("sweep", "d_eps"): st.lists(_POSITIVE, min_size=4, max_size=9, unique=True)
                           .map(sorted).map(tuple),
+    ("attractor", "arc_dt"): _POSITIVE,
+    ("semigroup", "m_horizon"): _POSITIVE,
 }
 
 
@@ -227,6 +231,31 @@ c = 40.0
 
     def test_jobs_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["eigs", "--jobs", "2", "--out-root", str(tmp_path)]) == 2
+        capsys.readouterr()
+
+
+class TestBadInput:
+    # each is a usage or configuration error (2), not a failed verdict (1) or a
+    # runtime failure (3) after every sweep point has failed
+    @pytest.mark.parametrize("command,ini,flags", [
+        ("resolvent-rate", "[sweep]\nd_eps = 0,1,2,4\n", []),
+        ("eigs", "[domain]\nmodes = 8\nquad_points = 17\n", []),
+        ("eigs", "[diffusion]\nm0 = 0\n", []),
+        ("eigs", "[diffusion]\neps = 1\nm0 = 2\n", []),
+        ("eigs", "", ["--count", "0"]),
+        ("example-optimal", "", ["--eps", "0,1,2"]),
+        ("example-optimal", "", ["--eps", "a,b"]),
+        ("example-optimal", "", ["--eps", "4"]),
+        ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                            "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 0\n", []),
+        ("decay", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,8\n[nonlinearity]\nname = zero\n"
+                  "[semigroup]\nm_horizon = 0\n", []),
+    ], ids=["d_eps", "quad_points", "m0_zero", "m0_above_eps", "count", "eps_zero",
+            "eps_text", "eps_single", "arc_dt", "m_horizon"])
+    def test_exits_two(self, tmp_path, capsys, command, ini, flags):
+        config = ["-c", write(tmp_path / "a.ini", ini)] if ini else []
+        assert cli.main([command, *config, *flags, "--quiet",
+                         "--out-root", str(tmp_path / "runs")]) == 2
         capsys.readouterr()
 
 

@@ -370,6 +370,19 @@ def stepper_cases(draw):
     return basis, sp.diffusion(eps), F, dt, scheme
 
 
+def constant_forcing(b):
+    """F(u) = b for every u, one entry of b per component."""
+    b = np.asarray(b, dtype=float)
+
+    def fn(u):
+        return np.zeros_like(u) + b.reshape((-1,) + (1,) * (u.ndim - 1))
+
+    def jac(u):
+        return dyn._diagonal_jacobian(np.zeros_like(u))
+
+    return dyn.Nonlinearity("constant", {}, fn, jac, float(np.linalg.norm(b)), 0.0)
+
+
 class TestEtdStepperProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -396,6 +409,21 @@ class TestEtdStepperProperties:
         np.testing.assert_allclose(c, exact, rtol=1e-12, atol=1e-300)
         one = dyn.linear_semigroup_apply(u, E, dt).coeffs
         assert np.array_equal(stepper.step(u.coeffs), one)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases(), forcing=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_constant_forcing_is_variation_of_constants(self, case, forcing, seed):
+        # u' = -A u + b with constant b has u(h) = e^{-hA} u + A^{-1}(I - e^{-hA}) b,
+        # and b lives in mode 0, whose gain is 1; both schemes are exact for it
+        basis, E, _, dt, _ = case
+        b = np.array(forcing[:E.components])
+        c = sp.random_field(basis, E.components, np.random.default_rng(seed)).coeffs
+        exact = np.exp(-dt * E.gains(basis)) * c
+        exact[:, 0] += (1.0 - np.exp(-dt)) * b
+        for scheme in ("etd1", "etd2rk"):
+            got = dyn.EtdStepper(basis, E, constant_forcing(b), dt, scheme).step(c)
+            np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-15)
 
 
 class TestEvolveODE:

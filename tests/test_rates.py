@@ -196,5 +196,5 @@ class TestRunRecordPersistence:
         snap = json.loads((run_dir / "config.json").read_text())
         cfg2 = rt.SweepConfig(snap["quantity"], tuple(snap["d_eps_values"]),
                               params=snap["params"], seed=snap["seed"])
-        fit2, _ = rt.run_sweep(cfg2, out_root=None)
+        fit2, _ = rt.run_sweep(cfg2, out_root=tmp_path / "rerun")
         assert fit2.slope == pytest.approx(-0.5, abs=1e-12)
