@@ -20,6 +20,12 @@ Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
 nearest-neighbor spacing) so every distance statement can be read against
 the sampling accuracy.
+
+Every nearest-neighbor maximum (resolution, Hausdorff, invariance drift) goes
+through `_farthest_nearest`: an exact k-d tree query screens all rows, then
+the few rows tied with the largest tree distance are settled with `cdist`
+against the whole reference set, so each result is bit-identical to a
+brute-force `cdist` over all pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .dynamics import (
@@ -376,17 +383,10 @@ class AttractorCloud:
         when the surviving points happen to sit close together.
         """
         floor = float(self.meta.get("resolution_floor", 0.0))
-        emb = self.embedded()
         if len(self) < 2:
             return floor
-        worst = 0.0
-        for start in range(0, len(self), 2048):
-            block = emb[start:start + 2048]
-            d = cdist(block, emb)
-            for i in range(block.shape[0]):
-                d[i, start + i] = np.inf
-            worst = max(worst, float(np.min(d, axis=1).max()))
-        return max(worst, floor)
+        emb = self.embedded()
+        return max(_farthest_nearest(emb, emb, skip_self=True), floor)
 
 
 def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
@@ -630,13 +630,27 @@ class HausdorffResult:
     resolution_b: float
 
 
-def _one_sided(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """max over rows of emb_a of the min distance into emb_b, chunked."""
-    worst = 0.0
-    for start in range(0, emb_a.shape[0], 2048):
-        block = emb_a[start:start + 2048]
-        worst = max(worst, float(cdist(block, emb_b).min(axis=1).max()))
-    return worst
+def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = False) -> float:
+    """max over rows of `query` of the distance to the nearest row of `ref`.
+
+    With `skip_self`, `query` is `ref` and each row's own pair is excluded.
+    An exact k-d tree query screens every row; only rows within a relative
+    1e-9 of the largest tree distance (the tree may round differently in
+    the last bits) are recomputed with `cdist` against all of `ref`, so the
+    result equals a brute-force `cdist` maximum bit for bit.  Rows tied at
+    the maximum all go to `cdist`, so a cloud of equally spaced points costs
+    as much as brute force.
+    """
+    dist, _ = cKDTree(ref).query(query, k=2 if skip_self else 1)
+    nearest = dist[:, -1] if skip_self else dist
+    top = float(nearest.max())
+    if top == 0.0:
+        return 0.0
+    rows = np.flatnonzero(nearest >= top * (1.0 - 1e-9))
+    d = cdist(query[rows], ref)
+    if skip_self:
+        d[np.arange(rows.size), rows] = np.inf
+    return float(d.min(axis=1).max())
 
 
 def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,
@@ -650,8 +664,8 @@ def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,
     emb_b = cloud_b.embedded(E, basis)
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ValueError("clouds do not embed into a common space")
-    ab = _one_sided(emb_a, emb_b)
-    ba = _one_sided(emb_b, emb_a)
+    ab = _farthest_nearest(emb_a, emb_b)
+    ba = _farthest_nearest(emb_b, emb_a)
     return HausdorffResult(sym=max(ab, ba), a_to_b=ab, b_to_a=ba,
                            resolution_a=cloud_a.resolution(),
                            resolution_b=cloud_b.resolution())
@@ -685,7 +699,7 @@ def invariance_probe(cloud: AttractorCloud, F: Nonlinearity, T: float = 1.0,
     else:
         moved = _etd_flow(EtdStepper(cloud.basis, cloud.diffusion, F, dt), cloud.points[idx], T)
         emb_moved = EnergyNorm(cloud.diffusion, cloud.basis).embed(moved)
-    return _one_sided(emb_moved, emb_cloud)
+    return _farthest_nearest(emb_moved, emb_cloud)
 
 
 def save_cloud(cloud: AttractorCloud, csv_path) -> None:

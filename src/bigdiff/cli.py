@@ -260,6 +260,8 @@ def cmd_attractor(args) -> int:
         rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "complete",
                         metrics={"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
                                  "resolution": resolution, "n_equilibria": len(equilibria),
+                                 "manifold_points": len(manifold),
+                                 "longtime_points": len(longtime),
                                  "verdict": "PASS" if passed else "FAIL"})
         return _verdict("attractor", detail, passed)
     except BaseException:

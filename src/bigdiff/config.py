@@ -244,8 +244,17 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("[sweep] d_eps values must be positive")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError("[sweep] d_eps must be strictly increasing")
-    if not cfg.get("attractor", "arc_dt") > 0:
-        raise ConfigError("[attractor] arc_dt must be positive")
+    for key in ("arc_dt", "sample_dt", "dedup_cell"):
+        if not cfg.get("attractor", key) > 0:
+            raise ConfigError(f"[attractor] {key} must be positive")
+    if cfg.get("attractor", "n_tails") < 0:
+        raise ConfigError("[attractor] n_tails must be >= 0")
+    if cfg.get("attractor", "longtime_seeds") < 1:
+        raise ConfigError("[attractor] longtime_seeds must be >= 1")
+    if cfg.get("manifold", "grid_points") < 2:
+        raise ConfigError("[manifold] grid_points must be >= 2")
+    if cfg.get("manifold", "iterations") < 1:
+        raise ConfigError("[manifold] iterations must be >= 1")
     if not cfg.get("semigroup", "m_horizon") > 0:
         raise ConfigError("[semigroup] m_horizon must be positive")
     if not np.isfinite(cfg.get("tolerances", "slope")):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from bigdiff import attractors as at
 from bigdiff import dynamics as dyn
@@ -446,6 +447,80 @@ class TestHausdorffProperties:
 
         ab, bc = d(a, b), d(b, c)
         assert d(a, c) <= ab + bc + 1e-12 * (1.0 + ab + bc)
+
+
+def brute_farthest_nearest(query, ref, skip_self=False):
+    """Oracle: chunked all-pairs `cdist`, the max over query rows of the row minimum."""
+    worst = 0.0
+    for start in range(0, query.shape[0], 2048):
+        block = query[start:start + 2048]
+        d = cdist(block, ref)
+        if skip_self:
+            for i in range(block.shape[0]):
+                d[i, start + i] = np.inf
+        worst = max(worst, float(d.min(axis=1).max()))
+    return worst
+
+
+@st.composite
+def _point_sets(draw):
+    """(query, ref) with 1-300 rows each in 1, 3 or 33 dimensions.
+
+    Lattice sets put many rows at exactly equal distances, mirrored sets tie
+    each row with its negative, and copied rows make exact duplicates,
+    inside `ref` and between `query` and `ref`.
+    """
+    dim = draw(st.sampled_from([1, 3, 33]))
+    sizes = [draw(st.integers(1, 300)) for _ in range(2)]
+    layout = draw(st.sampled_from(["real", "lattice", "mirrored"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    sets = []
+    for m in sizes:
+        if layout == "lattice":
+            pts = rng.integers(-2, 3, size=(m, dim)) * scale
+        else:
+            pts = rng.standard_normal((m, dim)) * scale
+            if layout == "mirrored":
+                pts[m // 2:] = -pts[:m - m // 2]
+        copies = draw(st.integers(0, m - 1))
+        pts[rng.integers(0, m, copies)] = pts[rng.integers(0, m, copies)]
+        sets.append(pts)
+    query, ref = sets
+    shared = draw(st.integers(0, min(sizes)))
+    query[:shared] = ref[:shared]
+    return query, ref
+
+
+class TestFarthestNearest:
+    @given(sets=_point_sets())
+    @example(sets=(np.array([[0.5]]), np.array([[0.5]])))
+    @example(sets=(np.array([[1.0, 2.0, 3.0]]), np.array([[0.0, 0.0, 0.0]])))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force(self, sets):
+        query, ref = sets
+        assert at._farthest_nearest(query, ref) == brute_farthest_nearest(query, ref)
+        assert (at._farthest_nearest(ref, ref, skip_self=True)
+                == brute_farthest_nearest(ref, ref, skip_self=True))
+
+    def test_screen_sends_few_rows_to_cdist(self, tanh_cloud, monkeypatch):
+        longtime = at.attractor_ode_longtime(TANH2, n_seeds=60, box=3.0, t_burn=4.0, t_end=8.0)
+        rows = []
+
+        def counting_cdist(a, b):
+            rows.append(a.shape[0])
+            return cdist(a, b)
+
+        monkeypatch.setattr(at, "cdist", counting_cdist)
+        assert len(tanh_cloud) > 2000 and len(longtime) > 2000
+        tanh_cloud.resolution()
+        at.hausdorff_distance(tanh_cloud, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
+        assert len(rows) == 5 and max(rows) <= 4
+
+    def test_duplicate_cloud_resolution_is_its_floor(self):
+        cloud = at.AttractorCloud(np.full((50, 2), 0.25), "ode", ["x"] * 50,
+                                  {"resolution_floor": 1e-3})
+        assert cloud.resolution() == 1e-3
 
 
 class TestManifoldDeflection:

@@ -111,6 +111,12 @@ _VALID = {
     ("sweep", "d_eps"): st.lists(_POSITIVE, min_size=4, max_size=9, unique=True)
                           .map(sorted).map(tuple),
     ("attractor", "arc_dt"): _POSITIVE,
+    ("attractor", "sample_dt"): _POSITIVE,
+    ("attractor", "dedup_cell"): _POSITIVE,
+    ("attractor", "n_tails"): st.integers(0, 10**6),
+    ("attractor", "longtime_seeds"): st.integers(1, 10**6),
+    ("manifold", "grid_points"): st.integers(2, 10**6),
+    ("manifold", "iterations"): st.integers(1, 10**6),
     ("semigroup", "m_horizon"): _POSITIVE,
 }
 
@@ -250,8 +256,15 @@ class TestBadInput:
                             "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 0\n", []),
         ("decay", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,8\n[nonlinearity]\nname = zero\n"
                   "[semigroup]\nm_horizon = 0\n", []),
+        ("attractor", "[attractor]\ndedup_cell = 0\n", []),
+        ("attractor", "[attractor]\nsample_dt = 0\n", []),
+        ("hausdorff-sweep", "[attractor]\nn_tails = -1\n", []),
+        ("attractor", "[attractor]\nlongtime_seeds = 0\n", []),
+        ("manifold", "[manifold]\ngrid_points = 1\n", []),
+        ("manifold", "[manifold]\niterations = 0\n", []),
     ], ids=["d_eps", "quad_points", "m0_zero", "m0_above_eps", "count", "eps_zero",
-            "eps_text", "eps_single", "arc_dt", "m_horizon"])
+            "eps_text", "eps_single", "arc_dt", "m_horizon", "dedup_cell", "sample_dt",
+            "n_tails", "longtime_seeds", "grid_points", "iterations"])
     def test_exits_two(self, tmp_path, capsys, command, ini, flags):
         config = ["-c", write(tmp_path / "a.ini", ini)] if ini else []
         assert cli.main([command, *config, *flags, "--quiet",
@@ -301,6 +314,12 @@ class TestVerdicts:
         out = capsys.readouterr().out
         assert code == 0
         assert "VERDICT: attractor equilibria=1" in out
+        run_dir = next((tmp_path / "runs").iterdir())
+        metrics = json.loads((run_dir / "record.json").read_text())["metrics"]
+        for name in ("manifold", "longtime"):
+            rows = (run_dir / f"{name}_cloud.csv").read_text().splitlines()[1:]
+            assert metrics[f"{name}_points"] == len(rows)
+        assert metrics["manifold_points"] == 1
 
 
 class TestRunDirectories:
