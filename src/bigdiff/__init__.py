@@ -9,25 +9,3 @@ and fits every measured quantity against the predicted d^(-1/2) rate.
 """
 
 __version__ = "0.1.0"
-
-from .spectral import (  # noqa: F401
-    CosineBasis,
-    DiffusionSpec,
-    DomainSpec,
-    EnergyNorm,
-    GridField,
-    SpectralField,
-    apply_operator,
-    average_projection,
-    build_basis,
-    constant_field,
-    diffusion,
-    energy_norm,
-    energy_seminorm,
-    field_from_coeffs,
-    l2_norm,
-    mode_field,
-    random_field,
-    to_grid,
-    to_spectral,
-)

@@ -21,9 +21,9 @@ to constant fields first.  All clouds carry a declared resolution (their max
 nearest-neighbor spacing) so every distance statement can be read against
 the sampling accuracy.
 
-Every nearest-neighbor maximum (resolution, Hausdorff, invariance drift) goes
-through `_farthest_nearest`: an exact k-d tree query screens all rows, then
-the few rows tied with the largest tree distance are settled with `cdist`
+Every nearest-neighbor maximum (resolution, Hausdorff) goes through
+`_farthest_nearest`: an exact k-d tree query screens all rows, then the
+few rows tied with the largest tree distance are settled with `cdist`
 against the whole reference set, so each result is bit-identical to a
 brute-force `cdist` over all pairs.
 """
@@ -43,8 +43,7 @@ from .dynamics import (
     Nonlinearity,
     _rk4_step,
     compute_M_and_mu,
-    evolve_ode,
-    evolve_pde,
+    evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
 )
 from .spectral import (
     CosineBasis,
@@ -73,9 +72,7 @@ __all__ = [
     "hausdorff_distance",
     "manifold_deflection",
     "graph_iteration",
-    "invariance_probe",
     "save_cloud",
-    "load_cloud",
 ]
 
 
@@ -342,6 +339,8 @@ class AttractorCloud:
     `points` has shape (m, n) for ODE clouds and (m, n, K+1) for PDE clouds.
     The declared resolution is the maximum nearest-neighbor spacing in the
     cloud's own norm; every distance statement should be read against it.
+    `equilibria` holds the EquilibriumPoints an ODE manifold-union cloud was
+    built from; it is not written by `save_cloud`.
     """
 
     points: np.ndarray
@@ -350,6 +349,7 @@ class AttractorCloud:
     meta: dict = field(default_factory=dict)
     basis: CosineBasis | None = None
     diffusion: DiffusionSpec | None = None
+    equilibria: list = field(default_factory=list)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -407,7 +407,7 @@ def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
         points.extend(arc)
         provenance.extend(["manifold_union"] * len(arc))
     meta = {"F": F.name, "params": F.params, "sample_dt": sample_dt, "offset": ARC_OFFSET}
-    return AttractorCloud(np.array(points), "ode", provenance, meta)
+    return AttractorCloud(np.array(points), "ode", provenance, meta, equilibria=equilibria)
 
 
 def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | None = None,
@@ -685,23 +685,6 @@ def manifold_deflection(cloud: AttractorCloud) -> float:
     return float(np.sqrt(np.max(np.sum(gains[None] * wc**2, axis=(1, 2)))))
 
 
-def invariance_probe(cloud: AttractorCloud, F: Nonlinearity, T: float = 1.0,
-                     n_probe: int = 40, seed: int = 0, dt: float = 1e-3) -> float:
-    """Evolve sampled cloud points for time T; max distance back to the cloud."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(cloud), size=min(n_probe, len(cloud)), replace=False)
-    emb_cloud = cloud.embedded()
-    if cloud.kind == "ode":
-        batch = cloud.points[idx].T  # (n, m)
-        _, states = evolve_ode(batch, F, T=T, dt=dt, stride=10**9)
-        moved = states[-1].T
-        emb_moved = moved.reshape(moved.shape[0], -1)
-    else:
-        moved = _etd_flow(EtdStepper(cloud.basis, cloud.diffusion, F, dt), cloud.points[idx], T)
-        emb_moved = EnergyNorm(cloud.diffusion, cloud.basis).embed(moved)
-    return _farthest_nearest(emb_moved, emb_cloud)
-
-
 def save_cloud(cloud: AttractorCloud, csv_path) -> None:
     """CSV with one row per point (provenance + coefficients) plus a JSON sidecar."""
     csv_path = str(csv_path)
@@ -721,24 +704,6 @@ def save_cloud(cloud: AttractorCloud, csv_path) -> None:
     }
     with open(csv_path + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_cloud(csv_path, basis: CosineBasis | None = None,
-               E: DiffusionSpec | None = None) -> AttractorCloud:
-    csv_path = str(csv_path)
-    with open(csv_path + ".meta.json") as fh:
-        sidecar = json.load(fh)
-    provenance = []
-    rows = []
-    with open(csv_path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            provenance.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    points = np.array(rows).reshape([len(rows)] + sidecar["shape"][1:])
-    return AttractorCloud(points, sidecar["kind"], provenance, sidecar["meta"],
-                          basis=basis, diffusion=E)
 
 
 @dataclass

@@ -214,6 +214,9 @@ def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_
             stable_rates.append(min(negative))
     rate = min(stable_rates) if stable_rates else 1.0
     t_burn = configured_burn if configured_burn is not None else float(np.log(2 * box / cell) / rate)
+    if configured_end is not None and configured_end <= t_burn:
+        raise ConfigError(f"[attractor] t_end = {configured_end:g} must exceed the burn-in "
+                          f"t_burn = {t_burn:.6g}")
     t_end = configured_end if configured_end is not None else t_burn + 16.0
     return t_burn, t_end
 
@@ -228,14 +231,14 @@ def cmd_attractor(args) -> int:
         box = cfg.get("attractor", "longtime_box")
         if box is None:
             box = (F.bound if F.bound else 10.0) + 1.0
-        equilibria = at.find_equilibria_ode(F, box, components=n)
+        manifold = at.attractor_ode(F, components=n,
+                                    dt=cfg.get("attractor", "arc_dt"),
+                                    sample_dt=cfg.get("attractor", "sample_dt"))
+        equilibria = manifold.equilibria
         print("equilibrium,stability,residual")
         for eq in equilibria:
             loc = " ".join(f"{x:.8g}" for x in eq.vector())
             print(f"{loc},{eq.stability},{eq.residual:.2e}")
-        manifold = at.attractor_ode(F, components=n,
-                                    dt=cfg.get("attractor", "arc_dt"),
-                                    sample_dt=cfg.get("attractor", "sample_dt"))
         t_burn, t_end = _auto_burn(equilibria, box, cfg.get("attractor", "dedup_cell"),
                                    cfg.get("attractor", "t_burn"),
                                    cfg.get("attractor", "t_end"))

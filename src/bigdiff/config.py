@@ -251,6 +251,16 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("[attractor] n_tails must be >= 0")
     if cfg.get("attractor", "longtime_seeds") < 1:
         raise ConfigError("[attractor] longtime_seeds must be >= 1")
+    box, t_burn, t_end = (cfg.get("attractor", key) for key in ("longtime_box", "t_burn", "t_end"))
+    if box is not None and not box > 0:
+        raise ConfigError("[attractor] longtime_box must be positive")
+    if t_burn is not None and not t_burn >= 0:
+        raise ConfigError("[attractor] t_burn must be >= 0")
+    if t_burn is not None and t_end is not None and not t_end > t_burn:
+        raise ConfigError("[attractor] t_end must exceed t_burn")
+    for key in ("t_trans", "deflection_t_trans"):
+        if not cfg.get("attractor", key) >= 0:
+            raise ConfigError(f"[attractor] {key} must be >= 0")
     if cfg.get("manifold", "grid_points") < 2:
         raise ConfigError("[manifold] grid_points must be >= 2")
     if cfg.get("manifold", "iterations") < 1:

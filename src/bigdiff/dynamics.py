@@ -9,15 +9,14 @@ coupled system
 
 so v obeys the limiting ODE up to the coupling S(v, w) - F(v), and w decays
 exponentially at a rate that grows affinely with d = min eps.  This module
-integrates both equations, tracks the diagnostics (v, |w| in the energy and
-L2 norms, |Q| in L2), and fits decay rates against the predicted exponent
-d*lam_1 + 1 - mu.
+integrates both equations, tracks v and the energy norm of w, and fits decay
+rates against the predicted exponent d*lam_1 + 1 - mu.
 
 Integrators: the linear part is diagonal with exactly known propagator
-exp(-(eps_i lam_k + 1) t), so exponential time differencing (ETD1 and the
-two-stage ETD2RK of Cox & Matthews) removes stiffness entirely; stiffness
-grows with d, which is the very regime under study.  phi-function weights
-switch to series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
+exp(-(eps_i lam_k + 1) t), so exponential time differencing (the two-stage
+ETD2RK of Cox & Matthews) removes stiffness entirely; stiffness grows with
+d, which is the very regime under study.  phi-function weights switch to
+series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    CosineBasis,
-    DiffusionSpec,
-    SpectralField,
-    l2_norm,
-    to_grid,
-)
+from .spectral import CosineBasis, DiffusionSpec, SpectralField
 
 __all__ = [
     "Nonlinearity",
@@ -45,10 +38,6 @@ __all__ = [
     "zero_nonlinearity",
     "linear_nonlinearity",
     "validate_nonlinearity",
-    "evaluate_F",
-    "split_vw",
-    "S_of",
-    "Q_of",
     "linear_semigroup_apply",
     "semigroup_kernel_bound",
     "compute_M_and_mu",
@@ -222,39 +211,6 @@ def validate_nonlinearity(F: Nonlinearity, components: int, rng=None) -> None:
             raise ValueError(f"{F.name}: vector field fails to point inward on |u| = B + 1")
 
 
-def evaluate_F(u: SpectralField, F: Nonlinearity) -> SpectralField:
-    """Pseudospectral composition: to grid, apply F pointwise, project back."""
-    values = F(to_grid(u).values)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{F.name}: non-finite values in nonlinear term")
-    return SpectralField(u.basis.to_spectral(values), u.basis)
-
-
-def split_vw(u: SpectralField) -> tuple[np.ndarray, SpectralField]:
-    """u = v + w with v the component averages and w exactly mean-free."""
-    v = u.coeffs[:, 0].copy()
-    w = u.coeffs.copy()
-    w[:, 0] = 0.0
-    return v, SpectralField(w, u.basis)
-
-
-def _combined_values(v: np.ndarray, w: SpectralField) -> np.ndarray:
-    return v[:, None] + w.basis.to_grid(w.coeffs)
-
-
-def S_of(v: np.ndarray, w: SpectralField, F: Nonlinearity) -> np.ndarray:
-    """Spatial average of F(v + w) by the basis quadrature."""
-    return np.mean(F(_combined_values(np.asarray(v, dtype=float), w)), axis=1)
-
-
-def Q_of(v: np.ndarray, w: SpectralField, F: Nonlinearity) -> SpectralField:
-    """Mean-free part F(v + w) - S(v, w), band-limited to the basis."""
-    values = F(_combined_values(np.asarray(v, dtype=float), w))
-    coeffs = w.basis.to_spectral(values)
-    coeffs[:, 0] = 0.0
-    return SpectralField(coeffs, w.basis)
-
-
 def linear_semigroup_apply(u: SpectralField, E: DiffusionSpec, t: float) -> SpectralField:
     """Exact heat-type propagator: scale coefficients by exp(-(eps lam + 1) t)."""
     if t < 0:
@@ -327,7 +283,7 @@ def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0
 
 @dataclass
 class Trajectory:
-    """Sampled PDE trajectory with per-sample splitting diagnostics."""
+    """Sampled PDE trajectory with the average and the mean-free energy norm."""
 
     times: np.ndarray
     coeffs: np.ndarray  # (samples, n, K+1)
@@ -335,20 +291,6 @@ class Trajectory:
     diffusion: DiffusionSpec
     v: np.ndarray        # (samples, n)
     w_xhalf: np.ndarray  # energy norm of the mean-free part
-    w_l2: np.ndarray
-    q_l2: np.ndarray
-
-    def state(self, index: int) -> SpectralField:
-        return SpectralField(self.coeffs[index], self.basis)
-
-    def to_csv(self, path) -> None:
-        n = self.v.shape[1]
-        header = ["t"] + [f"v_{i + 1}" for i in range(n)] + ["w_xhalf", "w_l2", "Q_l2"]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self.v[i], self.w_xhalf[i], self.w_l2[i], self.q_l2[i]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -379,22 +321,18 @@ _BLOWUP_LIMIT = 1e8
 
 
 class EtdStepper:
-    """Reusable exponential-integrator step for u_t + A u = F(u).
+    """Reusable ETD2RK step for u_t + A u = F(u).
 
     Precomputes the exact linear propagator and phi-function weights for a
     fixed dt; `step` advances a coefficient array and checks for blow-up.
     """
 
-    def __init__(self, basis: CosineBasis, E: DiffusionSpec, F: Nonlinearity,
-                 dt: float, scheme: str = "etd2rk"):
+    def __init__(self, basis: CosineBasis, E: DiffusionSpec, F: Nonlinearity, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if scheme not in ("etd1", "etd2rk"):
-            raise ValueError(f"unknown scheme {scheme!r}; expected 'etd1' or 'etd2rk'")
         self.basis = basis
         self.nonlinearity = F
         self.dt = dt
-        self.scheme = scheme
         self._phi_mat = basis.synthesis_matrix()
         self._gains = E.gains(basis)
         self.exp_full, self.w1, self.w2 = self.weights(dt)
@@ -416,11 +354,8 @@ class EtdStepper:
         """
         ef, p1, p2 = weights if weights is not None else (self.exp_full, self.w1, self.w2)
         n0 = self._nonlinear(c)
-        if self.scheme == "etd1":
-            c = ef * c + p1 * n0
-        else:
-            a = ef * c + p1 * n0
-            c = a + p2 * (self._nonlinear(a) - n0)
+        a = ef * c + p1 * n0
+        c = a + p2 * (self._nonlinear(a) - n0)
         top = float(np.max(np.abs(c)))
         if not np.isfinite(top) or top > _BLOWUP_LIMIT:
             raise BlowUpError(t_now, top)
@@ -428,8 +363,8 @@ class EtdStepper:
 
 
 def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
-               dt: float = 1e-3, scheme: str = "etd2rk", stride: int = 10) -> Trajectory:
-    """Integrate u_t + A u = F(u) with an exponential integrator.
+               dt: float = 1e-3, stride: int = 10) -> Trajectory:
+    """Integrate u_t + A u = F(u) with ETD2RK.
 
     The linear propagator is exact, so the step is unconditionally stable.
     Diagnostics are recorded every `stride` steps (and at t = 0 and t = T).
@@ -438,9 +373,7 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    stepper = EtdStepper(u0.basis, E, F, dt, scheme)
-    basis = u0.basis
-    gains = stepper._gains
+    stepper = EtdStepper(u0.basis, E, F, dt)
     steps = int(np.ceil(T / dt - 1e-12)) if T > 0 else 0
     last_dt = T - (steps - 1) * dt if steps else dt
 
@@ -460,19 +393,11 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
 
     times = np.array([s[0] for s in samples])
     coeffs = np.array([s[1] for s in samples])
-    m = len(samples)
-    n = u0.components
-    v = coeffs[:, :, 0].reshape(m, n)
     wc = coeffs.copy()
     wc[:, :, 0] = 0.0
-    w_l2 = np.sqrt(np.sum(wc**2, axis=(1, 2)))
-    w_xhalf = np.sqrt(np.sum(gains[None] * wc**2, axis=(1, 2)))
-    q_l2 = np.empty(m)
-    for i in range(m):
-        q = Q_of(v[i], SpectralField(wc[i], basis), F)
-        q_l2[i] = l2_norm(q)
-    return Trajectory(times=times, coeffs=coeffs, basis=basis, diffusion=E,
-                      v=v, w_xhalf=w_xhalf, w_l2=w_l2, q_l2=q_l2)
+    w_xhalf = np.sqrt(np.sum(stepper._gains[None] * wc**2, axis=(1, 2)))
+    return Trajectory(times=times, coeffs=coeffs, basis=u0.basis, diffusion=E,
+                      v=coeffs[:, :, 0], w_xhalf=w_xhalf)
 
 
 def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:
@@ -524,17 +449,14 @@ class DecayFit:
 _FLOOR = 1e-290
 
 
-def decay_rate_fit(traj: Trajectory, quantity: str = "w_xhalf",
-                   mu: float | None = None) -> DecayFit:
-    """Fit log(quantity) ~ log A - rate * t over the post-transient window.
+def decay_rate_fit(traj: Trajectory, mu: float | None = None) -> DecayFit:
+    """Fit log(w_xhalf) ~ log A - rate * t over the post-transient window.
 
     The window discards the first 20% of the horizon.  Samples at or
     below the machine floor are dropped and the fit flagged as truncated;
     the residual (RMS misfit of the line) is always reported.
     """
-    series = {"w_xhalf": traj.w_xhalf, "Q_norm": traj.q_l2}.get(quantity)
-    if series is None:
-        raise ValueError(f"unknown quantity {quantity!r}")
+    series = traj.w_xhalf
     t = traj.times
     mask = t >= 0.2 * t[-1]
     alive = series > _FLOOR

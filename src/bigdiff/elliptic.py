@@ -27,7 +27,6 @@ from .spectral import (
     DiffusionSpec,
     SpectralField,
     average_projection,
-    energy_norm,
     l2_norm,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "solve_resolvent",
     "resolvent_gap_exact",
     "resolvent_gap_sampled",
-    "gap_quotient",
     "spectral_projection_Q",
     "projection_gap",
     "eigenvalue_table",
@@ -49,17 +47,6 @@ __all__ = [
 def solve_resolvent(g: SpectralField, E: DiffusionSpec) -> SpectralField:
     """Solve (-E d^2/dx^2 + I) u = g by per-mode division; always invertible."""
     return SpectralField(g.coeffs / E.gains(g.basis), g.basis)
-
-
-def gap_quotient(g: SpectralField, E: DiffusionSpec) -> float:
-    """Energy-norm defect ||A^{-1}g - Pg|| for a unit-L2 right-hand side."""
-    u = solve_resolvent(g, E)
-    defect = u.coeffs.copy()
-    defect[:, 0] = 0.0  # mode 0 solves exactly: gain 1, and Pg removes it
-    size = l2_norm(g)
-    if size == 0.0:
-        raise ValueError("zero right-hand side")
-    return energy_norm(SpectralField(defect, g.basis), E) / size
 
 
 def resolvent_gap_exact(E: DiffusionSpec, basis: CosineBasis) -> float:
@@ -119,10 +106,6 @@ class SpectralProjection:
         w = np.array(weights, dtype=float, copy=True)
         w.setflags(write=False)
         self.weights = w
-
-    @property
-    def rank(self) -> int:
-        return int(np.sum(self.weights > 0.5))
 
     def apply(self, f: SpectralField) -> SpectralField:
         if f.basis != self.basis:

@@ -163,7 +163,7 @@ def _measure_decay(d, ctx, point_seed):
                                                              components=n)
     traj = _dynamics.evolve_pde(u0, E, ctx["F"], T=T, dt=dt, stride=max(1, ctx["steps"] // 400))
     mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
-    fit = _dynamics.decay_rate_fit(traj, "w_xhalf", mu=mu)
+    fit = _dynamics.decay_rate_fit(traj, mu=mu)
     return fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
                              "theoretical_rate": fit.theoretical_rate,
                              "lam2": lam2, "mu": mu, "residual": fit.residual,

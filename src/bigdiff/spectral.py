@@ -30,18 +30,12 @@ __all__ = [
     "CosineBasis",
     "DiffusionSpec",
     "SpectralField",
-    "GridField",
     "EnergyNorm",
     "build_basis",
     "diffusion",
-    "to_grid",
-    "to_spectral",
     "energy_norm",
-    "energy_seminorm",
     "l2_norm",
     "average_projection",
-    "apply_operator",
-    "field_from_coeffs",
     "constant_field",
     "mode_field",
     "random_field",
@@ -113,10 +107,6 @@ class CosineBasis:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values) @ self._phi.T / self.quad_points
-
-    def gram(self) -> np.ndarray:
-        """Discrete Gram matrix of the basis; identity to machine precision."""
-        return self._phi @ self._phi.T / self.quad_points
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,29 +207,9 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class GridField:
-    """n x G values at the quadrature nodes."""
-
-    values: np.ndarray
-    basis: CosineBasis
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if v.shape[1] != self.basis.quad_points:
-            raise ValueError(
-                f"value count {v.shape[1]} does not match quadrature nodes {self.basis.quad_points}"
-            )
-        object.__setattr__(self, "values", _freeze(v))
-
-
 def _check_same_basis(a, b):
     if a.basis != b.basis:
         raise ValueError("fields do not share a basis")
-
-
-def field_from_coeffs(coeffs, basis: CosineBasis) -> SpectralField:
-    return SpectralField(np.atleast_2d(coeffs), basis)
 
 
 def constant_field(value, basis: CosineBasis) -> SpectralField:
@@ -270,14 +240,6 @@ def random_field(basis: CosineBasis, components: int, rng: np.random.Generator,
     return SpectralField(coeffs, basis)
 
 
-def to_grid(f: SpectralField) -> GridField:
-    return GridField(f.basis.to_grid(f.coeffs), f.basis)
-
-
-def to_spectral(g: GridField) -> SpectralField:
-    return SpectralField(g.basis.to_spectral(g.values), g.basis)
-
-
 def l2_norm(f: SpectralField) -> float:
     """L2(0,1) norm; by Parseval just the Euclidean coefficient norm."""
     return float(np.sqrt(np.sum(f.coeffs**2)))
@@ -292,39 +254,20 @@ def energy_norm(f: SpectralField, E: DiffusionSpec) -> float:
     return float(np.sqrt(np.sum(E.gains(f.basis) * f.coeffs**2)))
 
 
-def energy_seminorm(f: SpectralField, E: DiffusionSpec) -> float:
-    """Gradient part only: sqrt(sum_i eps_i sum_{k>=1} lam_k c_{i,k}^2)."""
-    c = f.coeffs[:, 1:]
-    w = np.asarray(E.eps)[:, None] * f.basis.eigenvalues[None, 1:]
-    return float(np.sqrt(np.sum(w * c**2)))
-
-
 def average_projection(f: SpectralField) -> np.ndarray:
     """Component averages over (0,1); exactly the mode-0 coefficients."""
     return f.coeffs[:, 0].copy()
 
 
-def apply_operator(f: SpectralField, E: DiffusionSpec) -> SpectralField:
-    """Apply -E d^2/dx^2 + I: scale coefficients by eps_i*lam_k + 1."""
-    return SpectralField(E.gains(f.basis) * f.coeffs, f.basis)
-
-
 class EnergyNorm:
-    """Energy inner-product helper bound to one (diffusion, basis) pair.
+    """Energy-norm embedding bound to one (diffusion, basis) pair.
 
-    Mostly a convenience for distance computations on point clouds: the
-    weighted coefficient embedding turns the energy norm into a plain
-    Euclidean norm.
+    Used for distance computations on point clouds: the weighted coefficient
+    embedding turns the energy norm into a plain Euclidean norm.
     """
 
     def __init__(self, E: DiffusionSpec, basis: CosineBasis):
-        self.diffusion = E
-        self.basis = basis
         self._weights = _freeze(np.sqrt(E.gains(basis)))
-
-    def inner(self, f: SpectralField, g: SpectralField) -> float:
-        _check_same_basis(f, g)
-        return float(np.sum(self.diffusion.gains(self.basis) * f.coeffs * g.coeffs))
 
     def embed(self, coeffs: np.ndarray) -> np.ndarray:
         """Scale stacked coefficient arrays (m, n, K+1) into Euclidean space."""

@@ -115,6 +115,12 @@ _VALID = {
     ("attractor", "dedup_cell"): _POSITIVE,
     ("attractor", "n_tails"): st.integers(0, 10**6),
     ("attractor", "longtime_seeds"): st.integers(1, 10**6),
+    ("attractor", "longtime_box"): st.none() | _POSITIVE,
+    # every drawn t_end lies above every drawn t_burn
+    ("attractor", "t_burn"): st.none() | st.floats(0.0, 1e3),
+    ("attractor", "t_end"): st.none() | st.floats(1e3, 1e6, exclude_min=True),
+    ("attractor", "t_trans"): st.floats(0.0, 1e6),
+    ("attractor", "deflection_t_trans"): st.floats(0.0, 1e6),
     ("manifold", "grid_points"): st.integers(2, 10**6),
     ("manifold", "iterations"): st.integers(1, 10**6),
     ("semigroup", "m_horizon"): _POSITIVE,
@@ -262,9 +268,22 @@ class TestBadInput:
         ("attractor", "[attractor]\nlongtime_seeds = 0\n", []),
         ("manifold", "[manifold]\ngrid_points = 1\n", []),
         ("manifold", "[manifold]\niterations = 0\n", []),
+        ("attractor", "[attractor]\nlongtime_box = 0\n", []),
+        ("attractor", "[attractor]\nt_burn = -1\n", []),
+        ("attractor", "[attractor]\nt_burn = 5\nt_end = 4\n", []),
+        # the automatic burn-in of tanh(beta = 0.5) is log(2 * 1.5 / 1.25e-3) / 0.5 = 15.6
+        ("attractor", "[nonlinearity]\nname = tanh\nbeta = 0.5\n[attractor]\nt_end = 4\n", []),
+        ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                            "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
+                            "t_trans = -1\n", []),
+        ("manifold", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                     "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
+                     "deflection_t_trans = -1\n[manifold]\ngrid_points = 5\niterations = 2\n",
+         []),
     ], ids=["d_eps", "quad_points", "m0_zero", "m0_above_eps", "count", "eps_zero",
             "eps_text", "eps_single", "arc_dt", "m_horizon", "dedup_cell", "sample_dt",
-            "n_tails", "longtime_seeds", "grid_points", "iterations"])
+            "n_tails", "longtime_seeds", "grid_points", "iterations", "longtime_box",
+            "t_burn", "t_end", "t_end_below_auto_burn", "t_trans", "deflection_t_trans"])
     def test_exits_two(self, tmp_path, capsys, command, ini, flags):
         config = ["-c", write(tmp_path / "a.ini", ini)] if ini else []
         assert cli.main([command, *config, *flags, "--quiet",
@@ -320,6 +339,22 @@ class TestVerdicts:
             rows = (run_dir / f"{name}_cloud.csv").read_text().splitlines()[1:]
             assert metrics[f"{name}_points"] == len(rows)
         assert metrics["manifold_points"] == 1
+
+    def test_attractor_solves_the_ode_equilibria_once(self, tmp_path, monkeypatch, capsys):
+        # the equilibrium table and the burn-in come from the manifold cloud's roots
+        calls = []
+        solve = at.find_equilibria_ode
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(at, "find_equilibria_ode", counted)
+        cfg = write(tmp_path / "a.ini", _TINY["attractor"])
+        assert cli.main(["attractor", "-c", cfg, "--quiet",
+                         "--out-root", str(tmp_path / "runs")]) == 0
+        assert len(calls) == 1
+        assert "equilibrium,stability,residual\n0,stable,0.00e+00\n" in capsys.readouterr().out
 
 
 class TestRunDirectories:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,83 +56,95 @@ class TestNonlinearityLibrary:
             dyn.validate_nonlinearity(bad, 1)
 
 
+def pseudospectral_F(u, F):
+    """F(u) projected onto the basis, as the ETD stepper evaluates it."""
+    return dyn.EtdStepper(u.basis, sp.diffusion([1.0] * u.components), F, 1e-3)._nonlinear(u.coeffs)
+
+
 class TestEvaluateF:
     def test_zero_at_zero(self):
         basis = sp.build_basis(DOM, 8)
         F = dyn.tanh_pitchfork(2.0)
-        out = dyn.evaluate_F(sp.constant_field([0.0], basis), F)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        out = pseudospectral_F(sp.constant_field([0.0], basis), F)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_constant_maps_to_constant(self):
         basis = sp.build_basis(DOM, 8)
         F = dyn.tanh_pitchfork(2.0)
-        out = dyn.evaluate_F(sp.constant_field([0.7], basis), F)
-        assert out.coeffs[0, 0] == pytest.approx(2 * np.tanh(0.7), rel=1e-15)
-        assert np.max(np.abs(out.coeffs[0, 1:])) < 1e-15
+        out = pseudospectral_F(sp.constant_field([0.7], basis), F)
+        assert out[0, 0] == pytest.approx(2 * np.tanh(0.7), rel=1e-15)
+        assert np.max(np.abs(out[0, 1:])) < 1e-15
 
     def test_small_amplitude_linearization(self):
         # 2 tanh(a phi_1) = 2 a phi_1 + O(a^3); Taylor oracle at a = 1e-4
         basis = sp.build_basis(DOM, 16)
         F = dyn.tanh_pitchfork(2.0)
         a = 1e-4
-        out = dyn.evaluate_F(sp.mode_field(basis, 1, amplitude=a), F)
+        out = pseudospectral_F(sp.mode_field(basis, 1, amplitude=a), F)
         expected = sp.mode_field(basis, 1, amplitude=2 * a)
-        assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-11
+        assert np.max(np.abs(out - expected.coeffs)) < 1e-11
 
 
 class TestSplitting:
+    # evolve_pde splits every sample u = v + w into the averages v (mode 0)
+    # and the energy norm of the mean-free rest w; T = 0 keeps only u0
     def test_constant_split(self):
         basis = sp.build_basis(DOM, 8)
-        v, w = dyn.split_vw(sp.constant_field([2.5, -1.0], basis))
-        assert np.allclose(v, [2.5, -1.0], atol=0)
-        assert np.max(np.abs(w.coeffs)) == 0.0
+        traj = dyn.evolve_pde(sp.constant_field([2.5, -1.0], basis), sp.diffusion([1.0, 2.0]),
+                              dyn.zero_nonlinearity(), T=0.0)
+        assert np.allclose(traj.v[0], [2.5, -1.0], atol=0)
+        assert traj.w_xhalf[0] == 0.0
 
     def test_mode_one_split(self):
         basis = sp.build_basis(DOM, 8)
+        E = sp.diffusion([1.0])
         f = sp.mode_field(basis, 1)
-        v, w = dyn.split_vw(f)
-        assert v[0] == 0.0
-        assert np.max(np.abs(w.coeffs - f.coeffs)) == 0.0
+        traj = dyn.evolve_pde(f, E, dyn.zero_nonlinearity(), T=0.0)
+        assert traj.v[0, 0] == 0.0
+        assert traj.w_xhalf[0] == pytest.approx(sp.energy_norm(f, E), rel=1e-15)
 
     def test_recombination_exact(self):
         basis = sp.build_basis(DOM, 16)
+        E = sp.diffusion([1.0, 3.0])
         rng = np.random.default_rng(4)
         f = sp.random_field(basis, 2, rng)
-        v, w = dyn.split_vw(f)
-        recombined = sp.constant_field(v, basis) + w
-        assert np.max(np.abs(recombined.coeffs - f.coeffs)) < 1e-15
+        traj = dyn.evolve_pde(f, E, dyn.zero_nonlinearity(), T=0.0)
+        assert np.array_equal(traj.v[0], sp.average_projection(f))
+        w = f - sp.constant_field(traj.v[0], basis)
         assert np.max(np.abs(sp.average_projection(w))) == 0.0
+        assert traj.w_xhalf[0] == pytest.approx(sp.energy_norm(w, E), rel=1e-14)
 
 
 class TestSQSplitting:
+    # for u = v + w, mode 0 of the projected F(u) is S(v, w) = int F(v + w) dx
+    # and the other modes are the mean-free part Q(v, w)
     def test_zero_w_reduces_to_F(self):
         basis = sp.build_basis(DOM, 8)
         F = dyn.tanh_pitchfork(2.0)
-        w = sp.mode_field(basis, 1, amplitude=0.0)
-        v = np.array([0.9])
-        assert dyn.S_of(v, w, F)[0] == pytest.approx(2 * np.tanh(0.9), rel=1e-14)
-        assert sp.l2_norm(dyn.Q_of(v, w, F)) < 1e-14
+        out = pseudospectral_F(sp.constant_field([0.9], basis), F)
+        assert out[0, 0] == pytest.approx(2 * np.tanh(0.9), rel=1e-14)
+        assert np.sqrt(np.sum(out[:, 1:] ** 2)) < 1e-14
 
     def test_odd_symmetry_zeroes_average(self):
         # F odd, v = 0, w proportional to phi_1 (odd about x = 1/2)
         basis = sp.build_basis(DOM, 16)
         F = dyn.tanh_pitchfork(2.0)
-        w = sp.mode_field(basis, 1, amplitude=0.8)
-        assert abs(dyn.S_of(np.array([0.0]), w, F)[0]) < 1e-14
+        out = pseudospectral_F(sp.mode_field(basis, 1, amplitude=0.8), F)
+        assert abs(out[0, 0]) < 1e-14
 
     def test_matches_fine_quadrature(self):
         basis = sp.build_basis(DOM, 128)
         F = dyn.tanh_pitchfork(2.0)
-        w = sp.mode_field(basis, 1, amplitude=0.3)
-        v = np.array([1.0])
+        u = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, amplitude=0.3)
         x = np.linspace(0.0, 1.0, 400001)
         values = 2 * np.tanh(1.0 + 0.3 * np.sqrt(2) * np.cos(np.pi * x))
         s_oracle = trapz(values, x)
-        assert dyn.S_of(v, w, F)[0] == pytest.approx(s_oracle, abs=1e-10)
-        q = dyn.Q_of(v, w, F)
-        assert abs(sp.average_projection(q)[0]) < 1e-12
+        out = pseudospectral_F(u, F)
+        assert out[0, 0] == pytest.approx(s_oracle, abs=1e-10)
         # Q on the grid equals F(v+w) minus its average
-        q_vals = basis.to_grid(q.coeffs)[0]
+        q = out.copy()
+        q[:, 0] = 0.0
+        q_vals = basis.to_grid(q)[0]
         direct = 2 * np.tanh(1.0 + 0.3 * np.sqrt(2) * np.cos(np.pi * basis.nodes)) - s_oracle
         assert np.max(np.abs(q_vals - direct)) < 1e-10
 
@@ -292,19 +306,6 @@ class TestEvolvePDE:
         order = np.log2(e1 / e2)
         assert 1.7 < order < 2.3
 
-    def test_etd1_available_and_first_order(self):
-        basis = sp.build_basis(DOM, 8)
-        E = sp.diffusion([1.0])
-        F = dyn.tanh_pitchfork(2.0)
-        u0 = sp.constant_field([0.4], basis)
-        finals = {}
-        for dt in (4e-3, 2e-3, 1e-3):
-            traj = dyn.evolve_pde(u0, E, F, T=1.0, dt=dt, scheme="etd1", stride=10**6)
-            finals[dt] = traj.coeffs[-1]
-        e1 = np.linalg.norm(finals[4e-3] - finals[2e-3])
-        e2 = np.linalg.norm(finals[2e-3] - finals[1e-3])
-        assert 0.8 < np.log2(e1 / e2) < 1.3
-
     def test_blow_up_aborts_with_time(self):
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([1.0])
@@ -313,12 +314,6 @@ class TestEvolvePDE:
         with pytest.raises(dyn.BlowUpError) as err:
             dyn.evolve_pde(u0, E, F, T=10.0, dt=1e-3)
         assert 0 < err.value.time < 10.0
-
-    def test_bad_scheme_rejected(self):
-        basis = sp.build_basis(DOM, 8)
-        with pytest.raises(ValueError, match="scheme"):
-            dyn.evolve_pde(sp.constant_field([1.0], basis), sp.diffusion([1.0]),
-                           dyn.zero_nonlinearity(), T=1.0, dt=1e-3, scheme="rk4")
 
     def test_bookkeeping_identity(self):
         # central differences of v along the trajectory reproduce -v + S(v, w)
@@ -330,8 +325,8 @@ class TestEvolvePDE:
         t, v = traj.times, traj.v[:, 0]
         for i in range(5, len(t) - 5, 7):
             dv = (v[i + 1] - v[i - 1]) / (t[i + 1] - t[i - 1])
-            _, w = dyn.split_vw(traj.state(i))
-            rhs = -v[i] + dyn.S_of(traj.v[i], w, F)[0]
+            s = np.mean(F(basis.to_grid(traj.coeffs[i])), axis=1)  # S(v, w)
+            rhs = -v[i] + s[0]
             assert dv == pytest.approx(rhs, rel=1e-3, abs=1e-8)
 
     def test_dissipative_absorbing_set(self):
@@ -343,15 +338,6 @@ class TestEvolvePDE:
         tail = traj.times > 4.0
         assert np.all(np.abs(traj.v[tail, 0]) <= F.bound + 0.1)
         assert np.all(traj.w_xhalf[tail] <= F.bound)
-
-    def test_csv_columns(self, tmp_path):
-        basis = sp.build_basis(DOM, 8)
-        traj = dyn.evolve_pde(sp.constant_field([0.5, 0.1], basis), sp.diffusion([1.0, 2.0]),
-                              dyn.coupled_tanh(), T=0.1, dt=1e-2, stride=2)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,v_1,v_2,w_xhalf,w_l2,Q_l2"
 
 
 # one nonlinearity per component count; all are evaluated through the grid
@@ -366,8 +352,7 @@ def stepper_cases(draw):
     basis = sp.build_basis(DOM, draw(st.sampled_from([4, 8, 16, 32])))
     eps = [draw(st.floats(0.25, 16.0)) for _ in range(n)]
     dt = draw(st.sampled_from([1e-3, 5e-3, 1e-2]))
-    scheme = draw(st.sampled_from(["etd1", "etd2rk"]))
-    return basis, sp.diffusion(eps), F, dt, scheme
+    return basis, sp.diffusion(eps), F, dt
 
 
 def constant_forcing(b):
@@ -387,8 +372,8 @@ class TestEtdStepperProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
     def test_batch_step_equals_row_steps(self, case, rows, seed):
-        basis, E, F, dt, scheme = case
-        stepper = dyn.EtdStepper(basis, E, F, dt, scheme)
+        basis, E, F, dt = case
+        stepper = dyn.EtdStepper(basis, E, F, dt)
         c = np.random.default_rng(seed).standard_normal((rows, E.components,
                                                          basis.mode_count + 1))
         batch = stepper.step(c)
@@ -399,8 +384,8 @@ class TestEtdStepperProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
     def test_zero_forcing_is_the_exact_semigroup(self, case, steps, seed):
-        basis, E, _, dt, scheme = case
-        stepper = dyn.EtdStepper(basis, E, dyn.zero_nonlinearity(), dt, scheme)
+        basis, E, _, dt = case
+        stepper = dyn.EtdStepper(basis, E, dyn.zero_nonlinearity(), dt)
         u = sp.random_field(basis, E.components, np.random.default_rng(seed))
         c = u.coeffs
         for _ in range(steps):
@@ -415,15 +400,14 @@ class TestEtdStepperProperties:
            seed=st.integers(0, 2**32 - 1))
     def test_constant_forcing_is_variation_of_constants(self, case, forcing, seed):
         # u' = -A u + b with constant b has u(h) = e^{-hA} u + A^{-1}(I - e^{-hA}) b,
-        # and b lives in mode 0, whose gain is 1; both schemes are exact for it
-        basis, E, _, dt, _ = case
+        # and b lives in mode 0, whose gain is 1; ETD2RK is exact for it
+        basis, E, _, dt = case
         b = np.array(forcing[:E.components])
         c = sp.random_field(basis, E.components, np.random.default_rng(seed)).coeffs
         exact = np.exp(-dt * E.gains(basis)) * c
         exact[:, 0] += (1.0 - np.exp(-dt)) * b
-        for scheme in ("etd1", "etd2rk"):
-            got = dyn.EtdStepper(basis, E, constant_forcing(b), dt, scheme).step(c)
-            np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-15)
+        got = dyn.EtdStepper(basis, E, constant_forcing(b), dt).step(c)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-15)
 
 
 class TestEvolveODE:
@@ -447,7 +431,7 @@ class TestDecayFit:
         E = sp.diffusion([2.0])
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, amplitude=0.5)
         traj = dyn.evolve_pde(u0, E, dyn.zero_nonlinearity(), T=1.5, dt=1e-3, stride=10)
-        fit = dyn.decay_rate_fit(traj, "w_xhalf")
+        fit = dyn.decay_rate_fit(traj)
         lam2 = E.second_eigenvalue(basis)
         assert abs(fit.fitted_rate - lam2) / lam2 < 1e-3
         assert fit.residual < 1e-8
@@ -459,9 +443,12 @@ class TestDecayFit:
         u0 = sp.constant_field([1.8], basis) + sp.mode_field(basis, 1, amplitude=0.3)
         traj = dyn.evolve_pde(u0, E, F, T=1.5, dt=1e-3, stride=10)
         consts = dyn.compute_M_and_mu(E, basis, horizon=10.0)
-        fit = dyn.decay_rate_fit(traj, "w_xhalf", mu=consts.mu)
+        fit = dyn.decay_rate_fit(traj, mu=consts.mu)
         assert fit.fitted_rate >= fit.theoretical_rate
-        fit_q = dyn.decay_rate_fit(traj, "Q_norm", mu=consts.mu)
+        # |Q|_L2 per sample: the mean-free modes of the projected F(u)
+        q = np.array([np.sqrt(np.sum(pseudospectral_F(sp.SpectralField(c, basis), F)[:, 1:] ** 2))
+                      for c in traj.coeffs])
+        fit_q = dyn.decay_rate_fit(dataclasses.replace(traj, w_xhalf=q), mu=consts.mu)
         assert fit_q.fitted_rate >= fit_q.theoretical_rate
 
     def test_constant_quantity(self):
@@ -470,9 +457,8 @@ class TestDecayFit:
         traj = dyn.evolve_pde(sp.constant_field([1.0], basis), E, dyn.zero_nonlinearity(),
                               T=1.0, dt=1e-2, stride=10)
         fake = dyn.Trajectory(times=traj.times, coeffs=traj.coeffs, basis=basis,
-                              diffusion=E, v=traj.v, w_xhalf=np.full_like(traj.times, 0.7),
-                              w_l2=traj.w_l2, q_l2=traj.q_l2)
-        fit = dyn.decay_rate_fit(fake, "w_xhalf")
+                              diffusion=E, v=traj.v, w_xhalf=np.full_like(traj.times, 0.7))
+        fit = dyn.decay_rate_fit(fake)
         assert fit.fitted_rate == pytest.approx(0.0, abs=1e-14)
         assert fit.residual == pytest.approx(0.0, abs=1e-14)
 
@@ -481,7 +467,7 @@ class TestDecayFit:
         E = sp.diffusion([64.0])
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, amplitude=0.5)
         traj = dyn.evolve_pde(u0, E, dyn.zero_nonlinearity(), T=5.0, dt=1e-3, stride=10)
-        fit = dyn.decay_rate_fit(traj, "w_xhalf")
+        fit = dyn.decay_rate_fit(traj)
         assert fit.truncated
         lam2 = E.second_eigenvalue(basis)
         assert abs(fit.fitted_rate - lam2) / lam2 < 1e-3

@@ -1,5 +1,71 @@
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# public names that only tests call, each kept as an independent reference
+ORACLES = {
+    "validate_nonlinearity": "checks each built-in F against its declared bound and Jacobian",
+    "linear_semigroup_apply": "exact propagator the ETD stepper must reproduce for F = 0",
+    "semigroup_kernel_bound": "closed-form kappa(t) behind the operational constant M",
+    "evolve_ode": "RK4 reference the PDE constant subspace and invariance probes compare to",
+    "solve_resolvent": "per-mode resolvent the sampled and exact gaps are checked against",
+    "spectral_projection_Q": "Riesz projection, eigen and contour modes, of criterion 5",
+    "projection_gap": "operator norm of Q - P that criterion 5 asserts to be zero",
+    "random_field": "random test-input generator for fields",
+    "energy_norm": "energy norm that EnergyNorm.embed and the defect quotients are checked against",
+}
+
+
 def test_hypothesis_can_report_a_failing_example():
     # to print a falsifying example, hypothesis imports this module and libcst;
     # if that import raises under the suite's warning filters, pytest aborts
     # with INTERNALERROR instead of reporting the failure
     import hypothesis.extra._patching  # noqa: F401
+
+
+def _public_names(tree: ast.Module) -> tuple[list[str], set[int]]:
+    """The names in a module's __all__ and the lines its list spans."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            lines = set(range(node.lineno, node.end_lineno + 1))
+            return [elt.value for elt in node.value.elts], lines
+    return [], set()
+
+
+def _definition_lines(tree: ast.Module) -> dict[str, int]:
+    lines = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            lines[node.name] = node.lineno
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    lines[target.id] = node.lineno
+    return lines
+
+
+def test_every_public_name_has_a_caller_or_is_an_oracle():
+    # a name counts as used when a line of src/ or perfbench/ other than its
+    # definition and its __all__ entry mentions it; ORACLES must list exactly
+    # the names left without such a line
+    sources = sorted((ROOT / "src" / "bigdiff").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    text = {path: path.read_text().splitlines() for path in sources}
+    without_caller = set()
+    for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        names, all_lines = _public_names(tree)
+        defined = _definition_lines(tree)
+        for name in names:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            skip = {(module, i) for i in all_lines} | {(module, defined.get(name))}
+            used = any(word.search(line) and (path, i) not in skip
+                       for path, lines in text.items()
+                       for i, line in enumerate(lines, start=1))
+            if not used:
+                without_caller.add(name)
+    assert without_caller == set(ORACLES)
+    assert all(reason for reason in ORACLES.values())
