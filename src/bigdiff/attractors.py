@@ -579,9 +579,9 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     start from its points (already on the limit attractor) lifted to
     constants and perturbed by a mean-free field in modes 1..8 with L2 norm
     `w_amplitude`; evolving them for `t_trans` leaves exactly the mean-free
-    content the homogenization estimates control.  `t_trans` and `sample_dt`
-    should stay commensurate so tails stay synchronized with the arc
-    sampling of the reference ODE cloud.
+    content the homogenization estimates control (`t_trans = 0` keeps them as
+    drawn).  `t_trans` and `sample_dt` should stay commensurate so tails stay
+    synchronized with the arc sampling of the reference ODE cloud.
     """
     if ode_cloud is None:
         ode_cloud = attractor_ode(F, components=E.components, dt=dt, sample_dt=sample_dt)
@@ -602,7 +602,7 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
 
     rng = np.random.default_rng(seed)
     base_points = ode_cloud.points
-    if len(base_points) and t_trans > 0 and n_tails > 0:
+    if n_tails > 0:
         pick = np.linspace(0, len(base_points) - 1, n_tails).astype(int)
         kmax = min(8, basis.mode_count)
         tails = np.zeros((n_tails, E.components, basis.mode_count + 1))

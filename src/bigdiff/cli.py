@@ -47,8 +47,14 @@ def _say(args, *message) -> None:
         print(*message)
 
 
-def _verdict(name: str, detail: str, passed: bool) -> int:
-    print(f"VERDICT: {name} {detail} {'PASS' if passed else 'FAIL'}")
+def _verdict(name: str, detail: str, passed: bool, *records: rt.RunRecord) -> int:
+    """Store the verdict in each run record, print the VERDICT: line, return the exit code."""
+    verdict = "PASS" if passed else "FAIL"
+    for record in records:
+        record.metrics["verdict"] = verdict
+        record.metrics["verdict_detail"] = detail
+        rt.persist_run(record, record.paths["record"])
+    print(f"VERDICT: {name} {detail} {verdict}")
     return 0 if passed else 1
 
 
@@ -70,29 +76,25 @@ def _new_run_dir(cfg: Config, name: str) -> str:
     return run_dir
 
 
-def _sweep(cfg: Config, sweep_cfg: rt.SweepConfig):
-    """Run a sweep under the configured out root, with resolved.ini beside its record."""
+def _sweep(cfg: Config, quantity: str, **params):
+    """Sweep `quantity` over [sweep] d_eps with the configured seed, modes and components.
+
+    Runs under the configured out root and writes resolved.ini beside the
+    record.  Returns (fit, record, details.csv rows as dicts).
+    """
+    sweep_cfg = rt.SweepConfig(
+        quantity, cfg.get("sweep", "d_eps"),
+        params={"modes": cfg.get("domain", "modes"),
+                "components": cfg.get("domain", "components"), **params},
+        seed=cfg.get("run", "seed"))
     fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"))
     cfg.write(os.path.join(os.path.dirname(record.paths["record"]), "resolved.ini"))
-    return fit, record
-
-
-def _finish_sweep_record(record: rt.RunRecord, verdict: bool, detail: str) -> None:
-    record.metrics["verdict"] = "PASS" if verdict else "FAIL"
-    record.metrics["verdict_detail"] = detail
-    rt.persist_run(record, record.paths["record"])
-
-
-def _read_details(record: rt.RunRecord) -> list[dict]:
-    path = record.paths.get("details")
-    if not path:
-        return []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = []
-        for line in fh:
-            rows.append(dict(zip(header, (float(x) for x in line.split(",")))))
-    return rows
+    details = []
+    if "details" in record.paths:
+        with open(record.paths["details"]) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            details = [dict(zip(header, (float(x) for x in line.split(",")))) for line in fh]
+    return fit, record, details
 
 
 # ---------------------------------------------------------------------------
@@ -101,37 +103,22 @@ def _read_details(record: rt.RunRecord) -> list[dict]:
 
 def cmd_resolvent_rate(args) -> int:
     cfg = _load(args)
-    sweep_cfg = rt.SweepConfig(
-        "resolvent_gap", cfg.get("sweep", "d_eps"),
-        params={"modes": cfg.get("domain", "modes"),
-                "components": cfg.get("domain", "components"), "trials": 64},
-        seed=cfg.get("run", "seed"))
-    fit, record = _sweep(cfg, sweep_cfg)
+    fit, record, details = _sweep(cfg, "resolvent_gap", trials=64)
     tol = cfg.get("tolerances", "slope")
-    details = _read_details(record)
     attained = max(abs(row["attained_product"] - 1.0) for row in details)
     slope_ok = abs(fit.slope + 0.5) <= tol
     attained_ok = attained <= cfg.get("tolerances", "attained")
     _say(args, f"fitted slope {fit.slope:.6f} (predicted -0.5, tolerance {tol:g})")
     _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
     detail = f"slope={fit.slope:.6f} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
-    passed = slope_ok and attained_ok
-    _finish_sweep_record(record, passed, detail)
-    return _verdict("resolvent-rate", detail, passed)
+    return _verdict("resolvent-rate", detail, slope_ok and attained_ok, record)
 
 
 def cmd_decay(args) -> int:
     cfg = _load(args)
     spec = cfg.nonlinearity_spec()
-    sweep_cfg = rt.SweepConfig(
-        "w_decay_rate", cfg.get("sweep", "d_eps"),
-        params={"modes": cfg.get("domain", "modes"),
-                "components": cfg.get("domain", "components"),
-                "nonlinearity": spec,
-                "m_horizon": cfg.get("semigroup", "m_horizon")},
-        seed=cfg.get("run", "seed"))
-    fit, record = _sweep(cfg, sweep_cfg)
-    details = _read_details(record)
+    fit, record, details = _sweep(cfg, "w_decay_rate", nonlinearity=spec,
+                                  m_horizon=cfg.get("semigroup", "m_horizon"))
     one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in details)
     detail = f"min_margin={min(r['fitted_rate'] - r['theoretical_rate'] for r in details):.4g}"
     if spec["name"] == "zero":
@@ -143,9 +130,7 @@ def cmd_decay(args) -> int:
     for row in details:
         _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
                    f"theoretical {row['theoretical_rate']:.4f}")
-    passed = one_sided_ok and linear_ok
-    _finish_sweep_record(record, passed, detail)
-    return _verdict("decay", detail, passed)
+    return _verdict("decay", detail, one_sided_ok and linear_ok, record)
 
 
 def cmd_eigs(args) -> int:
@@ -168,10 +153,9 @@ def cmd_eigs(args) -> int:
     above = np.sort(gains[gains > 1.0])
     identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
     detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
-    rt.write_record(run_dir, "eigs", cfg.get("run", "seed"), started, "complete",
-                    metrics={"table": [float(x) for x in table],
-                             "verdict": "PASS" if identity_ok else "FAIL"})
-    return _verdict("eigs", detail, identity_ok)
+    record = rt.write_record(run_dir, "eigs", cfg.get("run", "seed"), started, "complete",
+                             metrics={"table": [float(x) for x in table]})
+    return _verdict("eigs", detail, identity_ok, record)
 
 
 def cmd_example_optimal(args) -> int:
@@ -198,11 +182,10 @@ def cmd_example_optimal(args) -> int:
               and abs(slope + 1.0) < 1e-6)
     detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
               f"exponent={slope:.3f}")
-    rt.write_record(run_dir, "example-optimal", cfg.get("run", "seed"), started, "complete",
-                    metrics={"worst_error": worst_err, "spread": spread,
-                             "exponent": float(slope),
-                             "verdict": "PASS" if passed else "FAIL"})
-    return _verdict("example-optimal", detail, passed)
+    record = rt.write_record(run_dir, "example-optimal", cfg.get("run", "seed"), started,
+                             "complete", metrics={"worst_error": worst_err, "spread": spread,
+                                                  "exponent": float(slope)})
+    return _verdict("example-optimal", detail, passed, record)
 
 
 def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_end):
@@ -213,7 +196,9 @@ def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_
         if negative:
             stable_rates.append(min(negative))
     rate = min(stable_rates) if stable_rates else 1.0
-    t_burn = configured_burn if configured_burn is not None else float(np.log(2 * box / cell) / rate)
+    # a box already inside the dedup cell needs no burn-in
+    t_burn = (configured_burn if configured_burn is not None
+              else max(0.0, float(np.log(2 * box / cell) / rate)))
     if configured_end is not None and configured_end <= t_burn:
         raise ConfigError(f"[attractor] t_end = {configured_end:g} must exceed the burn-in "
                           f"t_burn = {t_burn:.6g}")
@@ -260,35 +245,31 @@ def cmd_attractor(args) -> int:
         passed = res.sym <= 2 * resolution
         detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
                   f"resolution={resolution:.4g}")
-        rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "complete",
-                        metrics={"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
-                                 "resolution": resolution, "n_equilibria": len(equilibria),
-                                 "manifold_points": len(manifold),
-                                 "longtime_points": len(longtime),
-                                 "verdict": "PASS" if passed else "FAIL"})
-        return _verdict("attractor", detail, passed)
+        record = rt.write_record(
+            run_dir, "attractor", cfg.get("run", "seed"), started, "complete",
+            metrics={"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
+                     "resolution": resolution, "n_equilibria": len(equilibria),
+                     "manifold_points": len(manifold), "longtime_points": len(longtime)})
+        return _verdict("attractor", detail, passed, record)
     except BaseException:
         rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "incomplete")
         raise
 
 
+def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
+    """The PDE cloud settings of the hausdorff and deflection sweeps."""
+    return {"nonlinearity": cfg.nonlinearity_spec(),
+            "n_tails": cfg.get("attractor", "n_tails"),
+            "w_amplitude": cfg.get("attractor", "w_amplitude"),
+            "t_trans": cfg.get("attractor", t_trans_key),
+            "sample_dt": cfg.get("attractor", "sample_dt"),
+            "arc_dt": cfg.get("attractor", "arc_dt")}
+
+
 def cmd_hausdorff_sweep(args) -> int:
     cfg = _load(args)
-    spec = cfg.nonlinearity_spec()
-    sweep_cfg = rt.SweepConfig(
-        "hausdorff", cfg.get("sweep", "d_eps"),
-        params={"modes": cfg.get("domain", "modes"),
-                "components": cfg.get("domain", "components"),
-                "nonlinearity": spec,
-                "n_tails": cfg.get("attractor", "n_tails"),
-                "w_amplitude": cfg.get("attractor", "w_amplitude"),
-                "t_trans": cfg.get("attractor", "t_trans"),
-                "sample_dt": cfg.get("attractor", "sample_dt"),
-                "arc_dt": cfg.get("attractor", "arc_dt"),
-                "m_horizon": cfg.get("semigroup", "m_horizon")},
-        seed=cfg.get("run", "seed"))
-    fit, record = _sweep(cfg, sweep_cfg)
-    details = _read_details(record)
+    fit, record, details = _sweep(cfg, "hausdorff", **_cloud_params(cfg, "t_trans"),
+                                  m_horizon=cfg.get("semigroup", "m_horizon"))
     values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in details])
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
     threshold_ok = all(row["threshold_met"] < 0.5
@@ -300,61 +281,43 @@ def cmd_hausdorff_sweep(args) -> int:
     else:
         slope_ok = True  # identically zero at cloud resolution
         slope_txt = "zero"
-    for d, v in zip(sweep_cfg.d_eps_values, values):
-        _say(args, f"d={d:g}: d_H = {v:.4e}")
-    passed = nonincreasing and slope_ok and threshold_ok
+    for row, v in zip(details, values):
+        _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
     detail = (f"slope={slope_txt} bound={cfg.get('tolerances', 'hausdorff_slope'):g} "
               f"nonincreasing={nonincreasing} below_resolution_past_threshold={threshold_ok}")
-    _finish_sweep_record(record, passed, detail)
-    return _verdict("hausdorff-sweep", detail, passed)
+    return _verdict("hausdorff-sweep", detail, nonincreasing and slope_ok and threshold_ok,
+                    record)
 
 
 def cmd_manifold(args) -> int:
     cfg = _load(args)
-    spec = cfg.nonlinearity_spec()
-    common = {"modes": cfg.get("domain", "modes"),
-              "components": cfg.get("domain", "components"),
-              "nonlinearity": spec}
-    defl_cfg = rt.SweepConfig(
-        "deflection", cfg.get("sweep", "d_eps"),
-        params={**common,
-                "n_tails": cfg.get("attractor", "n_tails"),
-                "w_amplitude": cfg.get("attractor", "w_amplitude"),
-                "t_trans": cfg.get("attractor", "deflection_t_trans"),
-                "sample_dt": cfg.get("attractor", "sample_dt"),
-                "arc_dt": cfg.get("attractor", "arc_dt")},
-        seed=cfg.get("run", "seed"))
-    defl_fit, defl_record = _sweep(cfg, defl_cfg)
-    graph_cfg = rt.SweepConfig(
-        "graph_sup", cfg.get("sweep", "d_eps"),
-        params={**common,
-                "grid_points": cfg.get("manifold", "grid_points"),
-                "iters": cfg.get("manifold", "iterations"),
-                "seed_amplitude": cfg.get("manifold", "seed_amplitude")},
-        seed=cfg.get("run", "seed"))
-    graph_fit, graph_record = _sweep(cfg, graph_cfg)
-    defl_values = np.array([row["deflection"] for row in _read_details(defl_record)])
+    _, defl_record, defl_rows = _sweep(cfg, "deflection",
+                                       **_cloud_params(cfg, "deflection_t_trans"))
+    _, graph_record, graph_rows = _sweep(
+        cfg, "graph_sup", nonlinearity=cfg.nonlinearity_spec(),
+        grid_points=cfg.get("manifold", "grid_points"),
+        iters=cfg.get("manifold", "iterations"),
+        seed_amplitude=cfg.get("manifold", "seed_amplitude"),
+        m_horizon=cfg.get("semigroup", "m_horizon"))
+    defl_values = np.array([row["deflection"] for row in defl_rows])
     if np.all(defl_values <= rt.ZERO_FLOOR):
         defl_ok = True
         defl_txt = "identically-zero"
         _say(args, "deflection identically zero at solver tolerance; bound trivially satisfied")
     else:
-        scaled = defl_values * np.sqrt(np.array(defl_cfg.d_eps_values))
+        scaled = defl_values * np.sqrt(np.array([row["d_eps"] for row in defl_rows]))
         positive = scaled[scaled > rt.ZERO_FLOOR]
         defl_ok = positive.max() / positive.min() <= 2.0
         defl_txt = f"band_ratio={positive.max() / positive.min():.3f}"
-    graph_rows = _read_details(graph_record)
     factors = [row["contraction_factor"] for row in graph_rows]
     graph_ok = all(f < 1.0 for f in factors)
     sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= rt.ZERO_FLOOR))
-    for d, f in zip(graph_cfg.d_eps_values, factors):
-        _say(args, f"d={d:g}: graph contraction factor {f:.4f}")
-    passed = defl_ok and graph_ok and sup_ok
+    for row, f in zip(graph_rows, factors):
+        _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
     detail = (f"deflection={defl_txt} contraction_max={max(factors):.4f} "
               f"graph_sup_zero={sup_ok}")
-    _finish_sweep_record(defl_record, passed, detail)
-    _finish_sweep_record(graph_record, passed, detail)
-    return _verdict("manifold", detail, passed)
+    return _verdict("manifold", detail, defl_ok and graph_ok and sup_ok,
+                    defl_record, graph_record)
 
 
 def cmd_report(args) -> int:

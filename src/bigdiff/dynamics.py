@@ -335,27 +335,23 @@ class EtdStepper:
         self.dt = dt
         self._phi_mat = basis.synthesis_matrix()
         self._gains = E.gains(basis)
-        self.exp_full, self.w1, self.w2 = self.weights(dt)
-
-    def weights(self, h: float):
-        z = -h * self._gains
-        return np.exp(z), h * _phi1(z), h * _phi2(z)
+        z = -dt * self._gains
+        self.exp_full, self.w1, self.w2 = np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
     def _nonlinear(self, c: np.ndarray) -> np.ndarray:
         # F takes the component axis first; a batch (rows, n, K+1) has it second
         values = self.nonlinearity((c @ self._phi_mat).swapaxes(0, -2))
         return values.swapaxes(0, -2) @ self._phi_mat.T / self.basis.quad_points
 
-    def step(self, c: np.ndarray, t_now: float = 0.0, weights=None) -> np.ndarray:
+    def step(self, c: np.ndarray, t_now: float = 0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
 
         A non-finite value of F spreads into the new coefficients, so the one
         post-step max|c| test catches it at the step where it appeared.
         """
-        ef, p1, p2 = weights if weights is not None else (self.exp_full, self.w1, self.w2)
         n0 = self._nonlinear(c)
-        a = ef * c + p1 * n0
-        c = a + p2 * (self._nonlinear(a) - n0)
+        a = self.exp_full * c + self.w1 * n0
+        c = a + self.w2 * (self._nonlinear(a) - n0)
         top = float(np.max(np.abs(c)))
         if not np.isfinite(top) or top > _BLOWUP_LIMIT:
             raise BlowUpError(t_now, top)
@@ -364,30 +360,26 @@ class EtdStepper:
 
 def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
                dt: float = 1e-3, stride: int = 10) -> Trajectory:
-    """Integrate u_t + A u = F(u) with ETD2RK.
+    """Integrate u_t + A u = F(u) with ETD2RK in whole steps of `dt`.
 
     The linear propagator is exact, so the step is unconditionally stable.
     Diagnostics are recorded every `stride` steps (and at t = 0 and t = T).
-    The deterministic step count is ceil(T/dt); the final partial step, if
-    any, uses a shortened dt.
+    `T` must be a non-negative whole number of `dt` steps, to rounding;
+    there is no shortened final step.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     stepper = EtdStepper(u0.basis, E, F, dt)
-    steps = int(np.ceil(T / dt - 1e-12)) if T > 0 else 0
-    last_dt = T - (steps - 1) * dt if steps else dt
+    steps = round(T / dt)
+    if steps < 0 or abs(T / dt - steps) > 1e-9:
+        raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} steps")
 
     c = u0.coeffs.copy()
     samples = [(0.0, c.copy())]
     t = 0.0
     for step in range(steps):
-        h = dt
-        weights = None
-        if step == steps - 1 and abs(last_dt - dt) > 1e-15 * max(dt, 1.0):
-            h = last_dt
-            weights = stepper.weights(h)
-        c = stepper.step(c, t, weights)
-        t = min(t + h, T)
+        c = stepper.step(c, t)
+        t = min(t + dt, T)
         if (step + 1) % stride == 0 or step == steps - 1:
             samples.append((t, c.copy()))
 

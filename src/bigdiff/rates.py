@@ -119,15 +119,29 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5) -> RateFit:
 
 _DOM = DomainSpec()
 
+# the decay study's initial state 1 + 0.5 phi_1 and its horizon: 40 e-folds of
+# lam2, taken in 2000 whole steps
+_DECAY_V0 = 1.0
+_DECAY_MODE_AMP = 0.5
+_DECAY_EFOLDS = 40.0
+_DECAY_STEPS = 2000
+
+# every prepare reads each of its settings as params[key]: a sweep's params,
+# recorded in its config.json, are the whole of what it ran with
+
 
 def _ctx_basis(params):
-    K = int(params.get("modes", 32))
-    return build_basis(_DOM, K), int(params.get("components", 1))
+    return build_basis(_DOM, int(params["modes"])), int(params["components"])
+
+
+def _nonlinearity(params):
+    spec = dict(params["nonlinearity"])
+    return _dynamics.nonlinearity_from_spec(spec.pop("name"), **spec)
 
 
 def _prepare_resolvent(params, seed):
     basis, n = _ctx_basis(params)
-    return {"basis": basis, "n": n, "trials": int(params.get("trials", 64))}
+    return {"basis": basis, "n": n, "trials": int(params["trials"])}
 
 
 def _measure_resolvent(d, ctx, point_seed):
@@ -143,25 +157,19 @@ def _measure_resolvent(d, ctx, point_seed):
 
 def _prepare_decay(params, seed):
     basis, n = _ctx_basis(params)
-    spec = dict(params.get("nonlinearity", {"name": "zero"}))
-    F = _dynamics.nonlinearity_from_spec(spec.pop("name"), **spec)
-    return {"basis": basis, "n": n, "F": F,
-            "mode_amp": float(params.get("mode_amp", 0.5)),
-            "v0": float(params.get("v0", 1.0)),
-            "efolds": float(params.get("efolds", 40.0)),
-            "steps": int(params.get("steps", 2000)),
-            "m_horizon": float(params.get("m_horizon", 10.0))}
+    return {"basis": basis, "n": n, "F": _nonlinearity(params),
+            "m_horizon": float(params["m_horizon"])}
 
 
 def _measure_decay(d, ctx, point_seed):
     basis, n = ctx["basis"], ctx["n"]
     E = diffusion([d] * n)
     lam2 = E.second_eigenvalue(basis)
-    T = ctx["efolds"] / lam2
-    dt = T / ctx["steps"]
-    u0 = constant_field([ctx["v0"]] * n, basis) + mode_field(basis, 1, ctx["mode_amp"],
+    T = _DECAY_EFOLDS / lam2
+    dt = T / _DECAY_STEPS
+    u0 = constant_field([_DECAY_V0] * n, basis) + mode_field(basis, 1, _DECAY_MODE_AMP,
                                                              components=n)
-    traj = _dynamics.evolve_pde(u0, E, ctx["F"], T=T, dt=dt, stride=max(1, ctx["steps"] // 400))
+    traj = _dynamics.evolve_pde(u0, E, ctx["F"], T=T, dt=dt, stride=_DECAY_STEPS // 400)
     mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
     fit = _dynamics.decay_rate_fit(traj, mu=mu)
     return fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
@@ -170,19 +178,18 @@ def _measure_decay(d, ctx, point_seed):
                              "truncated": float(fit.truncated)}
 
 
-def _prepare_hausdorff(params, seed):
+def _prepare_deflection(params, seed):
+    """The PDE cloud settings that the deflection and hausdorff sweeps share."""
     basis, n = _ctx_basis(params)
-    spec = dict(params.get("nonlinearity", {"name": "tanh", "beta": 2.0}))
-    F = _dynamics.nonlinearity_from_spec(spec.pop("name"), **spec)
-    ode_cloud = _attractors.attractor_ode(F, components=n,
-                                          sample_dt=float(params.get("sample_dt", 1e-2)))
-    return {"basis": basis, "n": n, "F": F, "ode_cloud": ode_cloud,
-            "n_tails": int(params.get("n_tails", 24)),
-            "w_amplitude": float(params.get("w_amplitude", 0.3)),
-            "t_trans": float(params.get("t_trans", 1.0)),
-            "sample_dt": float(params.get("sample_dt", 1e-2)),
-            "arc_dt": float(params.get("arc_dt", 5e-4)),
-            "m_horizon": float(params.get("m_horizon", 10.0)),
+    F = _nonlinearity(params)
+    sample_dt = float(params["sample_dt"])
+    return {"basis": basis, "n": n, "F": F,
+            "ode_cloud": _attractors.attractor_ode(F, components=n, sample_dt=sample_dt),
+            "n_tails": int(params["n_tails"]),
+            "w_amplitude": float(params["w_amplitude"]),
+            "t_trans": float(params["t_trans"]),
+            "sample_dt": sample_dt,
+            "arc_dt": float(params["arc_dt"]),
             # one shared perturbation draw for the whole sweep: per-point
             # draws would modulate the coupling constant and break the
             # monotone decay of d_H across d
@@ -197,6 +204,15 @@ def _pde_cloud(E, ctx):
                                      sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
 
 
+def _measure_deflection(d, ctx, point_seed):
+    value = _attractors.manifold_deflection(_pde_cloud(diffusion([d] * ctx["n"]), ctx))
+    return value, {"deflection": value, "scaled": value * np.sqrt(d)}
+
+
+def _prepare_hausdorff(params, seed):
+    return {**_prepare_deflection(params, seed), "m_horizon": float(params["m_horizon"])}
+
+
 def _measure_hausdorff(d, ctx, point_seed):
     basis = ctx["basis"]
     E = diffusion([d] * ctx["n"])
@@ -209,36 +225,28 @@ def _measure_hausdorff(d, ctx, point_seed):
                      "mu": consts.mu, "threshold_met": float(threshold_met)}
 
 
-def _prepare_deflection(params, seed):
-    return _prepare_hausdorff({**params, "t_trans": params.get("t_trans", 10.0)}, seed)
-
-
-def _measure_deflection(d, ctx, point_seed):
-    value = _attractors.manifold_deflection(_pde_cloud(diffusion([d] * ctx["n"]), ctx))
-    return value, {"deflection": value, "scaled": value * np.sqrt(d)}
-
-
 def _prepare_graph(params, seed):
     basis, n = _ctx_basis(params)
-    spec = dict(params.get("nonlinearity", {"name": "tanh", "beta": 2.0}))
-    F = _dynamics.nonlinearity_from_spec(spec.pop("name"), **spec)
-    return {"basis": basis, "n": n, "F": F,
-            "grid_points": int(params.get("grid_points", 21)),
-            "iters": int(params.get("iters", 4)),
-            "seed_amplitude": float(params.get("seed_amplitude", 0.1))}
+    return {"basis": basis, "n": n, "F": _nonlinearity(params),
+            "grid_points": int(params["grid_points"]),
+            "iters": int(params["iters"]),
+            "seed_amplitude": float(params["seed_amplitude"]),
+            "m_horizon": float(params["m_horizon"])}
 
 
 def _measure_graph(d, ctx, point_seed):
     basis = ctx["basis"]
     E = diffusion([d] * ctx["n"])
+    # one mu serves both iterations
+    mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
     est = _attractors.graph_iteration(E, ctx["F"], basis, grid_points=ctx["grid_points"],
-                                      iters=ctx["iters"])
+                                      iters=ctx["iters"], mu=mu)
     m = est.v_grid.shape[0]
     seeded = np.zeros((m, ctx["n"], basis.mode_count + 1))
     seeded[:, :, 1] = ctx["seed_amplitude"]
     est_seeded = _attractors.graph_iteration(E, ctx["F"], basis,
                                              grid_points=ctx["grid_points"],
-                                             iters=3, initial=seeded)
+                                             iters=3, initial=seeded, mu=mu)
     factor = max(est_seeded.contraction_factors) if est_seeded.contraction_factors else 0.0
     return est.sup_norm, {"sup_norm": est.sup_norm, "contraction_factor": factor,
                           "horizon": est.horizon}
@@ -314,9 +322,11 @@ def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
 
     A "running" record has an empty `finished`; any other status is stamped
     now.  `config` defaults to the run directory's resolved.ini (the CLI
-    writes one into every run directory) and `paths` to the run directory.
+    writes one into every run directory) and `paths` to the run directory and
+    the record itself.
     """
     run_dir = os.path.abspath(run_dir)
+    path = os.path.join(run_dir, "record.json")
     if config is None:
         config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
     record = RunRecord(
@@ -327,10 +337,10 @@ def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
         started=started,
         finished="" if status == "running" else utc_now(),
         status=status,
-        paths={"run_dir": run_dir} if paths is None else paths,
+        paths={"run_dir": run_dir, "record": path} if paths is None else paths,
         metrics={} if metrics is None else metrics,
     )
-    persist_run(record, os.path.join(run_dir, "record.json"))
+    persist_run(record, path)
     return record
 
 

@@ -92,8 +92,8 @@ def test_criterion_3_homogenization_decay(tmp_path):
         lam1 = np.pi**2
         # F = 0, u0 = 1 + 0.5 phi_1: fitted rate equals d lam1 + 1 to 0.1%
         cfg0 = rt.SweepConfig("w_decay_rate", SWEEP9,
-                              params={"modes": 16, "nonlinearity": {"name": "zero"},
-                                      "v0": 1.0, "mode_amp": 0.5, "m_horizon": 10.0},
+                              params={"modes": 16, "components": 1,
+                                      "nonlinearity": {"name": "zero"}, "m_horizon": 10.0},
                               seed=3)
         _, record0 = rt.run_sweep(cfg0, out_root=tmp_path)
         rows0 = _details(record0)
@@ -102,9 +102,9 @@ def test_criterion_3_homogenization_decay(tmp_path):
             assert row["lam2"] == row["d_eps"] * lam1 + 1.0
         # F = 2 tanh: fitted rate >= d lam1 + 1 - mu (operational mu, T* = 10)
         cfg1 = rt.SweepConfig("w_decay_rate", SWEEP9,
-                              params={"modes": 32,
+                              params={"modes": 32, "components": 1,
                                       "nonlinearity": {"name": "tanh", "beta": 2.0},
-                                      "v0": 1.0, "mode_amp": 0.5, "m_horizon": 10.0},
+                                      "m_horizon": 10.0},
                               seed=3)
         _, record1 = rt.run_sweep(cfg1, out_root=tmp_path)
         for row in _details(record1):
@@ -177,7 +177,7 @@ def test_criterion_6_attractor_structure(tanh_structure):
 def test_criterion_7_attractor_convergence(tmp_path):
     with criterion(7, "attractor convergence"):
         cfg = rt.SweepConfig("hausdorff", SWEEP7,
-                             params={"modes": 32,
+                             params={"modes": 32, "components": 1,
                                      "nonlinearity": {"name": "tanh", "beta": 2.0},
                                      "n_tails": 24, "w_amplitude": 0.3,
                                      "t_trans": 1.0, "sample_dt": 1e-2,
@@ -201,7 +201,7 @@ def test_criterion_8_manifold_deflection(tmp_path):
         # deflection at long transients: identically zero at solver tolerance,
         # so deflection * sqrt(d) trivially satisfies any constant band
         cfg_defl = rt.SweepConfig("deflection", SWEEP5,
-                                  params={"modes": 32,
+                                  params={"modes": 32, "components": 1,
                                           "nonlinearity": {"name": "tanh", "beta": 2.0},
                                           "n_tails": 12, "w_amplitude": 0.3,
                                           "t_trans": 10.0, "sample_dt": 1e-2,
@@ -235,17 +235,17 @@ def test_criterion_9_infrastructure(tmp_path):
     with criterion(9, "infrastructure"):
         # bit-for-bit reproducibility of every CSV under identical config+seed
         cfg = rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0, 16.0),
-                             params={"modes": 64, "trials": 48}, seed=99)
+                             params={"modes": 64, "components": 1, "trials": 48}, seed=99)
         _, rec1 = rt.run_sweep(cfg, out_root=tmp_path / "a")
         _, rec2 = rt.run_sweep(cfg, out_root=tmp_path / "b")
         for key in ("points", "fit", "plot", "plot_loglog", "config", "details"):
             assert open(rec1.paths[key], "rb").read() == open(rec2.paths[key], "rb").read()
         cfg_h = rt.SweepConfig("hausdorff", (1.0, 2.0, 4.0, 8.0),
-                               params={"modes": 16,
+                               params={"modes": 16, "components": 1,
                                        "nonlinearity": {"name": "tanh", "beta": 2.0},
                                        "n_tails": 6, "w_amplitude": 0.3,
                                        "t_trans": 1.0, "sample_dt": 1e-2,
-                                       "arc_dt": 1e-3},
+                                       "arc_dt": 1e-3, "m_horizon": 10.0},
                                seed=5)
         _, rech1 = rt.run_sweep(cfg_h, out_root=tmp_path / "c")
         _, rech2 = rt.run_sweep(cfg_h, out_root=tmp_path / "d")

@@ -263,6 +263,16 @@ class TestAttractorPDE:
         kinds = set(cloud.provenance)
         assert {"equilibrium", "manifold_union", "long_time_sampling"} <= kinds
 
+    def test_zero_transport_time_keeps_the_drawn_tails(self):
+        basis = sp.build_basis(DOM, 8)
+        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, n_tails=4, t_trans=0.0,
+                                 w_amplitude=0.1, dt=1e-2, sample_dt=2e-2, seed=1)
+        tails = cloud.points[[p == "long_time_sampling" for p in cloud.provenance]]
+        assert len(tails) == cloud.meta["n_tails"] == 4
+        # untransported: each keeps its mean-free perturbation of norm w_amplitude
+        np.testing.assert_allclose(np.sqrt(np.sum(tails[:, :, 1:] ** 2, axis=(1, 2))), 0.1,
+                                   rtol=1e-12)
+
     def test_equilibria_seeded_from_the_ode_cloud(self, tanh_cloud, monkeypatch):
         # the ODE equilibria are rows of ode_cloud, so no second ODE Newton solve runs
         def solve_again(*args, **kwargs):

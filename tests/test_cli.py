@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bigdiff import attractors as at
 from bigdiff import cli
+from bigdiff import dynamics as dyn
 from bigdiff import rates as rt
 from bigdiff.config import (_OPTIONAL_TYPES, Config, ConfigError, DEFAULTS, default_config,
                             load_config)
@@ -200,6 +201,74 @@ class TestEveryKeyRead:
         assert every - read == set()
 
 
+class _KeyLog(dict):
+    """A params dict that records in `read` every key looked up in it."""
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestSweepParams:
+    def test_each_sweep_passes_exactly_the_keys_its_prepare_reads(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # a sweep's config.json then names every setting it ran with, and no other
+        passed, read = {}, {}
+        run_sweep = rt.run_sweep
+
+        def spy(cfg, out_root):
+            log = _KeyLog(cfg.params)
+            log.read = read.setdefault(cfg.quantity, set())
+            rt.QUANTITIES[cfg.quantity][1](log, cfg.seed)
+            passed[cfg.quantity] = set(cfg.params)
+            return run_sweep(cfg, out_root)
+
+        monkeypatch.setattr(rt, "run_sweep", spy)
+        for name in ("resolvent-rate", "decay", "hausdorff-sweep", "manifold"):
+            code = cli.main([name, "-c", write(tmp_path / f"{name}.ini", _TINY[name]),
+                             "--quiet", "--out-root", str(tmp_path / "runs")])
+            assert code in (0, 1), name
+        capsys.readouterr()
+        assert set(passed) == {"resolvent_gap", "w_decay_rate", "hausdorff", "deflection",
+                               "graph_sup"}
+        for quantity in passed:
+            assert passed[quantity] == read[quantity], quantity
+
+    def test_manifold_graph_uses_the_configured_horizon(self, tmp_path, monkeypatch, capsys):
+        horizons = []
+        original = dyn.compute_M_and_mu
+
+        def spy(E, basis, horizon=10.0, **kwargs):
+            horizons.append(horizon)
+            return original(E, basis, horizon, **kwargs)
+
+        monkeypatch.setattr(dyn, "compute_M_and_mu", spy)
+        monkeypatch.setattr(at, "compute_M_and_mu", spy)
+        ini = _TINY["manifold"] + "[semigroup]\nm_horizon = 20\n"
+        assert cli.main(["manifold", "-c", write(tmp_path / "m.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")]) in (0, 1)
+        capsys.readouterr()
+        # one mu per swept d, shared by both graph iterations
+        assert horizons == [20.0] * 4
+
+    def test_every_record_carries_its_verdict(self, tmp_path, capsys):
+        for name, text in _TINY.items():
+            cli.main([name, "-c", write(tmp_path / f"{name}.ini", text), "--quiet",
+                      "--out-root", str(tmp_path / name)])
+            verdicts = [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("VERDICT:")]
+            records = [json.loads(path.read_text())["metrics"]
+                       for path in (tmp_path / name).glob("*/record.json")]
+            assert len(verdicts) == 1 and records, name
+            for metrics in records:
+                assert verdicts[0] == (f"VERDICT: {name} {metrics['verdict_detail']} "
+                                       f"{metrics['verdict']}"), name
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
         cfg = write(tmp_path / "a.ini", SMALL)
@@ -339,6 +408,13 @@ class TestVerdicts:
             rows = (run_dir / f"{name}_cloud.csv").read_text().splitlines()[1:]
             assert metrics[f"{name}_points"] == len(rows)
         assert metrics["manifold_points"] == 1
+
+    def test_box_inside_the_dedup_cell_burns_nothing(self, tmp_path, capsys):
+        # log(2 box / cell) < 0 here: transients already lie below the cell
+        ini = _TINY["attractor"] + "longtime_box = 0.0005\n"
+        cli.main(["attractor", "-c", write(tmp_path / "a.ini", ini),
+                  "--out-root", str(tmp_path / "runs")])
+        assert "t_burn=0 t_end=16\n" in capsys.readouterr().out
 
     def test_attractor_solves_the_ode_equilibria_once(self, tmp_path, monkeypatch, capsys):
         # the equilibrium table and the burn-in come from the manifold cloud's roots

@@ -272,6 +272,13 @@ class TestEvolvePDE:
             assert traj.coeffs[i, 0, 0] == pytest.approx(np.exp(-t), rel=1e-10)
             assert traj.coeffs[i, 0, 1] == pytest.approx(0.5 * np.exp(-lam2 * t), rel=1e-10)
 
+    def test_partial_final_step_rejected(self):
+        # T must be a whole number of steps: 1.0 / 0.3 is not
+        basis = sp.build_basis(DOM, 8)
+        with pytest.raises(ValueError, match="whole number"):
+            dyn.evolve_pde(sp.constant_field([0.3], basis), sp.diffusion([1.0]),
+                           dyn.zero_nonlinearity(), T=1.0, dt=0.3)
+
     def test_constant_subspace_matches_ode(self):
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([4.0])

@@ -77,7 +77,7 @@ class TestSweepConfig:
 class TestRunSweep:
     def test_resolvent_gap_matches_closed_form(self, tmp_path):
         cfg = rt.SweepConfig("resolvent_gap", tuple(2.0 ** np.arange(9)),
-                             params={"modes": 128, "trials": 8}, seed=7)
+                             params={"modes": 128, "components": 1, "trials": 8}, seed=7)
         fit, record = rt.run_sweep(cfg, out_root=tmp_path)
         lam1 = np.pi**2
         oracle_values = (np.array(cfg.d_eps_values) * lam1 + 1.0) ** -0.5
@@ -89,7 +89,8 @@ class TestRunSweep:
 
     def test_w_decay_rate_affine_in_d(self, tmp_path):
         cfg = rt.SweepConfig("w_decay_rate", (1.0, 2.0, 4.0, 8.0),
-                             params={"modes": 8, "nonlinearity": {"name": "zero"}},
+                             params={"modes": 8, "components": 1,
+                                     "nonlinearity": {"name": "zero"}, "m_horizon": 10.0},
                              seed=1)
         fit, record = rt.run_sweep(cfg, out_root=tmp_path)
         rates = np.array(record.metrics["values"])
@@ -144,7 +145,7 @@ class TestRunSweep:
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
         cfg = rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0, 16.0),
-                             params={"modes": 32, "trials": 32}, seed=11)
+                             params={"modes": 32, "components": 1, "trials": 32}, seed=11)
         _, rec1 = rt.run_sweep(cfg, out_root=tmp_path / "a")
         _, rec2 = rt.run_sweep(cfg, out_root=tmp_path / "b")
         for key in ("points", "fit", "plot", "plot_loglog", "config", "details"):
@@ -154,7 +155,7 @@ class TestDeterminism:
         assert rec1.metrics == rec2.metrics
 
     def test_seed_changes_sampled_values(self, tmp_path):
-        base = dict(params={"modes": 16, "trials": 4})
+        base = dict(params={"modes": 16, "components": 1, "trials": 4})
         _, rec1 = rt.run_sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
                                               seed=1, **base), out_root=tmp_path / "a")
         _, rec2 = rt.run_sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
