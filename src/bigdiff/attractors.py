@@ -41,6 +41,7 @@ from scipy.spatial.distance import cdist
 from .dynamics import (
     EtdStepper,
     Nonlinearity,
+    _galerkin_F,
     _rk4_step,
     compute_M_and_mu,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
@@ -51,6 +52,7 @@ from .spectral import (
     EnergyNorm,
     SpectralField,
     constant_field,
+    mean_free_energy,
 )
 
 __all__ = [
@@ -515,7 +517,6 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
     if not seeds:
         raise ValueError("need at least one seed field")
     basis = seeds[0].basis
-    phi = basis.synthesis_matrix()
     n = E.components
     K1 = basis.mode_count + 1
     gains = E.gains(basis)
@@ -523,8 +524,7 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
 
     def residual(flat):
         c = flat.reshape(n, K1)
-        fhat = F(c @ phi) @ phi.T / basis.quad_points
-        return (gains * c - fhat).ravel()
+        return (gains * c - _galerkin_F(F, c, basis)).ravel()
 
     def residual_pc(flat):
         return inv_gains * residual(flat)
@@ -575,7 +575,7 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     """PDE attractor cloud: equilibria + shot unstable manifolds + tail states.
 
     `ode_cloud` must come from `attractor_ode` (built here if omitted): its
-    equilibrium rows, lifted to constants, seed the PDE Newton solve.  Tails
+    equilibria, lifted to constants, seed the PDE Newton solve.  Tails
     start from its points (already on the limit attractor) lifted to
     constants and perturbed by a mean-free field in modes 1..8 with L2 norm
     `w_amplitude`; evolving them for `t_trans` leaves exactly the mean-free
@@ -585,9 +585,8 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     """
     if ode_cloud is None:
         ode_cloud = attractor_ode(F, components=E.components, dt=dt, sample_dt=sample_dt)
-    seeds = [constant_field(v, basis)
-             for v, kind in zip(ode_cloud.points, ode_cloud.provenance) if kind == "equilibrium"]
-    equilibria = find_equilibria_pde(E, F, seeds)
+    equilibria = find_equilibria_pde(
+        E, F, [constant_field(eq.vector(), basis) for eq in ode_cloud.equilibria])
 
     points = [eq.location.coeffs for eq in equilibria]
     provenance = ["equilibrium"] * len(points)
@@ -679,10 +678,7 @@ def manifold_deflection(cloud: AttractorCloud) -> float:
     """
     if cloud.kind != "pde":
         raise ValueError("deflection needs a PDE cloud")
-    gains = cloud.diffusion.gains(cloud.basis)
-    wc = cloud.points.copy()
-    wc[:, :, 0] = 0.0
-    return float(np.sqrt(np.max(np.sum(gains[None] * wc**2, axis=(1, 2)))))
+    return float(np.max(mean_free_energy(cloud.points, cloud.diffusion, cloud.basis)))
 
 
 def save_cloud(cloud: AttractorCloud, csv_path) -> None:
@@ -725,13 +721,14 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
                     grid_points: int = 41) -> GraphEstimate:
     """Fixed-point iteration of the manifold graph map on a grid of base points.
 
-    Each sweep integrates the base flow backward from every grid node over the
-    horizon 10/gap and accumulates the mean-free forcing against the exact
-    decaying propagator (composite trapezoid in time); the graph values are
-    grid-interpolated.  Requires the spectral gap d*lam_1 + 1 - mu > Lip(F);
-    aborts if the iteration fails to contract, and stops early once a sweep
-    changes the graph by less than 1e-14.  Backward-flow states leaving the
-    grid hull are clamped to it and counted.
+    Each sweep integrates the base flow v' = v - S(v, w(v)) backward from
+    every grid node over the horizon 10/gap and accumulates the mean-free
+    forcing Q(v, w(v)) against the exact decaying propagator (composite
+    trapezoid in time); the graph values w are grid-interpolated.  Requires
+    the spectral gap d*lam_1 + 1 - mu > Lip(F); aborts if the iteration fails
+    to contract, and stops early once a sweep changes the graph by less than
+    1e-14.  Backward-flow states leaving the grid hull are clamped to it for
+    the interpolation; each such state is counted once in `clamped`.
     """
     n = E.components
     lam2 = E.second_eigenvalue(basis)
@@ -745,17 +742,11 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     horizon = 10.0 / gap
     if box is None:
         box = 1.2 * ((F.bound if F.bound else 10.0) + 0.5)
-    v_axes = [np.linspace(-box, box, grid_points) for _ in range(n)]
-    grid_shape = tuple(len(ax) for ax in v_axes)
-    mesh = np.meshgrid(*v_axes, indexing="ij")
-    v_grid = np.stack([m.ravel() for m in mesh], axis=-1)  # (m, n)
+    axes = (np.linspace(-box, box, grid_points),) * n
+    v_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)  # (m, n)
     m = v_grid.shape[0]
     K1 = basis.mode_count + 1
     gains = E.gains(basis)
-    phi = basis.synthesis_matrix()
-    G = basis.quad_points
-    lo = np.array([ax[0] for ax in v_axes])
-    hi = np.array([ax[-1] for ax in v_axes])
 
     s = np.zeros((m, n, K1)) if initial is None else np.array(initial, dtype=float).copy()
     if s.shape != (m, n, K1):
@@ -763,59 +754,40 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     s[:, :, 0] = 0.0
 
     steps = int(np.ceil(horizon / dt))
-    clamped_total = 0
+    step_decay = np.exp(-gains * dt)
+    clamped = 0
     factors: list[float] = []
     prev_diff = None
 
-    def sup_energy(values):
-        return float(np.sqrt(np.max(np.sum(gains[None] * values**2, axis=(1, 2)))))
-
     for sweep in range(iters):
         interp = RegularGridInterpolator(
-            tuple(v_axes), s.reshape(grid_shape + (n * K1,)),
+            axes, s.reshape((grid_points,) * n + (n * K1,)),
             method="linear", bounds_error=False, fill_value=None)
 
-        clamp_count = 0
-
-        def graph_at(v):
-            nonlocal clamp_count
-            clipped = np.clip(v, lo[None, :], hi[None, :])
-            clamp_count += int(np.sum(np.any(clipped != v, axis=1)))
-            out = interp(clipped).reshape(-1, n, K1)
-            out[:, :, 0] = 0.0
-            return out
-
-        def s_average(v):
-            w = graph_at(v)
-            vals = np.einsum("mnk,kg->mng", w, phi) + v[:, :, None]
-            fv = F(np.moveaxis(vals, 1, 0))  # (n, m, G)
-            return np.mean(np.moveaxis(fv, 0, 1), axis=2)
+        def forcing(v):
+            # coefficients of F(v + w(v)): mode 0 is S, the others Q
+            c = interp(np.clip(v, -box, box)).reshape(-1, n, K1)
+            c[:, :, 0] = v
+            return _galerkin_F(F, c, basis)
 
         def backward_rhs(v):
-            return v - s_average(v)
-
-        def q_term(v):
-            w = graph_at(v)
-            vals = np.einsum("mnk,kg->mng", w, phi) + v[:, :, None]
-            fv = np.moveaxis(F(np.moveaxis(vals, 1, 0)), 0, 1)  # (m, n, G)
-            coeffs = np.einsum("mng,kg->mnk", fv, phi) / G
-            coeffs[:, :, 0] = 0.0
-            return coeffs
+            return v - forcing(v)[:, :, 0]
 
         v = v_grid.copy()
         decay = np.ones((n, K1))
-        accum = 0.5 * dt * q_term(v)  # trapezoid left end, tau = 0
-        step_decay = np.exp(-gains * dt)
-        for j in range(1, steps + 1):
-            v = _rk4_step(v, dt, backward_rhs)
-            decay = decay * step_decay
-            weight = dt if j < steps else 0.5 * dt
-            accum = accum + weight * decay[None] * q_term(v)
-        accum[:, :, 0] = 0.0
+        accum = np.zeros((m, n, K1))
+        for j in range(steps + 1):
+            if j:
+                v = _rk4_step(v, dt, backward_rhs)
+                decay = decay * step_decay
+            clamped += int(np.count_nonzero(np.any(np.abs(v) > box, axis=1)))
+            q = forcing(v)
+            q[:, :, 0] = 0.0
+            weight = 0.5 * dt if j in (0, steps) else dt
+            accum = accum + weight * decay[None] * q
 
-        diff = sup_energy(accum - s)
+        diff = float(np.max(mean_free_energy(accum - s, E, basis)))
         s = accum
-        clamped_total += clamp_count
         if prev_diff is not None and prev_diff > 0:
             factor = diff / prev_diff
             factors.append(float(factor))
@@ -827,5 +799,6 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             break
 
     return GraphEstimate(v_grid=v_grid, w_coeffs=s,
-                         sup_norm=sup_energy(s), contraction_factors=factors,
-                         clamped=clamped_total, horizon=horizon, iterations=sweep + 1)
+                         sup_norm=float(np.max(mean_free_energy(s, E, basis))),
+                         contraction_factors=factors, clamped=clamped, horizon=horizon,
+                         iterations=sweep + 1)

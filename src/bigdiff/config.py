@@ -128,12 +128,9 @@ class Config:
 
     # -- derived objects ----------------------------------------------------
 
-    def domain(self) -> DomainSpec:
-        return DomainSpec(components=self.get("domain", "components"))
-
     def basis(self, modes: int | None = None) -> CosineBasis:
         modes = self.get("domain", "modes") if modes is None else modes
-        return build_basis(self.domain(), modes, self.get("domain", "quad_points"))
+        return build_basis(DomainSpec(), modes, self.get("domain", "quad_points"))
 
     def diffusion_spec(self) -> DiffusionSpec:
         eps = self.get("diffusion", "eps")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CosineBasis, DiffusionSpec, SpectralField
+from .spectral import CosineBasis, DiffusionSpec, SpectralField, mean_free_energy
 
 __all__ = [
     "Nonlinearity",
@@ -317,6 +317,19 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _galerkin_F(F: Nonlinearity, c: np.ndarray, basis: CosineBasis) -> np.ndarray:
+    """Cosine coefficients of F(u) for the coefficients `c` of u.
+
+    `c` is one state (n, K+1) or a batch (rows, n, K+1).  Mode 0 of the
+    result is S(v, w), the grid mean of F(v + w) since phi_0 = 1; the other
+    modes are Q(v, w).
+    """
+    phi = basis.synthesis_matrix()
+    # F takes the component axis first; a batch (rows, n, K+1) has it second
+    values = F((c @ phi).swapaxes(0, -2))
+    return values.swapaxes(0, -2) @ phi.T / basis.quad_points
+
+
 _BLOWUP_LIMIT = 1e8
 
 
@@ -333,15 +346,8 @@ class EtdStepper:
         self.basis = basis
         self.nonlinearity = F
         self.dt = dt
-        self._phi_mat = basis.synthesis_matrix()
-        self._gains = E.gains(basis)
-        z = -dt * self._gains
+        z = -dt * E.gains(basis)
         self.exp_full, self.w1, self.w2 = np.exp(z), dt * _phi1(z), dt * _phi2(z)
-
-    def _nonlinear(self, c: np.ndarray) -> np.ndarray:
-        # F takes the component axis first; a batch (rows, n, K+1) has it second
-        values = self.nonlinearity((c @ self._phi_mat).swapaxes(0, -2))
-        return values.swapaxes(0, -2) @ self._phi_mat.T / self.basis.quad_points
 
     def step(self, c: np.ndarray, t_now: float = 0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
@@ -349,9 +355,9 @@ class EtdStepper:
         A non-finite value of F spreads into the new coefficients, so the one
         post-step max|c| test catches it at the step where it appeared.
         """
-        n0 = self._nonlinear(c)
+        n0 = _galerkin_F(self.nonlinearity, c, self.basis)
         a = self.exp_full * c + self.w1 * n0
-        c = a + self.w2 * (self._nonlinear(a) - n0)
+        c = a + self.w2 * (_galerkin_F(self.nonlinearity, a, self.basis) - n0)
         top = float(np.max(np.abs(c)))
         if not np.isfinite(top) or top > _BLOWUP_LIMIT:
             raise BlowUpError(t_now, top)
@@ -385,11 +391,8 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
 
     times = np.array([s[0] for s in samples])
     coeffs = np.array([s[1] for s in samples])
-    wc = coeffs.copy()
-    wc[:, :, 0] = 0.0
-    w_xhalf = np.sqrt(np.sum(stepper._gains[None] * wc**2, axis=(1, 2)))
     return Trajectory(times=times, coeffs=coeffs, basis=u0.basis, diffusion=E,
-                      v=coeffs[:, :, 0], w_xhalf=w_xhalf)
+                      v=coeffs[:, :, 0], w_xhalf=mean_free_energy(coeffs, E, u0.basis))
 
 
 def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:

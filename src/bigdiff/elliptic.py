@@ -180,10 +180,6 @@ class OptimalExampleReport:
     closed_form_error: float
     seminorm_sq: float
 
-    @property
-    def seminorm(self) -> float:
-        return float(np.sqrt(self.seminorm_sq))
-
 
 def optimal_example_check(eps: float, basis: CosineBasis) -> OptimalExampleReport:
     """Check the sharp-rate example -eps u_xx = cos(2 pi x).

@@ -17,6 +17,7 @@ satisfied" instead of being forced through a log.
 from __future__ import annotations
 
 import datetime as _dt
+import inspect
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -60,7 +61,10 @@ class RecordError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: a quantity name, increasing d values, parameters, a seed."""
+    """One sweep: a quantity name, increasing d values, parameters, a seed.
+
+    `params` must name exactly the keyword parameters of the quantity's `prepare`.
+    """
 
     quantity: str
     d_eps_values: tuple
@@ -79,6 +83,10 @@ class SweepConfig:
         if self.quantity not in QUANTITIES:
             known = ", ".join(sorted(QUANTITIES))
             raise ValueError(f"unknown quantity {self.quantity!r}; known: {known}")
+        try:
+            inspect.signature(QUANTITIES[self.quantity][1]).bind(self.seed, **self.params)
+        except TypeError as err:
+            raise ValueError(f"{self.quantity} params: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,7 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# quantity registry: name -> (predicted slope, prepare(params, seed) -> ctx,
+# quantity registry: name -> (predicted slope, prepare(seed, **params) -> ctx,
 #                             measure(d, ctx, point_seed) -> (value, extras))
 
 _DOM = DomainSpec()
@@ -126,22 +134,12 @@ _DECAY_MODE_AMP = 0.5
 _DECAY_EFOLDS = 40.0
 _DECAY_STEPS = 2000
 
-# every prepare reads each of its settings as params[key]: a sweep's params,
-# recorded in its config.json, are the whole of what it ran with
+# every prepare takes each setting as a keyword with no default, and SweepConfig
+# binds a sweep's params to it: its config.json is the whole of what it ran with
 
 
-def _ctx_basis(params):
-    return build_basis(_DOM, int(params["modes"])), int(params["components"])
-
-
-def _nonlinearity(params):
-    spec = dict(params["nonlinearity"])
-    return _dynamics.nonlinearity_from_spec(spec.pop("name"), **spec)
-
-
-def _prepare_resolvent(params, seed):
-    basis, n = _ctx_basis(params)
-    return {"basis": basis, "n": n, "trials": int(params["trials"])}
+def _prepare_resolvent(seed, *, modes, components, trials):
+    return {"basis": build_basis(_DOM, int(modes)), "n": int(components), "trials": int(trials)}
 
 
 def _measure_resolvent(d, ctx, point_seed):
@@ -155,10 +153,9 @@ def _measure_resolvent(d, ctx, point_seed):
                    "attained_product": exact * np.sqrt(lam2)}
 
 
-def _prepare_decay(params, seed):
-    basis, n = _ctx_basis(params)
-    return {"basis": basis, "n": n, "F": _nonlinearity(params),
-            "m_horizon": float(params["m_horizon"])}
+def _prepare_decay(seed, *, modes, components, nonlinearity, m_horizon):
+    return {"basis": build_basis(_DOM, int(modes)), "n": int(components),
+            "F": _dynamics.nonlinearity_from_spec(**nonlinearity), "m_horizon": float(m_horizon)}
 
 
 def _measure_decay(d, ctx, point_seed):
@@ -178,18 +175,19 @@ def _measure_decay(d, ctx, point_seed):
                              "truncated": float(fit.truncated)}
 
 
-def _prepare_deflection(params, seed):
+def _prepare_deflection(seed, *, modes, components, nonlinearity, n_tails, w_amplitude,
+                        t_trans, sample_dt, arc_dt):
     """The PDE cloud settings that the deflection and hausdorff sweeps share."""
-    basis, n = _ctx_basis(params)
-    F = _nonlinearity(params)
-    sample_dt = float(params["sample_dt"])
-    return {"basis": basis, "n": n, "F": F,
+    n = int(components)
+    F = _dynamics.nonlinearity_from_spec(**nonlinearity)
+    sample_dt = float(sample_dt)
+    return {"basis": build_basis(_DOM, int(modes)), "n": n, "F": F,
             "ode_cloud": _attractors.attractor_ode(F, components=n, sample_dt=sample_dt),
-            "n_tails": int(params["n_tails"]),
-            "w_amplitude": float(params["w_amplitude"]),
-            "t_trans": float(params["t_trans"]),
+            "n_tails": int(n_tails),
+            "w_amplitude": float(w_amplitude),
+            "t_trans": float(t_trans),
             "sample_dt": sample_dt,
-            "arc_dt": float(params["arc_dt"]),
+            "arc_dt": float(arc_dt),
             # one shared perturbation draw for the whole sweep: per-point
             # draws would modulate the coupling constant and break the
             # monotone decay of d_H across d
@@ -209,8 +207,11 @@ def _measure_deflection(d, ctx, point_seed):
     return value, {"deflection": value, "scaled": value * np.sqrt(d)}
 
 
-def _prepare_hausdorff(params, seed):
-    return {**_prepare_deflection(params, seed), "m_horizon": float(params["m_horizon"])}
+def _prepare_hausdorff(seed, *, modes, components, nonlinearity, n_tails, w_amplitude,
+                       t_trans, sample_dt, arc_dt, m_horizon):
+    cloud = dict(modes=modes, components=components, nonlinearity=nonlinearity, n_tails=n_tails,
+                 w_amplitude=w_amplitude, t_trans=t_trans, sample_dt=sample_dt, arc_dt=arc_dt)
+    return {**_prepare_deflection(seed, **cloud), "m_horizon": float(m_horizon)}
 
 
 def _measure_hausdorff(d, ctx, point_seed):
@@ -225,13 +226,12 @@ def _measure_hausdorff(d, ctx, point_seed):
                      "mu": consts.mu, "threshold_met": float(threshold_met)}
 
 
-def _prepare_graph(params, seed):
-    basis, n = _ctx_basis(params)
-    return {"basis": basis, "n": n, "F": _nonlinearity(params),
-            "grid_points": int(params["grid_points"]),
-            "iters": int(params["iters"]),
-            "seed_amplitude": float(params["seed_amplitude"]),
-            "m_horizon": float(params["m_horizon"])}
+def _prepare_graph(seed, *, modes, components, nonlinearity, grid_points, iters,
+                   seed_amplitude, m_horizon):
+    return {"basis": build_basis(_DOM, int(modes)), "n": int(components),
+            "F": _dynamics.nonlinearity_from_spec(**nonlinearity),
+            "grid_points": int(grid_points), "iters": int(iters),
+            "seed_amplitude": float(seed_amplitude), "m_horizon": float(m_horizon)}
 
 
 def _measure_graph(d, ctx, point_seed):
@@ -388,7 +388,9 @@ def run_sweep(cfg: SweepConfig, out_root):
 
     Returns (RateFit | None, RunRecord); the fit is None when every surviving
     measurement is zero at tolerance (note says so) and a FitError is raised
-    when fewer than 4 points survive outright failures.
+    when fewer than 4 points survive outright failures; points.csv and
+    details.csv are written before that check, so a failed sweep keeps each
+    point's `failed: ...` reason.
     """
     predicted, prepare, measure = QUANTITIES[cfg.quantity]
     config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
@@ -407,7 +409,7 @@ def run_sweep(cfg: SweepConfig, out_root):
 
     record("running")
     try:
-        ctx = prepare(cfg.params, cfg.seed)
+        ctx = prepare(cfg.seed, **cfg.params)
         point_seeds = [int(s.generate_state(1)[0]) for s in
                        np.random.SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
         rows = []
@@ -433,6 +435,10 @@ def run_sweep(cfg: SweepConfig, out_root):
                 fit_d.append(d)
                 fit_v.append(value)
 
+        _write_points_csv(paths["points"], rows)
+        details = os.path.abspath(os.path.join(run_dir, "details.csv"))
+        if _write_details_csv(details, cfg.d_eps_values, extras_list):
+            paths["details"] = details
         surviving = len(fit_d) + zeros
         if surviving < 4:
             raise FitError(f"only {surviving} measurements survived; need at least 4")
@@ -446,7 +452,6 @@ def run_sweep(cfg: SweepConfig, out_root):
             fit = None
             note = f"only {len(fit_d)} nonzero points; {zeros} zero at tolerance"
 
-        _write_points_csv(paths["points"], rows)
         _write_fit_csv(paths["fit"], fit)
         with open(paths["plot"], "w") as fh:
             for d, v in zip(fit_d, fit_v):
@@ -454,9 +459,6 @@ def run_sweep(cfg: SweepConfig, out_root):
         with open(paths["plot_loglog"], "w") as fh:
             for d, v in zip(fit_d, fit_v):
                 fh.write(f"{_fmt(np.log10(d))} {_fmt(np.log10(v))}\n")
-        details = os.path.abspath(os.path.join(run_dir, "details.csv"))
-        if _write_details_csv(details, cfg.d_eps_values, extras_list):
-            paths["details"] = details
     except BaseException:
         record("incomplete")
         raise

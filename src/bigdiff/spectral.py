@@ -34,6 +34,7 @@ __all__ = [
     "build_basis",
     "diffusion",
     "energy_norm",
+    "mean_free_energy",
     "l2_norm",
     "average_projection",
     "constant_field",
@@ -50,20 +51,17 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Unit interval (0, 1) carrying an n-component field.
+    """The unit interval (0, 1).
 
     The interval length is fixed at 1 so that averages and L2 inner products
     need no measure factors; everything downstream relies on |domain| = 1.
     """
 
     length: float = 1.0
-    components: int = 1
 
     def __post_init__(self):
         if self.length != 1.0:
             raise ValueError("domain length is fixed at 1.0")
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
 
 
 class CosineBasis:
@@ -252,6 +250,13 @@ def energy_norm(f: SpectralField, E: DiffusionSpec) -> float:
     integral of E |grad u|^2 + |u|^2, and dominates the L2 norm.
     """
     return float(np.sqrt(np.sum(E.gains(f.basis) * f.coeffs**2)))
+
+
+def mean_free_energy(coeffs: np.ndarray, E: DiffusionSpec, basis: CosineBasis) -> np.ndarray:
+    """Energy norm of the mean-free part (modes 1..K) of each (n, K+1) row of `coeffs`."""
+    w = np.array(coeffs, dtype=float)
+    w[..., 0] = 0.0
+    return np.sqrt(np.sum(E.gains(basis) * w**2, axis=(-2, -1)))
 
 
 def average_projection(f: SpectralField) -> np.ndarray:

@@ -597,6 +597,20 @@ class TestGraphIteration:
         assert est.sup_norm < 1e-14
         assert est.iterations == 1
 
+    def test_each_clamped_state_counted_once(self):
+        # with F = 0 the backward flow is v' = v: every node grows by the same
+        # RK4 factor per step, so the clamped states follow from the grid alone
+        basis = sp.build_basis(DOM, 8)
+        dt, box = 1e-3, 2.0
+        est = at.graph_iteration(sp.diffusion([2.0]), dyn.zero_nonlinearity(), basis,
+                                 grid_points=11, mu=0.0, box=box, dt=dt)
+        assert est.iterations == 1
+        growth = 1 + dt + dt**2 / 2 + dt**3 / 6 + dt**4 / 24
+        states = np.abs(est.v_grid) * growth ** np.arange(int(np.ceil(est.horizon / dt)) + 1)
+        expected = int(np.count_nonzero(states > box))
+        assert expected > 0
+        assert est.clamped == expected
+
     def test_linear_desk_variant_zero_graph(self):
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([2.0])

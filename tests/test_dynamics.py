@@ -58,7 +58,7 @@ class TestNonlinearityLibrary:
 
 def pseudospectral_F(u, F):
     """F(u) projected onto the basis, as the ETD stepper evaluates it."""
-    return dyn.EtdStepper(u.basis, sp.diffusion([1.0] * u.components), F, 1e-3)._nonlinear(u.coeffs)
+    return dyn._galerkin_F(F, u.coeffs, u.basis)
 
 
 class TestEvaluateF:

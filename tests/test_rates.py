@@ -7,7 +7,7 @@ from bigdiff import rates as rt
 
 
 def register_synthetic(name, fn, predicted=-0.5):
-    rt.register_quantity(name, predicted, lambda params, seed: {},
+    rt.register_quantity(name, predicted, lambda seed: {},
                          lambda d, ctx, s: (fn(d), {}))
 
 
@@ -23,11 +23,24 @@ def flaky_measure(d, ctx, s):
     return 3.0 * d**-0.5, {}
 
 
-rt.register_quantity("_test_flaky", -0.5, lambda p, s: {}, flaky_measure)
-rt.register_quantity("_test_allfail", -0.5, lambda p, s: {},
+rt.register_quantity("_test_flaky", -0.5, lambda seed: {}, flaky_measure)
+rt.register_quantity("_test_allfail", -0.5, lambda seed: {},
                      lambda d, ctx, s: (_ for _ in ()).throw(RuntimeError("no")))
-rt.register_quantity("_test_typeerror", -0.5, lambda p, s: {},
+rt.register_quantity("_test_typeerror", -0.5, lambda seed: {},
                      lambda d, ctx, s: (_ for _ in ()).throw(TypeError("programmer error")))
+
+_CLOUD = {"modes": 8, "components": 1, "nonlinearity": {"name": "tanh", "beta": 2.0},
+          "n_tails": 2, "w_amplitude": 0.3, "t_trans": 1.0, "sample_dt": 0.01, "arc_dt": 5e-3}
+# the full params of each registered quantity
+PARAMS = {
+    "resolvent_gap": {"modes": 8, "components": 1, "trials": 4},
+    "w_decay_rate": {"modes": 8, "components": 1, "nonlinearity": {"name": "zero"},
+                     "m_horizon": 10.0},
+    "deflection": _CLOUD,
+    "hausdorff": {**_CLOUD, "m_horizon": 10.0},
+    "graph_sup": {"modes": 8, "components": 1, "nonlinearity": {"name": "tanh", "beta": 2.0},
+                  "grid_points": 5, "iters": 2, "seed_amplitude": 0.1, "m_horizon": 10.0},
+}
 
 
 class TestLoglogFit:
@@ -72,6 +85,18 @@ class TestSweepConfig:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="unknown quantity"):
             rt.SweepConfig("nope", (1.0, 2.0, 4.0, 8.0))
+
+    @pytest.mark.parametrize("quantity", sorted(PARAMS))
+    def test_params_must_match_prepare(self, quantity):
+        # a misspelt key would otherwise be recorded in config.json but never read
+        d_values = (1.0, 2.0, 4.0, 8.0)
+        rt.SweepConfig(quantity, d_values, params=PARAMS[quantity])
+        with pytest.raises(ValueError, match="trails"):
+            rt.SweepConfig(quantity, d_values, params={**PARAMS[quantity], "trails": 99})
+        missing = dict(PARAMS[quantity])
+        del missing["modes"]
+        with pytest.raises(ValueError, match="modes"):
+            rt.SweepConfig(quantity, d_values, params=missing)
 
 
 class TestRunSweep:
@@ -131,6 +156,17 @@ class TestRunSweep:
         cfg = rt.SweepConfig("_test_allfail", (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(rt.FitError):
             rt.run_sweep(cfg, out_root=tmp_path)
+
+    def test_failed_sweep_keeps_its_points(self, tmp_path):
+        cfg = rt.SweepConfig("_test_allfail", (1.0, 2.0, 4.0, 8.0))
+        with pytest.raises(rt.FitError):
+            rt.run_sweep(cfg, out_root=tmp_path)
+        (points,) = tmp_path.glob("*/points.csv")
+        rows = points.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",failed: RuntimeError: no") for row in rows)
+        (record_path,) = tmp_path.glob("*/record.json")
+        assert rt.load_run(record_path).status == "incomplete"
 
     def test_programmer_error_is_raised_not_recorded(self, tmp_path):
         # only domain errors become "failed:" points; a TypeError is a bug

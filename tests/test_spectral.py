@@ -246,8 +246,6 @@ class TestDiffusionSpec:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             sp.DomainSpec(length=2.0)
-        with pytest.raises(ValueError):
-            sp.DomainSpec(components=0)
 
 
 class TestEnergyNormHelper:
