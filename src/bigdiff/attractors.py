@@ -16,6 +16,10 @@ Arc sampling between the ODE and PDE clouds is synchronized (same offsets,
 same sampling times), so cloud-to-cloud Hausdorff distances measure the
 PDE-vs-ODE deviation rather than mesh placement artifacts.
 
+Arcs, tails and long-time seeds run through `dynamics.propagate`, so a
+duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
+ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.
+
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
 nearest-neighbor spacing) so every distance statement can be read against
@@ -30,6 +34,7 @@ brute-force `cdist` over all pairs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -43,8 +48,10 @@ from .dynamics import (
     Nonlinearity,
     _galerkin_F,
     _rk4_step,
+    _step_count,
     compute_M_and_mu,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
+    propagate,
 )
 from .spectral import (
     CosineBasis,
@@ -257,45 +264,41 @@ def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
     return directions
 
 
-def _shoot_arcs(step, starts, dt: float, stride: int, horizon: float, targets,
+def _shoot_arcs(step, starts, dt: float, sample_dt: float, horizon: float, targets,
                 stop_ball: float, check=None) -> list[np.ndarray]:
     """Shoot every row of `starts` in lockstep until it stops; return all samples.
 
-    `step(batch, t)` advances the rows still active by `dt`.  Every `stride`
-    steps each active row is passed to `check(row, t)`, sampled, and retired
-    once it lies within `stop_ball` of a target; the others run until the
-    horizon.  Samples come back row by row, each led by its start state, the
-    order in which shooting one row at a time would produce them.
+    `step(batch, t)` advances the rows still active by `dt`.  Every
+    `sample_dt` each active row is passed to `check(row, t)`, sampled, and
+    retired once it lies within `stop_ball` of a target; the others run until
+    the horizon.  Samples come back row by row, each led by its start state,
+    the order in which shooting one row at a time would produce them.
     """
     samples = [[row.copy()] for row in starts]
     active = np.arange(len(starts))
-    batch = np.array(starts, dtype=float)
-    t = 0.0
-    step_count = 0
-    while active.size and t < horizon:
-        batch = step(batch, t)
-        t += dt
-        step_count += 1
-        if step_count % stride:
-            continue
+
+    def sample(batch, t):
+        nonlocal active
         running = np.ones(active.size, dtype=bool)
         for i, row in enumerate(batch):
             if check is not None:
                 check(row, t)
             samples[active[i]].append(row.copy())
             running[i] = not any(np.linalg.norm(row - tgt) < stop_ball for tgt in targets)
-        if not running.all():
-            batch, active = batch[running], active[running]
+        active = active[running]
+        return running
+
+    propagate(step, np.array(starts, dtype=float), dt, horizon,
+              max(1, round(sample_dt / dt)), sample)
     return [point for row in samples for point in row]
 
 
-def _etd_flow(stepper: EtdStepper, c: np.ndarray, T: float) -> np.ndarray:
-    """Advance a state or a batch of states by T in steps of the stepper's dt."""
-    t = 0.0
-    for _ in range(int(np.ceil(T / stepper.dt - 1e-12))):
-        c = stepper.step(c, t)
-        t += stepper.dt
-    return c
+def _ode_step(F: Nonlinearity, dt: float):
+    """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first)."""
+    def rhs(u):
+        return -u + F(u)
+
+    return lambda batch, t: _rk4_step(batch.T, dt, rhs).T
 
 
 def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
@@ -317,20 +320,13 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
     if box is None:
         box = (F.bound if F.bound else 10.0) + 2.0
 
-    def rhs(u):
-        return -u + F(u)
-
-    def step(batch, t):
-        # rows are states; F takes the component axis first
-        return _rk4_step(batch.T, dt, rhs).T
-
     def inside_box(v, t):
         if np.linalg.norm(v) > box:
             raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
 
     starts = [base + sign * ARC_OFFSET * direction
               for direction in directions for sign in (+1.0, -1.0)]
-    return np.array(_shoot_arcs(step, starts, dt, max(1, round(sample_dt / dt)), horizon,
+    return np.array(_shoot_arcs(_ode_step(F, dt), starts, dt, sample_dt, horizon,
                                 [o.vector() for o in others], STOP_BALL, inside_box))
 
 
@@ -418,10 +414,10 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
                            dedup_cell: float = 1.25e-3, seed: int = 0) -> AttractorCloud:
     """Long-time sampling: post-burn-in orbit segments of many seeds.
 
-    Orbits are integrated in lockstep; states for t in [t_burn, t_end] are
-    collected every `sample_dt` and deduplicated on a grid of size
-    `dedup_cell` (first occupant wins), which bounds the cloud size by the
-    attractor volume instead of seeds x samples.
+    Orbits are integrated in lockstep; states for t in [t_burn, t_end], both
+    ends included, are collected every `sample_dt` and deduplicated on a grid
+    of size `dedup_cell` (first occupant wins), which bounds the cloud size
+    by the attractor volume instead of seeds x samples.
 
     Seed magnitudes are geometric over the eight decades below `box`
     rather than uniform: uniform seeds all escape the neighborhood of an
@@ -446,19 +442,15 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         radius = box * 10.0 ** rng.uniform(-decades, 0.0, size=n_seeds)
         v = direction * radius
     stride = max(1, round(sample_dt / dt))
-
-    def rhs(u):
-        return -u + F(u)
-
+    burn = _step_count(t_burn, dt)
+    step_index = itertools.count(stride, stride)
     collected = []
-    t = 0.0
-    step = 0
-    while t < t_end - 1e-12:
-        v = _rk4_step(v, dt, rhs)
-        t += dt
-        step += 1
-        if t >= t_burn and step % stride == 0:
-            collected.append(v.T.copy())
+
+    def sample(batch, t):
+        if next(step_index) >= burn:
+            collected.append(batch.copy())
+
+    propagate(_ode_step(F, dt), v.T, dt, t_end, stride, sample)
     points = np.concatenate(collected, axis=0)
     cells = np.round(points / dedup_cell).astype(np.int64)
     _, keep = np.unique(cells, axis=0, return_index=True)
@@ -563,7 +555,7 @@ def _pde_manifold_arc(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
     stepper = EtdStepper(eq.location.basis, E, F, dt)
     starts = [eq.location.coeffs + sign * offset * direction
               for direction in _pde_unstable_directions(eq, E, F) for sign in (+1.0, -1.0)]
-    return np.array(_shoot_arcs(stepper.step, starts, dt, max(1, round(sample_dt / dt)), horizon,
+    return np.array(_shoot_arcs(stepper.step, starts, dt, sample_dt, horizon,
                                 [o.location.coeffs for o in others], stop_ball))
 
 
@@ -611,7 +603,7 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             w[:, 1:kmax + 1] = rng.standard_normal((E.components, kmax))
             w *= w_amplitude / np.sqrt(np.sum(w**2))
             c += w
-        points.extend(_etd_flow(EtdStepper(basis, E, F, dt), tails, t_trans))
+        points.extend(propagate(EtdStepper(basis, E, F, dt).step, tails, dt, t_trans)[0])
         provenance.extend(["long_time_sampling"] * n_tails)
 
     meta = {"F": F.name, "params": F.params, "d_eps": E.d_eps, "K": basis.mode_count,
@@ -753,7 +745,7 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
         raise ValueError("initial graph values have the wrong shape")
     s[:, :, 0] = 0.0
 
-    steps = int(np.ceil(horizon / dt))
+    steps = _step_count(horizon, dt)
     step_decay = np.exp(-gains * dt)
     clamped = 0
     factors: list[float] = []
@@ -778,10 +770,12 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
         accum = np.zeros((m, n, K1))
         for j in range(steps + 1):
             if j:
-                v = _rk4_step(v, dt, backward_rhs)
+                # the last state's forcing, already evaluated, is the step's k1
+                v = _rk4_step(v, dt, backward_rhs, k1)
                 decay = decay * step_decay
             clamped += int(np.count_nonzero(np.any(np.abs(v) > box, axis=1)))
             q = forcing(v)
+            k1 = v - q[:, :, 0]
             q[:, :, 0] = 0.0
             weight = 0.5 * dt if j in (0, steps) else dt
             accum = accum + weight * decay[None] * q

@@ -141,13 +141,8 @@ def cmd_eigs(args) -> int:
     count = min(args.count, E.components * (basis.mode_count + 1))
     table = el.eigenvalue_table(E, basis, count)
     run_dir = _new_run_dir(cfg, "eigs")
-    print("j,eigenvalue")
-    with open(os.path.join(run_dir, "eigenvalues.csv"), "w") as fh:
-        fh.write("j,eigenvalue\n")
-        for j, lam in enumerate(table, start=1):
-            line = f"{j},{lam:.17g}"
-            print(line)
-            fh.write(line + "\n")
+    print(rt.write_table(os.path.join(run_dir, "eigenvalues.csv"), ["j", "eigenvalue"],
+                         enumerate(table, start=1)), end="")
     lam2 = E.second_eigenvalue(basis)
     gains = E.gains(basis)
     above = np.sort(gains[gains > 1.0])
@@ -165,11 +160,10 @@ def cmd_example_optimal(args) -> int:
     basis = cfg.basis()
     reports = [el.optimal_example_check(e, basis) for e in eps_values]
     run_dir = _new_run_dir(cfg, "example-optimal")
-    with open(os.path.join(run_dir, "example.csv"), "w") as fh:
-        fh.write("eps,closed_form_error,seminorm_sq,seminorm_sq_times_eps\n")
-        for rep in reports:
-            fh.write(f"{rep.eps:.17g},{rep.closed_form_error:.17g},"
-                     f"{rep.seminorm_sq:.17g},{rep.seminorm_sq * rep.eps:.17g}\n")
+    rt.write_table(os.path.join(run_dir, "example.csv"),
+                   ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
+                   [[rep.eps, rep.closed_form_error, rep.seminorm_sq, rep.seminorm_sq * rep.eps]
+                    for rep in reports])
     worst_err = max(rep.closed_form_error for rep in reports)
     products = [rep.seminorm_sq * rep.eps for rep in reports]
     spread = max(products) - min(products)

@@ -4,8 +4,9 @@ Every key has a documented default (see DEFAULTS and the README table) and
 is read by at least one command; a config file only overrides what it names.
 Unknown sections or keys are rejected so typos cannot silently fall back to
 defaults.  Values are coerced by the type of their default; empty values
-mean "use the default".  The resolved configuration can be written back out
-and re-parsed to reproduce a run exactly.
+mean "use the default", and every number must be finite.  The resolved
+configuration can be written back out and re-parsed to reproduce a run
+exactly.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ def _coerce(section: str, key: str, raw: str):
             raise ValueError(f"expected a boolean, got {raw!r}")
         if kind is int:
             return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is tuple:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+        if kind in (float, tuple):
+            values = tuple(float(part) for part in raw.split(",") if part.strip())
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"expected finite numbers, got {raw!r}")
+            return values if kind is tuple else float(raw)
         return raw
     except ValueError as err:
         raise ConfigError(f"[{section}] {key}: {err}") from None
@@ -220,11 +222,24 @@ def load_config(path=None) -> Config:
     return cfg
 
 
+# scalar ranges; an unset (None) value is not checked
+_AT_LEAST = {("domain", "components"): 1, ("domain", "modes"): 2, ("attractor", "n_tails"): 0,
+             ("attractor", "longtime_seeds"): 1, ("attractor", "t_burn"): 0,
+             ("attractor", "t_trans"): 0, ("attractor", "deflection_t_trans"): 0,
+             ("manifold", "grid_points"): 2, ("manifold", "iterations"): 1}
+_POSITIVE = [("attractor", "arc_dt"), ("attractor", "sample_dt"), ("attractor", "dedup_cell"),
+             ("attractor", "longtime_box"), ("semigroup", "m_horizon")]
+
+
 def _validate(cfg: Config) -> None:
-    if cfg.get("domain", "components") < 1:
-        raise ConfigError("[domain] components must be >= 1")
-    if cfg.get("domain", "modes") < 2:
-        raise ConfigError("[domain] modes must be >= 2")
+    for (section, key), low in _AT_LEAST.items():
+        value = cfg.get(section, key)
+        if value is not None and value < low:
+            raise ConfigError(f"[{section}] {key} must be >= {low}")
+    for section, key in _POSITIVE:
+        value = cfg.get(section, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"[{section}] {key} must be positive")
     modes, quad_points = cfg.get("domain", "modes"), cfg.get("domain", "quad_points")
     if quad_points is not None and quad_points < 2 * modes + 2:
         raise ConfigError(f"[domain] quad_points must be >= 2*modes + 2 = {2 * modes + 2}")
@@ -241,28 +256,6 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("[sweep] d_eps values must be positive")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError("[sweep] d_eps must be strictly increasing")
-    for key in ("arc_dt", "sample_dt", "dedup_cell"):
-        if not cfg.get("attractor", key) > 0:
-            raise ConfigError(f"[attractor] {key} must be positive")
-    if cfg.get("attractor", "n_tails") < 0:
-        raise ConfigError("[attractor] n_tails must be >= 0")
-    if cfg.get("attractor", "longtime_seeds") < 1:
-        raise ConfigError("[attractor] longtime_seeds must be >= 1")
-    box, t_burn, t_end = (cfg.get("attractor", key) for key in ("longtime_box", "t_burn", "t_end"))
-    if box is not None and not box > 0:
-        raise ConfigError("[attractor] longtime_box must be positive")
-    if t_burn is not None and not t_burn >= 0:
-        raise ConfigError("[attractor] t_burn must be >= 0")
+    t_burn, t_end = cfg.get("attractor", "t_burn"), cfg.get("attractor", "t_end")
     if t_burn is not None and t_end is not None and not t_end > t_burn:
         raise ConfigError("[attractor] t_end must exceed t_burn")
-    for key in ("t_trans", "deflection_t_trans"):
-        if not cfg.get("attractor", key) >= 0:
-            raise ConfigError(f"[attractor] {key} must be >= 0")
-    if cfg.get("manifold", "grid_points") < 2:
-        raise ConfigError("[manifold] grid_points must be >= 2")
-    if cfg.get("manifold", "iterations") < 1:
-        raise ConfigError("[manifold] iterations must be >= 1")
-    if not cfg.get("semigroup", "m_horizon") > 0:
-        raise ConfigError("[semigroup] m_horizon must be positive")
-    if not np.isfinite(cfg.get("tolerances", "slope")):
-        raise ConfigError("[tolerances] slope must be finite")

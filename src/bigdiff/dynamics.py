@@ -17,6 +17,10 @@ exp(-(eps_i lam_k + 1) t), so exponential time differencing (the two-stage
 ETD2RK of Cox & Matthews) removes stiffness entirely; stiffness grows with
 d, which is the very regime under study.  phi-function weights switch to
 series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
+
+Every sampled flow (`evolve_pde`, manifold arcs, perturbed tails, long-time
+ODE seeds) runs through `propagate`, one lockstep loop over a batch: a
+duration T takes the ceil(T/dt - 1e-9) whole steps of dt that cover it.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "compute_M_and_mu",
     "mu_from_M",
     "EtdStepper",
+    "propagate",
     "evolve_pde",
     "evolve_ode",
     "decay_rate_fit",
@@ -364,6 +369,33 @@ class EtdStepper:
         return c
 
 
+def _step_count(T: float, dt: float) -> int:
+    """The whole steps of `dt` that cover a duration T (none for T <= 0)."""
+    return max(0, int(np.ceil(T / dt - 1e-9)))
+
+
+def propagate(step, batch: np.ndarray, dt: float, T: float, stride: int = 1, sample=None):
+    """Advance `batch` in lockstep through the whole steps of `dt` that cover T.
+
+    `step(batch, t)` advances every row by `dt` from the running time t, which
+    accumulates as t += dt.  After every `stride`-th step the new batch and
+    time go to `sample(batch, t)`; a boolean mask it returns over the rows
+    (axis 0) retires the rows marked False, and the flow stops once none is
+    left.  Returns the rows still running and the final time.
+    """
+    t = 0.0
+    for k in range(1, _step_count(T, dt) + 1):
+        batch = step(batch, t)
+        t += dt
+        if sample is not None and k % stride == 0:
+            keep = sample(batch, t)
+            if keep is not None and not keep.all():
+                batch = batch[keep]
+                if not keep.any():
+                    break
+    return batch, t
+
+
 def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
                dt: float = 1e-3, stride: int = 10) -> Trajectory:
     """Integrate u_t + A u = F(u) with ETD2RK in whole steps of `dt`.
@@ -380,14 +412,11 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
     if steps < 0 or abs(T / dt - steps) > 1e-9:
         raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} steps")
 
-    c = u0.coeffs.copy()
-    samples = [(0.0, c.copy())]
-    t = 0.0
-    for step in range(steps):
-        c = stepper.step(c, t)
-        t = min(t + dt, T)
-        if (step + 1) % stride == 0 or step == steps - 1:
-            samples.append((t, c.copy()))
+    samples = [(0.0, u0.coeffs)]
+    c, t = propagate(stepper.step, u0.coeffs, dt, T, stride,
+                     lambda c, t: samples.append((min(t, T), c)))
+    if steps % stride:
+        samples.append((min(t, T), c))
 
     times = np.array([s[0] for s in samples])
     coeffs = np.array([s[1] for s in samples])
@@ -395,9 +424,9 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
                       v=coeffs[:, :, 0], w_xhalf=mean_free_energy(coeffs, E, u0.basis))
 
 
-def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:
-    """One classic RK4 step of v' = rhs(v); elementwise, so any batch shape works."""
-    k1 = rhs(v)
+def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classic RK4 step of v' = rhs(v), elementwise over any batch; `k1` may supply rhs(v)."""
+    k1 = rhs(v) if k1 is None else k1
     k2 = rhs(v + 0.5 * h * k1)
     k3 = rhs(v + 0.5 * h * k2)
     k4 = rhs(v + h * k3)
@@ -417,7 +446,7 @@ def evolve_ode(v0: np.ndarray, F: Nonlinearity, T: float, dt: float = 1e-3,
     def rhs(u):
         return -u + F(u)
 
-    steps = int(np.ceil(T / dt - 1e-12)) if T > 0 else 0
+    steps = _step_count(T, dt)
     times = [0.0]
     states = [v.copy()]
     t = 0.0

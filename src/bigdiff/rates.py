@@ -42,6 +42,7 @@ __all__ = [
     "load_run",
     "new_run_dir",
     "write_record",
+    "write_table",
     "utc_now",
     "register_quantity",
     "QUANTITIES",
@@ -344,38 +345,21 @@ def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
     return record
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def write_table(path, header, rows, sep: str = ",") -> str:
+    """Write a text table and return what was written.
 
+    `header` is a list of column names, or None for no header line.  Text
+    cells are written as given, None as nan and every other cell as a float
+    in %.17g, which reads back as the same float.
+    """
+    def cell(x):
+        return x if isinstance(x, str) else "nan" if x is None else f"{float(x):.17g}"
 
-def _write_points_csv(path, rows):
+    lines = [] if header is None else [sep.join(header)]
+    text = "".join(line + "\n" for line in lines + [sep.join(map(cell, row)) for row in rows])
     with open(path, "w") as fh:
-        fh.write("d_eps,value,status\n")
-        for d, value, status in rows:
-            value_txt = _fmt(value) if value is not None else "nan"
-            fh.write(f"{_fmt(d)},{value_txt},{status}\n")
-
-
-def _write_details_csv(path, d_values, extras_list):
-    keys = sorted({k for ex in extras_list if ex for k in ex})
-    if not keys:
-        return False
-    with open(path, "w") as fh:
-        fh.write("d_eps," + ",".join(keys) + "\n")
-        for d, ex in zip(d_values, extras_list):
-            ex = ex or {}
-            fh.write(_fmt(d) + "," + ",".join(_fmt(ex.get(k, float("nan"))) for k in keys) + "\n")
-    return True
-
-
-def _write_fit_csv(path, fit: RateFit | None):
-    with open(path, "w") as fh:
-        fh.write("slope,intercept,r_squared,predicted_slope\n")
-        if fit is None:
-            fh.write("nan,nan,nan,nan\n")
-        else:
-            fh.write(",".join(_fmt(x) for x in
-                              (fit.slope, fit.intercept, fit.r_squared, fit.predicted_slope)) + "\n")
+        fh.write(text)
+    return text
 
 
 _RUN_FILES = {"points": "points.csv", "fit": "fit.csv", "plot": "plot.dat",
@@ -421,7 +405,7 @@ def run_sweep(cfg: SweepConfig, out_root):
             try:
                 value, extras = measure(d, ctx, point_seed)
             except (RuntimeError, ValueError) as err:  # domain errors: recorded, not fitted
-                extras_list.append(None)
+                extras_list.append({})
                 rows.append((d, None, f"failed: {type(err).__name__}: {err}".replace(",", ";")))
                 continue
             value = float(value)
@@ -435,10 +419,12 @@ def run_sweep(cfg: SweepConfig, out_root):
                 fit_d.append(d)
                 fit_v.append(value)
 
-        _write_points_csv(paths["points"], rows)
-        details = os.path.abspath(os.path.join(run_dir, "details.csv"))
-        if _write_details_csv(details, cfg.d_eps_values, extras_list):
-            paths["details"] = details
+        write_table(paths["points"], ["d_eps", "value", "status"], rows)
+        keys = sorted({k for ex in extras_list for k in ex})
+        if keys:
+            paths["details"] = os.path.abspath(os.path.join(run_dir, "details.csv"))
+            write_table(paths["details"], ["d_eps", *keys],
+                        [[d, *map(ex.get, keys)] for d, ex in zip(cfg.d_eps_values, extras_list)])
         surviving = len(fit_d) + zeros
         if surviving < 4:
             raise FitError(f"only {surviving} measurements survived; need at least 4")
@@ -452,13 +438,12 @@ def run_sweep(cfg: SweepConfig, out_root):
             fit = None
             note = f"only {len(fit_d)} nonzero points; {zeros} zero at tolerance"
 
-        _write_fit_csv(paths["fit"], fit)
-        with open(paths["plot"], "w") as fh:
-            for d, v in zip(fit_d, fit_v):
-                fh.write(f"{_fmt(d)} {_fmt(v)}\n")
-        with open(paths["plot_loglog"], "w") as fh:
-            for d, v in zip(fit_d, fit_v):
-                fh.write(f"{_fmt(np.log10(d))} {_fmt(np.log10(v))}\n")
+        write_table(paths["fit"], ["slope", "intercept", "r_squared", "predicted_slope"],
+                    [[fit.slope, fit.intercept, fit.r_squared, fit.predicted_slope]
+                     if fit else [None] * 4])
+        write_table(paths["plot"], None, zip(fit_d, fit_v), sep=" ")
+        write_table(paths["plot_loglog"], None,
+                    [(np.log10(d), np.log10(v)) for d, v in zip(fit_d, fit_v)], sep=" ")
     except BaseException:
         record("incomplete")
         raise

@@ -40,7 +40,7 @@ def invariance_drift(cloud, F, T, n_probe, seed, dt=1e-3):
     else:
         stepper = dyn.EtdStepper(cloud.basis, cloud.diffusion, F, dt)
         moved = sp.EnergyNorm(cloud.diffusion, cloud.basis).embed(
-            at._etd_flow(stepper, cloud.points[idx], T))
+            dyn.propagate(stepper.step, cloud.points[idx], dt, T)[0])
     return float(cdist(moved, cloud.embedded()).min(axis=1).max())
 
 
@@ -192,6 +192,34 @@ class TestAttractorODE:
         assert np.all(np.abs(v) <= USTAR + 2e-3)
         assert np.max(np.diff(v)) < 1.2e-2
         assert set(cloud.provenance) == {"long_time_sampling"}
+
+
+class TestWholeSteps:
+    # a duration takes the whole steps of dt that cover it, counted, not
+    # accumulated: the running time misses t = 4.0 and t = 60.0 by rounding
+
+    def test_longtime_cloud_includes_t_burn(self):
+        # v' = -v from v = +-1: every sample is its own dedup cell, so the cloud
+        # holds both seeds at t = 4.00, 4.01, ..., 8.00
+        cloud = at.attractor_ode_longtime(dyn.zero_nonlinearity(), n_seeds=2, box=1.0,
+                                          t_burn=4.0, t_end=8.0, dedup_cell=1e-12)
+        assert len(cloud) == 2 * 401
+        assert cloud.points.max() == pytest.approx(np.exp(-4.0), rel=1e-12)
+
+    def test_arc_to_the_horizon_takes_whole_steps(self, tanh_equilibria, monkeypatch):
+        # with no equilibrium to stop at, both arcs run to ARC_HORIZON = 60
+        calls = [0]
+        rk4 = dyn._rk4_step
+
+        def counting_rk4(*args):
+            calls[0] += 1
+            return rk4(*args)
+
+        monkeypatch.setattr(at, "_rk4_step", counting_rk4)
+        origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
+        arc = at.unstable_manifold_ode(origin, TANH2, dt=1e-3, sample_dt=1e-2)
+        assert calls[0] == 60_000
+        assert len(arc) == 2 * (1 + 6_000)
 
 
 class TestEquilibriaPDE:
@@ -391,7 +419,7 @@ class TestLockstepShooting:
             dyn.evolve_pde(u0, E, nan_from_call(first_nan_call), T=1.0, dt=dt)
         stepper = dyn.EtdStepper(basis, E, nan_from_call(first_nan_call), dt)
         with pytest.raises(dyn.BlowUpError) as batch:
-            at._etd_flow(stepper, np.stack([u0.coeffs] * 5), 1.0)
+            dyn.propagate(stepper.step, np.stack([u0.coeffs] * 5), dt, 1.0)
         assert single.value.time == batch.value.time == t_nan
 
 
@@ -610,6 +638,25 @@ class TestGraphIteration:
         expected = int(np.count_nonzero(states > box))
         assert expected > 0
         assert est.clamped == expected
+
+    def test_one_forcing_evaluation_per_state(self):
+        # 4 per RK4 step plus 1 per state for the trapezoid, whose value at a
+        # state is also the k1 of the step from it
+        calls = [0]
+
+        def fn(u):
+            calls[0] += 1
+            return TANH2.fn(u)
+
+        F = dyn.Nonlinearity("counted_tanh", {}, fn, TANH2.jac, 2.0, 2.0)
+        dt = 1e-3
+        seeded = np.zeros((5, 1, 9))
+        seeded[:, :, 1] = 0.1  # a nonzero graph, so no sweep is the last by accident
+        est = at.graph_iteration(sp.diffusion([16.0]), F, sp.build_basis(DOM, 8),
+                                 iters=3, dt=dt, grid_points=5, initial=seeded)
+        steps = int(np.ceil(est.horizon / dt))
+        assert est.iterations == 3 and steps > 10
+        assert calls[0] == est.iterations * (4 * steps + 1)
 
     def test_linear_desk_variant_zero_graph(self):
         basis = sp.build_basis(DOM, 8)

@@ -337,10 +337,19 @@ class TestBadInput:
                      "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
                      "deflection_t_trans = -1\n[manifold]\ngrid_points = 5\niterations = 2\n",
          []),
+        # non-finite numbers: each once ran a whole study on NaN or inf
+        ("manifold", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                     "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
+                     "[manifold]\ngrid_points = 5\niterations = 2\nseed_amplitude = nan\n", []),
+        ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                            "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
+                            "w_amplitude = nan\n", []),
+        ("resolvent-rate", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,inf\n", []),
     ], ids=["d_eps", "quad_points", "m0_zero", "m0_above_eps", "count", "eps_zero",
             "eps_text", "eps_single", "arc_dt", "m_horizon", "dedup_cell", "sample_dt",
             "n_tails", "longtime_seeds", "grid_points", "iterations", "longtime_box",
-            "t_burn", "t_end", "t_end_below_auto_burn", "t_trans", "deflection_t_trans"])
+            "t_burn", "t_end", "t_end_below_auto_burn", "t_trans", "deflection_t_trans",
+            "seed_amplitude_nan", "w_amplitude_nan", "d_eps_inf"])
     def test_exits_two(self, tmp_path, capsys, command, ini, flags):
         config = ["-c", write(tmp_path / "a.ini", ini)] if ini else []
         assert cli.main([command, *config, *flags, "--quiet",

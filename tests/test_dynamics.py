@@ -417,6 +417,57 @@ class TestEtdStepperProperties:
         np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-15)
 
 
+class TestPropagate:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases(), rk4=st.booleans(), steps=st.integers(0, 24),
+           stride=st.integers(1, 4), retire=st.lists(st.none() | st.integers(1, 8),
+                                                     min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_with_retiring_rows_equals_each_row_alone(self, case, rk4, steps, stride,
+                                                            retire, seed):
+        # row i retires at its retire[i]-th sample (None: never)
+        basis, E, F, dt = case
+        rng = np.random.default_rng(seed)
+        if rk4:
+            def step(batch, t):
+                # rows are states; F takes the component axis first
+                return dyn._rk4_step(batch.T, dt, lambda u: -u + F(u)).T
+
+            starts = rng.standard_normal((len(retire), E.components))
+        else:
+            step = dyn.EtdStepper(basis, E, F, dt).step
+            starts = 0.5 * rng.standard_normal((len(retire), E.components,
+                                                basis.mode_count + 1))
+
+        def run(rows):
+            samples = {i: [] for i in rows}
+            active = list(rows)
+            taken = [0]
+
+            def sample(batch, t):
+                taken[0] += 1
+                keep = np.array([retire[i] != taken[0] for i in active])
+                for i, row in zip(active, batch):
+                    samples[i].append((t, row))
+                active[:] = [i for i, k in zip(active, keep) if k]
+                return keep
+
+            final, _ = dyn.propagate(step, starts[list(rows)], dt, steps * dt, stride, sample)
+            return samples, final
+
+        together, final = run(range(len(retire)))
+        survivors = [i for i, r in enumerate(retire) if r is None or r > steps // stride]
+        assert len(final) == len(survivors)
+        for i in range(len(retire)):
+            alone, final_alone = run([i])
+            expected = steps // stride if retire[i] is None else min(retire[i], steps // stride)
+            assert len(alone[i]) == len(together[i]) == expected
+            for (t_a, row_a), (t_b, row_b) in zip(alone[i], together[i]):
+                assert t_a == t_b and np.array_equal(row_a, row_b)
+            if i in survivors:
+                assert np.array_equal(final[survivors.index(i)], final_alone[0])
+
+
 class TestEvolveODE:
     def test_pure_decay(self):
         times, states = dyn.evolve_ode(np.array([1.0]), dyn.zero_nonlinearity(), T=1.0, dt=1e-3)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bigdiff import rates as rt
 
@@ -176,6 +178,27 @@ class TestRunSweep:
         (record_path,) = tmp_path.glob("*/record.json")
         assert rt.load_run(record_path).status == "incomplete"
         assert not list(tmp_path.glob("*/points.csv"))
+
+
+class TestWriteTable:
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=6))
+    def test_finite_floats_read_back_exactly(self, tmp_path, values):
+        path = tmp_path / "table.csv"
+        text = rt.write_table(path, ["x", "minus_x"], [[v, -v] for v in values])
+        assert path.read_text() == text
+        header, *lines = text.splitlines()
+        assert header == "x,minus_x"
+        cells = np.array([[float(x) for x in line.split(",")] for line in lines])
+        expected = np.array([[v, -v] for v in values])
+        assert cells.tobytes() == expected.tobytes()  # bit for bit, -0.0 included
+
+    def test_none_and_nan_are_nan_and_text_passes_through(self, tmp_path):
+        text = rt.write_table(tmp_path / "plot.dat", None,
+                              [[1, None, float("nan"), "failed: ValueError: x; y"]], sep=" ")
+        assert text == "1 nan nan failed: ValueError: x; y\n"
+        assert (tmp_path / "plot.dat").read_text() == text
 
 
 class TestDeterminism:
