@@ -675,13 +675,12 @@ def manifold_deflection(cloud: AttractorCloud) -> float:
 
 def save_cloud(cloud: AttractorCloud, csv_path) -> None:
     """CSV with one row per point (provenance + coefficients) plus a JSON sidecar."""
+    from .rates import write_table  # rates imports this module
+
     csv_path = str(csv_path)
     flat = cloud.points.reshape(len(cloud), -1)
-    with open(csv_path, "w") as fh:
-        cols = ",".join(f"c{j}" for j in range(flat.shape[1]))
-        fh.write(f"provenance,{cols}\n")
-        for prov, row in zip(cloud.provenance, flat):
-            fh.write(prov + "," + ",".join(f"{x:.17g}" for x in row) + "\n")
+    write_table(csv_path, ["provenance", *(f"c{j}" for j in range(flat.shape[1]))],
+                [[prov, *row] for prov, row in zip(cloud.provenance, flat.tolist())])
     sidecar = {
         "kind": cloud.kind,
         "shape": list(cloud.points.shape),

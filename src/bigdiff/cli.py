@@ -9,7 +9,9 @@ Exit codes are uniform across subcommands:
 
 Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
 configuration (itself a valid config reproducing the run), the measured
-points, fits, plain two-column plot data, and a JSON run record.  Verdict
+points, fits, plain two-column plot data, and a JSON run record.  Each study
+runs inside `rates.open_run`, which alone sets the record's status; once the
+run is closed, the study stamps its verdict into the record.  Verdict
 lines are machine-greppable with the fixed prefix "VERDICT:".  The
 environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
 --out-root flag overrides both.
@@ -70,8 +72,9 @@ def _load(args) -> Config:
     return cfg
 
 
-def _new_run_dir(cfg: Config, name: str) -> str:
-    run_dir = rt.new_run_dir(cfg.get("run", "out_root"), name)
+def _write_resolved(cfg: Config, record: rt.RunRecord) -> str:
+    """Write resolved.ini beside the run's record; return the run directory."""
+    run_dir = record.paths["run_dir"]
     cfg.write(os.path.join(run_dir, "resolved.ini"))
     return run_dir
 
@@ -88,7 +91,7 @@ def _sweep(cfg: Config, quantity: str, **params):
                 "components": cfg.get("domain", "components"), **params},
         seed=cfg.get("run", "seed"))
     fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"))
-    cfg.write(os.path.join(os.path.dirname(record.paths["record"]), "resolved.ini"))
+    _write_resolved(cfg, record)
     details = []
     if "details" in record.paths:
         with open(record.paths["details"]) as fh:
@@ -106,11 +109,13 @@ def cmd_resolvent_rate(args) -> int:
     fit, record, details = _sweep(cfg, "resolvent_gap", trials=64)
     tol = cfg.get("tolerances", "slope")
     attained = max(abs(row["attained_product"] - 1.0) for row in details)
-    slope_ok = abs(fit.slope + 0.5) <= tol
+    # no fit when fewer than 4 points lie above the zero floor: no rate was measured
+    slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
+    slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
     attained_ok = attained <= cfg.get("tolerances", "attained")
-    _say(args, f"fitted slope {fit.slope:.6f} (predicted -0.5, tolerance {tol:g})")
+    _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
     _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
-    detail = f"slope={fit.slope:.6f} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
+    detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
     return _verdict("resolvent-rate", detail, slope_ok and attained_ok, record)
 
 
@@ -135,39 +140,40 @@ def cmd_decay(args) -> int:
 
 def cmd_eigs(args) -> int:
     cfg = _load(args)
-    started = rt.utc_now()
     basis = cfg.basis()
     E = cfg.diffusion_spec()
-    count = min(args.count, E.components * (basis.mode_count + 1))
-    table = el.eigenvalue_table(E, basis, count)
-    run_dir = _new_run_dir(cfg, "eigs")
-    print(rt.write_table(os.path.join(run_dir, "eigenvalues.csv"), ["j", "eigenvalue"],
-                         enumerate(table, start=1)), end="")
-    lam2 = E.second_eigenvalue(basis)
-    gains = E.gains(basis)
-    above = np.sort(gains[gains > 1.0])
-    identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
+    with rt.open_run(cfg.get("run", "out_root"), "eigs", cfg.get("run", "seed")) as record:
+        run_dir = _write_resolved(cfg, record)
+        count = min(args.count, E.components * (basis.mode_count + 1))
+        table = el.eigenvalue_table(E, basis, count)
+        print(rt.write_table(os.path.join(run_dir, "eigenvalues.csv"), ["j", "eigenvalue"],
+                             enumerate(table, start=1)), end="")
+        lam2 = E.second_eigenvalue(basis)
+        gains = E.gains(basis)
+        above = np.sort(gains[gains > 1.0])
+        identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
+        record.metrics["table"] = [float(x) for x in table]
     detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
-    record = rt.write_record(run_dir, "eigs", cfg.get("run", "seed"), started, "complete",
-                             metrics={"table": [float(x) for x in table]})
     return _verdict("eigs", detail, identity_ok, record)
 
 
 def cmd_example_optimal(args) -> int:
     cfg = _load(args)
-    started = rt.utc_now()
     eps_values = args.eps
     basis = cfg.basis()
-    reports = [el.optimal_example_check(e, basis) for e in eps_values]
-    run_dir = _new_run_dir(cfg, "example-optimal")
-    rt.write_table(os.path.join(run_dir, "example.csv"),
-                   ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
-                   [[rep.eps, rep.closed_form_error, rep.seminorm_sq, rep.seminorm_sq * rep.eps]
-                    for rep in reports])
-    worst_err = max(rep.closed_form_error for rep in reports)
-    products = [rep.seminorm_sq * rep.eps for rep in reports]
-    spread = max(products) - min(products)
-    slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
+    with rt.open_run(cfg.get("run", "out_root"), "example-optimal",
+                     cfg.get("run", "seed")) as record:
+        run_dir = _write_resolved(cfg, record)
+        reports = [el.optimal_example_check(e, basis) for e in eps_values]
+        rt.write_table(os.path.join(run_dir, "example.csv"),
+                       ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
+                       [[rep.eps, rep.closed_form_error, rep.seminorm_sq,
+                         rep.seminorm_sq * rep.eps] for rep in reports])
+        worst_err = max(rep.closed_form_error for rep in reports)
+        products = [rep.seminorm_sq * rep.eps for rep in reports]
+        spread = max(products) - min(products)
+        slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
+        record.metrics.update(worst_error=worst_err, spread=spread, exponent=float(slope))
     _say(args, f"seminorm^2 at eps=1: {reports[0].seminorm_sq:.7f} "
                f"(exact 1/(8 pi^2) = {1 / (8 * np.pi**2):.7f})")
     print(f"scaling exponent {slope:.3f}")
@@ -176,9 +182,6 @@ def cmd_example_optimal(args) -> int:
               and abs(slope + 1.0) < 1e-6)
     detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
               f"exponent={slope:.3f}")
-    record = rt.write_record(run_dir, "example-optimal", cfg.get("run", "seed"), started,
-                             "complete", metrics={"worst_error": worst_err, "spread": spread,
-                                                  "exponent": float(slope)})
     return _verdict("example-optimal", detail, passed, record)
 
 
@@ -202,9 +205,8 @@ def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_
 
 def cmd_attractor(args) -> int:
     cfg = _load(args)
-    started = rt.utc_now()
-    run_dir = _new_run_dir(cfg, "attractor")
-    try:
+    with rt.open_run(cfg.get("run", "out_root"), "attractor", cfg.get("run", "seed")) as record:
+        run_dir = _write_resolved(cfg, record)
         F = cfg.nonlinearity()
         n = cfg.get("domain", "components")
         box = cfg.get("attractor", "longtime_box")
@@ -234,20 +236,15 @@ def cmd_attractor(args) -> int:
         E = diffusion([1.0] * n)
         res = at.hausdorff_distance(manifold, longtime, E, basis)
         resolution = max(res.resolution_a, res.resolution_b)
-        _say(args, f"manifold cloud: {len(manifold)} points, longtime cloud: {len(longtime)} points")
-        _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
-        passed = res.sym <= 2 * resolution
-        detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
-                  f"resolution={resolution:.4g}")
-        record = rt.write_record(
-            run_dir, "attractor", cfg.get("run", "seed"), started, "complete",
-            metrics={"d_H": res.sym, "a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
-                     "resolution": resolution, "n_equilibria": len(equilibria),
-                     "manifold_points": len(manifold), "longtime_points": len(longtime)})
-        return _verdict("attractor", detail, passed, record)
-    except BaseException:
-        rt.write_record(run_dir, "attractor", cfg.get("run", "seed"), started, "incomplete")
-        raise
+        record.metrics.update(d_H=res.sym, a_to_b=res.a_to_b, b_to_a=res.b_to_a,
+                              resolution=resolution, n_equilibria=len(equilibria),
+                              manifold_points=len(manifold), longtime_points=len(longtime))
+    _say(args, f"manifold cloud: {len(manifold)} points, longtime cloud: {len(longtime)} points")
+    _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
+    passed = res.sym <= 2 * resolution
+    detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
+              f"resolution={resolution:.4g}")
+    return _verdict("attractor", detail, passed, record)
 
 
 def _cloud_params(cfg: Config, t_trans_key: str) -> dict:

@@ -4,9 +4,10 @@ Every convergence claim in the package reduces to "quantity(d) decays at
 least like d^(-1/2)".  The harness dispatches a per-d measurement to the
 owning module, fits ordinary least squares on (log d, log value), and
 persists a run directory containing the raw points, the fit, plain
-two-column plot data, and a JSON run record.  Identical config + seed
-reproduces every CSV byte for byte (per-point seeds are spawned from the
-master seed by index, so no point depends on the others).
+two-column plot data, and a JSON run record.  `open_run` is the one run
+lifecycle, of the sweeps here and of the CLI's other studies.  Identical
+config + seed reproduces every CSV byte for byte (per-point seeds are spawned
+from the master seed by index, so no point depends on the others).
 
 Measured zeros are not fitted: a value at or below ZERO_FLOOR counts as
 zero, here and in the CLI verdicts, and quantities that vanish identically
@@ -16,6 +17,7 @@ satisfied" instead of being forced through a log.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import inspect
 import json
@@ -40,10 +42,8 @@ __all__ = [
     "run_sweep",
     "persist_run",
     "load_run",
-    "new_run_dir",
-    "write_record",
+    "open_run",
     "write_table",
-    "utc_now",
     "register_quantity",
     "QUANTITIES",
     "ZERO_FLOOR",
@@ -77,6 +77,8 @@ class SweepConfig:
         object.__setattr__(self, "d_eps_values", values)
         if len(values) < 4:
             raise ValueError("a sweep needs at least 4 points")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("d values must be finite")
         if any(v <= 0 for v in values):
             raise ValueError("d values must be positive")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -303,46 +305,38 @@ def load_run(path) -> RunRecord:
         raise RecordError(f"run record {path} has unexpected fields: {err}") from err
 
 
-def utc_now() -> str:
-    """The current UTC time as a record's `started`/`finished` text."""
+def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-def new_run_dir(out_root, name: str) -> str:
-    """Create and return the run directory <out_root>/<UTC stamp>-<name>."""
-    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    run_dir = os.path.join(str(out_root), f"{stamp}-{name}")
-    os.makedirs(run_dir, exist_ok=True)
-    return run_dir
+@contextlib.contextmanager
+def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
+    """Create the run directory <out_root>/<UTC stamp>-<quantity>/ and yield its RunRecord.
 
-
-def write_record(run_dir, quantity: str, seed: int, started: str, status: str,
-                 config: dict | None = None, paths: dict | None = None,
-                 metrics: dict | None = None) -> RunRecord:
-    """Build a run's RunRecord, stamp it and persist it as <run_dir>/record.json.
-
-    A "running" record has an empty `finished`; any other status is stamped
-    now.  `config` defaults to the run directory's resolved.ini (the CLI
-    writes one into every run directory) and `paths` to the run directory and
-    the record itself.
+    The record is persisted as <run_dir>/record.json with status "running" at
+    once, and again on exit: "complete", or "incomplete" if the body raised
+    (KeyboardInterrupt included), with `finished` stamped.  `config` defaults
+    to the run directory's resolved.ini (the CLI writes one into every run
+    directory); `paths` holds the run directory and the record, and the body
+    adds its own files.
     """
-    run_dir = os.path.abspath(run_dir)
+    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
+    run_dir = os.path.abspath(os.path.join(str(out_root), f"{stamp}-{quantity}"))
+    os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, "record.json")
     if config is None:
         config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
-    record = RunRecord(
-        quantity=quantity,
-        config=config,
-        version=__version__,
-        seed=seed,
-        started=started,
-        finished="" if status == "running" else utc_now(),
-        status=status,
-        paths={"run_dir": run_dir, "record": path} if paths is None else paths,
-        metrics={} if metrics is None else metrics,
-    )
+    record = RunRecord(quantity=quantity, config=config, version=__version__, seed=seed,
+                       started=_utc_now(), finished="", status="running",
+                       paths={"run_dir": run_dir, "record": path}, metrics={})
     persist_run(record, path)
-    return record
+    status = "incomplete"
+    try:
+        yield record
+        status = "complete"
+    finally:
+        record.status, record.finished = status, _utc_now()
+        persist_run(record, path)
 
 
 def write_table(path, header, rows, sep: str = ",") -> str:
@@ -363,8 +357,7 @@ def write_table(path, header, rows, sep: str = ",") -> str:
 
 
 _RUN_FILES = {"points": "points.csv", "fit": "fit.csv", "plot": "plot.dat",
-              "plot_loglog": "plot_loglog.dat", "config": "config.json",
-              "record": "record.json"}
+              "plot_loglog": "plot_loglog.dat", "config": "config.json"}
 
 
 def run_sweep(cfg: SweepConfig, out_root):
@@ -379,20 +372,14 @@ def run_sweep(cfg: SweepConfig, out_root):
     predicted, prepare, measure = QUANTITIES[cfg.quantity]
     config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
               "params": cfg.params, "seed": cfg.seed}
-    started = utc_now()
-    run_dir = new_run_dir(out_root, cfg.quantity)
-    paths = {key: os.path.abspath(os.path.join(run_dir, name))
-             for key, name in _RUN_FILES.items()}
-    with open(paths["config"], "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open_run(out_root, cfg.quantity, cfg.seed, config=config) as record:
+        paths = record.paths
+        run_dir = paths["run_dir"]
+        paths.update({key: os.path.join(run_dir, name) for key, name in _RUN_FILES.items()})
+        with open(paths["config"], "w") as fh:
+            json.dump(config, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
-    def record(status, metrics=None):
-        return write_record(run_dir, cfg.quantity, cfg.seed, started, status,
-                            config=config, paths=paths, metrics=metrics)
-
-    record("running")
-    try:
         ctx = prepare(cfg.seed, **cfg.params)
         point_seeds = [int(s.generate_state(1)[0]) for s in
                        np.random.SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
@@ -422,7 +409,7 @@ def run_sweep(cfg: SweepConfig, out_root):
         write_table(paths["points"], ["d_eps", "value", "status"], rows)
         keys = sorted({k for ex in extras_list for k in ex})
         if keys:
-            paths["details"] = os.path.abspath(os.path.join(run_dir, "details.csv"))
+            paths["details"] = os.path.join(run_dir, "details.csv")
             write_table(paths["details"], ["d_eps", *keys],
                         [[d, *map(ex.get, keys)] for d, ex in zip(cfg.d_eps_values, extras_list)])
         surviving = len(fit_d) + zeros
@@ -444,19 +431,16 @@ def run_sweep(cfg: SweepConfig, out_root):
         write_table(paths["plot"], None, zip(fit_d, fit_v), sep=" ")
         write_table(paths["plot_loglog"], None,
                     [(np.log10(d), np.log10(v)) for d, v in zip(fit_d, fit_v)], sep=" ")
-    except BaseException:
-        record("incomplete")
-        raise
-
-    return fit, record("complete", {
-        "n_points": len(cfg.d_eps_values),
-        "n_ok": len(fit_d),
-        "n_zero": zeros,
-        "n_failed": len(cfg.d_eps_values) - surviving,
-        "note": note,
-        "values": values,
-        "slope": fit.slope if fit else None,
-        "intercept": fit.intercept if fit else None,
-        "r_squared": fit.r_squared if fit else None,
-        "predicted_slope": predicted if fit else None,
-    })
+        record.metrics.update({
+            "n_points": len(cfg.d_eps_values),
+            "n_ok": len(fit_d),
+            "n_zero": zeros,
+            "n_failed": len(cfg.d_eps_values) - surviving,
+            "note": note,
+            "values": values,
+            "slope": fit.slope if fit else None,
+            "intercept": fit.intercept if fit else None,
+            "r_squared": fit.r_squared if fit else None,
+            "predicted_slope": predicted if fit else None,
+        })
+    return fit, record

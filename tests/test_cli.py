@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bigdiff import attractors as at
 from bigdiff import cli
 from bigdiff import dynamics as dyn
+from bigdiff import elliptic as el
 from bigdiff import rates as rt
 from bigdiff.config import (_OPTIONAL_TYPES, Config, ConfigError, DEFAULTS, default_config,
                             load_config)
@@ -374,6 +375,20 @@ class TestVerdicts:
         out = capsys.readouterr().out
         assert all(l.startswith("VERDICT:") for l in out.splitlines() if l)
 
+    def test_resolvent_rate_without_a_fit_fails_its_verdict(self, tmp_path, capsys):
+        # the gap at d = 1e22 lies below ZERO_FLOOR, so only 3 points are fitted
+        cfg = write(tmp_path / "a.ini", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,1e22\n")
+        code = cli.main(["resolvent-rate", "-c", cfg, "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("VERDICT: resolvent-rate slope=none ") and out.endswith(" FAIL\n")
+        run_dir = next((tmp_path / "runs").iterdir())
+        record = json.loads((run_dir / "record.json").read_text())
+        assert record["status"] == "complete"
+        assert record["metrics"]["verdict"] == "FAIL"
+        assert record["metrics"]["verdict_detail"] == out[len("VERDICT: resolvent-rate "):-6]
+
     def test_eigs_table(self, tmp_path, capsys):
         code = cli.main(["eigs", "--count", "3", "--quiet",
                          "--out-root", str(tmp_path / "runs")])
@@ -469,18 +484,24 @@ class TestRunDirectories:
         assert cli.main(["eigs", "--quiet"]) == 0
         assert (tmp_path / "enviro").is_dir()
 
-    def test_interrupt_marks_incomplete(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command,owner,name", [
+        ("eigs", el, "eigenvalue_table"),
+        ("example-optimal", el, "optimal_example_check"),
+        ("attractor", at, "attractor_ode_longtime"),
+    ], ids=["eigs", "example-optimal", "attractor"])
+    def test_interrupt_marks_incomplete(self, tmp_path, monkeypatch, command, owner, name):
         def boom(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(at, "attractor_ode_longtime", boom)
+        monkeypatch.setattr(owner, name, boom)
         cfg = write(tmp_path / "a.ini", "[nonlinearity]\nname = tanh\nbeta = 0.5\n")
-        code = cli.main(["attractor", "-c", cfg, "--quiet",
+        code = cli.main([command, "-c", cfg, "--quiet",
                          "--out-root", str(tmp_path / "runs")])
         assert code == 130
         run_dir = next((tmp_path / "runs").iterdir())
         record = json.loads((run_dir / "record.json").read_text())
         assert record["status"] == "incomplete"
+        assert record["finished"]
 
 
 class TestReport:

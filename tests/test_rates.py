@@ -84,6 +84,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="increasing"):
             rt.SweepConfig("resolvent_gap", (1.0, 2.0, 2.0, 4.0))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_requires_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, bad), params=PARAMS["resolvent_gap"])
+
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="unknown quantity"):
             rt.SweepConfig("nope", (1.0, 2.0, 4.0, 8.0))
@@ -222,6 +227,18 @@ class TestDeterminism:
         a = open(rec1.paths["details"]).read()
         b = open(rec2.paths["details"]).read()
         assert a != b  # sampled gap depends on the seed
+
+
+class TestOpenRun:
+    def test_running_inside_incomplete_after_a_raising_body(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with rt.open_run(tmp_path, "probe", 3) as record:
+                inside = rt.load_run(record.paths["record"])
+                raise KeyboardInterrupt
+        assert inside.status == "running" and inside.finished == ""
+        after = rt.load_run(record.paths["record"])
+        assert after.status == "incomplete" and after.finished
+        assert after.config == {"resolved_ini": f"{record.paths['run_dir']}/resolved.ini"}
 
 
 class TestRunRecordPersistence:
