@@ -621,6 +621,10 @@ class HausdorffResult:
     resolution_b: float
 
 
+# the cdist settle of _farthest_nearest computes at most this many distances at once
+SETTLE_BLOCK = 2**22
+
+
 def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = False) -> float:
     """max over rows of `query` of the distance to the nearest row of `ref`.
 
@@ -629,8 +633,8 @@ def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = Fals
     1e-9 of the largest tree distance (the tree may round differently in
     the last bits) are recomputed with `cdist` against all of `ref`, so the
     result equals a brute-force `cdist` maximum bit for bit.  Rows tied at
-    the maximum all go to `cdist`, so a cloud of equally spaced points costs
-    as much as brute force.
+    the maximum (every row of a cloud of equally spaced points) are settled
+    in blocks of at most SETTLE_BLOCK distances.
     """
     dist, _ = cKDTree(ref).query(query, k=2 if skip_self else 1)
     nearest = dist[:, -1] if skip_self else dist
@@ -638,10 +642,14 @@ def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = Fals
     if top == 0.0:
         return 0.0
     rows = np.flatnonzero(nearest >= top * (1.0 - 1e-9))
-    d = cdist(query[rows], ref)
-    if skip_self:
-        d[np.arange(rows.size), rows] = np.inf
-    return float(d.min(axis=1).max())
+    size = max(1, SETTLE_BLOCK // len(ref))
+    best = 0.0
+    for block in np.split(rows, range(size, rows.size, size)):
+        d = cdist(query[block], ref)
+        if skip_self:
+            d[np.arange(block.size), block] = np.inf
+        best = max(best, float(d.min(axis=1).max()))
+    return best
 
 
 def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,

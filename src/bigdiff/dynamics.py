@@ -19,8 +19,11 @@ d, which is the very regime under study.  phi-function weights switch to
 series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
 
 Every sampled flow (`evolve_pde`, manifold arcs, perturbed tails, long-time
-ODE seeds) runs through `propagate`, one lockstep loop over a batch: a
-duration T takes the ceil(T/dt - 1e-9) whole steps of dt that cover it.
+ODE seeds, the decay sweep) runs through `propagate`, one lockstep loop over
+a batch: a duration T takes the ceil(T/dt - 1e-9) whole steps of dt that
+cover it.  The linear part is diagonal, so the rows of one ETD batch may each
+carry their own exact propagator and dt (one per swept d) while they share
+one batched evaluation of F; each row then keeps its own running time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CosineBasis, DiffusionSpec, SpectralField, mean_free_energy
+from .spectral import CosineBasis, DiffusionSpec, SpectralField, gains_of, mean_free_energy
 
 __all__ = [
     "Nonlinearity",
@@ -55,12 +58,17 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a trajectory norm exceeds the blow-up threshold."""
+    """Raised when a trajectory norm exceeds the blow-up threshold.
 
-    def __init__(self, time: float, norm: float):
+    From a batch step, `rows` maps the index of each row that blew up to that
+    row's own BlowUpError (its time and its largest |coefficient|).
+    """
+
+    def __init__(self, time: float, norm: float, rows: dict | None = None):
         super().__init__(f"trajectory blew up at t={time:.6g} (coefficient norm {norm:.3g})")
         self.time = time
         self.norm = norm
+        self.rows = {} if rows is None else rows
 
 
 @dataclass(frozen=True)
@@ -288,14 +296,18 @@ def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0
 
 @dataclass
 class Trajectory:
-    """Sampled PDE trajectory with the average and the mean-free energy norm."""
+    """Sampled PDE trajectory with the average and the mean-free energy norm.
+
+    `coeffs` and `v` are None where only the diagnostic was kept (each row of
+    the decay sweep), which is all `decay_rate_fit` reads.
+    """
 
     times: np.ndarray
-    coeffs: np.ndarray  # (samples, n, K+1)
+    coeffs: np.ndarray | None  # (samples, n, K+1)
     basis: CosineBasis
     diffusion: DiffusionSpec
-    v: np.ndarray        # (samples, n)
-    w_xhalf: np.ndarray  # energy norm of the mean-free part
+    v: np.ndarray | None  # (samples, n)
+    w_xhalf: np.ndarray   # energy norm of the mean-free part
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -341,55 +353,94 @@ _BLOWUP_LIMIT = 1e8
 class EtdStepper:
     """Reusable ETD2RK step for u_t + A u = F(u).
 
-    Precomputes the exact linear propagator and phi-function weights for a
-    fixed dt; `step` advances a coefficient array and checks for blow-up.
+    Precomputes the exact linear propagator exp(-dt A) and the phi-function
+    weights.  Given one DiffusionSpec and a scalar dt they have shape
+    (n, K+1) and serve a state or every row of a batch.  Given a sequence of
+    m DiffusionSpecs and m time steps they have shape (m, n, K+1): row i of
+    an (m, n, K+1) batch steps under its own E and dt, bit for bit as a
+    scalar stepper would step it alone, while all rows share one batched
+    evaluation of F.  `step` advances a coefficient array and checks for
+    blow-up.
     """
 
-    def __init__(self, basis: CosineBasis, E: DiffusionSpec, F: Nonlinearity, dt: float):
-        if dt <= 0:
+    def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt):
+        dt = np.asarray(dt, dtype=float)
+        if isinstance(E, DiffusionSpec) != (dt.ndim == 0) or (dt.ndim and len(E) != len(dt)):
+            raise ValueError("give one diffusion and a scalar dt, or one of each per row")
+        if np.any(dt <= 0):
             raise ValueError("dt must be positive")
         self.basis = basis
         self.nonlinearity = F
         self.dt = dt
-        z = -dt * E.gains(basis)
-        self.exp_full, self.w1, self.w2 = np.exp(z), dt * _phi1(z), dt * _phi2(z)
+        h = dt[:, None, None] if dt.ndim else dt
+        z = -h * gains_of(E, basis)
+        self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
 
-    def step(self, c: np.ndarray, t_now: float = 0.0) -> np.ndarray:
+    def step(self, c: np.ndarray, t_now=0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
 
-        A non-finite value of F spreads into the new coefficients, so the one
-        post-step max|c| test catches it at the step where it appeared.
+        `t_now` is the time before the step; with per-row weights it may hold
+        each row's own time.  A non-finite value of F spreads into the new
+        coefficients, so the one post-step max|c| test catches it at the step
+        where it appeared; only then are the rows that blew up picked out.
         """
         n0 = _galerkin_F(self.nonlinearity, c, self.basis)
         a = self.exp_full * c + self.w1 * n0
         c = a + self.w2 * (_galerkin_F(self.nonlinearity, a, self.basis) - n0)
         top = float(np.max(np.abs(c)))
         if not np.isfinite(top) or top > _BLOWUP_LIMIT:
-            raise BlowUpError(t_now, top)
+            raise _blow_up(c, t_now, top)
         return c
 
 
-def _step_count(T: float, dt: float) -> int:
-    """The whole steps of `dt` that cover a duration T (none for T <= 0)."""
-    return max(0, int(np.ceil(T / dt - 1e-9)))
+def _blow_up(c: np.ndarray, t_now, top: float) -> BlowUpError:
+    """The BlowUpError of a step whose result `c` has largest |coefficient| `top`.
+
+    For a batch it names every row that blew up, with that row's own time and
+    norm; a NaN row counts as blown up.
+    """
+    if c.ndim < 3:
+        return BlowUpError(t_now, top)
+    tops = np.max(np.abs(c), axis=(-2, -1))
+    times = np.broadcast_to(t_now, tops.shape)
+    bad = np.flatnonzero(~(tops <= _BLOWUP_LIMIT))
+    rows = {int(i): BlowUpError(float(times[i]), float(tops[i])) for i in bad}
+    return BlowUpError(t_now if np.ndim(t_now) == 0 else rows[bad[0]].time, top, rows)
 
 
-def propagate(step, batch: np.ndarray, dt: float, T: float, stride: int = 1, sample=None):
+def _step_count(T, dt) -> int:
+    """The whole steps of `dt` that cover a duration T (none for T <= 0).
+
+    `T` and `dt` may hold one value per row, and every row must then take
+    the same number of steps.
+    """
+    counts = np.unique(np.maximum(0.0, np.ceil(np.asarray(T) / dt - 1e-9)))
+    if counts.size != 1:
+        raise ValueError(f"rows would take different numbers of steps: {counts}")
+    return int(counts[0])
+
+
+def propagate(step, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
     """Advance `batch` in lockstep through the whole steps of `dt` that cover T.
 
     `step(batch, t)` advances every row by `dt` from the running time t, which
-    accumulates as t += dt.  After every `stride`-th step the new batch and
-    time go to `sample(batch, t)`; a boolean mask it returns over the rows
-    (axis 0) retires the rows marked False, and the flow stops once none is
-    left.  Returns the rows still running and the final time.
+    accumulates as t = t + dt.  `dt` and `T` may instead hold one value per
+    row (for an EtdStepper with per-row weights); the rows must then take the
+    same number of steps, and t is the vector of their running times.  After
+    every `stride`-th step the new batch and time go to `sample(batch, t)`; a
+    boolean mask it returns over the rows (axis 0) retires the rows marked
+    False, and the flow stops once none is left.  Rows with their own dt
+    cannot retire.  Returns the rows still running and the final time.
     """
     t = 0.0
     for k in range(1, _step_count(T, dt) + 1):
         batch = step(batch, t)
-        t += dt
+        t = t + dt
         if sample is not None and k % stride == 0:
             keep = sample(batch, t)
             if keep is not None and not keep.all():
+                if np.ndim(dt):
+                    raise ValueError("rows with their own dt cannot retire")
                 batch = batch[keep]
                 if not keep.any():
                     break

@@ -1,13 +1,17 @@
 """Parameter sweeps over d = min eps, log-log rate fits, persistent runs.
 
 Every convergence claim in the package reduces to "quantity(d) decays at
-least like d^(-1/2)".  The harness dispatches a per-d measurement to the
-owning module, fits ordinary least squares on (log d, log value), and
-persists a run directory containing the raw points, the fit, plain
-two-column plot data, and a JSON run record.  `open_run` is the one run
-lifecycle, of the sweeps here and of the CLI's other studies.  Identical
-config + seed reproduces every CSV byte for byte (per-point seeds are spawned
-from the master seed by index, so no point depends on the others).
+least like d^(-1/2)".  The harness hands the whole sweep of d values to the
+quantity's measurement, which returns each point's value or the error that
+failed it (the decay rate steps every d as one ETD batch; the other
+quantities measure one d at a time through `per_point`).  It fits ordinary
+least squares on (log d, log value) and persists a run directory containing
+the raw points, the fit, plain two-column plot data, and a JSON run record.
+`open_run` is the one run lifecycle, of the sweeps here and of the CLI's
+other studies.  Identical config + seed reproduces every CSV byte for byte
+(per-point seeds are spawned from the master seed by index, and a row of a
+batch steps bit for bit as it would alone, so no point depends on the
+others).
 
 Measured zeros are not fitted: a value at or below ZERO_FLOOR counts as
 zero, here and in the CLI verdicts, and quantities that vanish identically
@@ -22,12 +26,14 @@ import datetime as _dt
 import inspect
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .spectral import DomainSpec, build_basis, constant_field, diffusion, mode_field
+from .spectral import (DomainSpec, build_basis, constant_field, diffusion, mean_free_energy,
+                       mode_field)
 from . import attractors as _attractors
 from . import dynamics as _dynamics
 from . import elliptic as _elliptic
@@ -45,6 +51,7 @@ __all__ = [
     "open_run",
     "write_table",
     "register_quantity",
+    "per_point",
     "QUANTITIES",
     "ZERO_FLOOR",
 ]
@@ -126,12 +133,37 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5) -> RateFit:
 
 # ---------------------------------------------------------------------------
 # quantity registry: name -> (predicted slope, prepare(seed, **params) -> ctx,
-#                             measure(d, ctx, point_seed) -> (value, extras))
+#                             measure(ds, ctx, point_seeds) -> per-point results)
+# each point's result is (value, extras), or the RuntimeError or ValueError
+# that failed it; `per_point` lifts a measure(d, ctx, point_seed) of one point
+
+# the errors that fail one sweep point; any other exception is a bug and
+# aborts the sweep
+_POINT_ERRORS = (RuntimeError, ValueError)
+
+
+def per_point(measure):
+    """Sweep-level measure that calls `measure(d, ctx, point_seed)` at each d in turn.
+
+    It takes the name of `measure`, so the registry and traces still name it.
+    """
+    def measure_all(ds, ctx, point_seeds):
+        results = []
+        for d, point_seed in zip(ds, point_seeds):
+            try:
+                results.append(measure(d, ctx, point_seed))
+            except _POINT_ERRORS as err:
+                results.append(err)
+        return results
+
+    measure_all.__name__ = measure_all.__qualname__ = measure.__name__
+    return measure_all
+
 
 _DOM = DomainSpec()
 
 # the decay study's initial state 1 + 0.5 phi_1 and its horizon: 40 e-folds of
-# lam2, taken in 2000 whole steps
+# lam2, taken in 2000 whole steps, so every d of a sweep steps in lockstep
 _DECAY_V0 = 1.0
 _DECAY_MODE_AMP = 0.5
 _DECAY_EFOLDS = 40.0
@@ -161,21 +193,60 @@ def _prepare_decay(seed, *, modes, components, nonlinearity, m_horizon):
             "F": _dynamics.nonlinearity_from_spec(**nonlinearity), "m_horizon": float(m_horizon)}
 
 
-def _measure_decay(d, ctx, point_seed):
+def _measure_decay(ds, ctx, point_seeds):
+    """Evolve 1 + 0.5 phi_1 at every d as one ETD batch, each row with its own E and dt.
+
+    Each row keeps only its sampled times and mean-free energy.  A row that
+    blows up fails its own d: it is zeroed and stepped on as ballast, so the
+    other rows run unchanged.
+    """
     basis, n = ctx["basis"], ctx["n"]
-    E = diffusion([d] * n)
-    lam2 = E.second_eigenvalue(basis)
+    Es = [diffusion([d] * n) for d in ds]
+    lam2 = np.array([E.second_eigenvalue(basis) for E in Es])
     T = _DECAY_EFOLDS / lam2
     dt = T / _DECAY_STEPS
     u0 = constant_field([_DECAY_V0] * n, basis) + mode_field(basis, 1, _DECAY_MODE_AMP,
                                                              components=n)
-    traj = _dynamics.evolve_pde(u0, E, ctx["F"], T=T, dt=dt, stride=_DECAY_STEPS // 400)
-    mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
-    fit = _dynamics.decay_rate_fit(traj, mu=mu)
-    return fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
-                             "theoretical_rate": fit.theoretical_rate,
-                             "lam2": lam2, "mu": mu, "residual": fit.residual,
-                             "truncated": float(fit.truncated)}
+    stepper = _dynamics.EtdStepper(basis, Es, ctx["F"], dt)
+    failed = {}
+
+    def step(c, t):
+        try:
+            return stepper.step(c, t)
+        except _dynamics.BlowUpError as err:
+            for i, row_err in err.rows.items():
+                failed.setdefault(i, row_err)
+            c = c.copy()
+            c[list(err.rows)] = 0.0
+            return stepper.step(c, t)
+
+    batch = np.stack([u0.coeffs] * len(Es))
+    times, w = [np.zeros(len(Es))], [mean_free_energy(batch, Es, basis)]
+
+    def sample(c, t):
+        times.append(np.minimum(t, T))
+        w.append(mean_free_energy(c, Es, basis))
+
+    _dynamics.propagate(step, batch, dt, T, _DECAY_STEPS // 400, sample)
+    times, w = np.array(times), np.array(w)
+    results = []
+    for i, E in enumerate(Es):
+        if i in failed:
+            results.append(failed[i])
+            continue
+        traj = _dynamics.Trajectory(times=times[:, i], coeffs=None, basis=basis, diffusion=E,
+                                    v=None, w_xhalf=w[:, i])
+        try:
+            mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
+            fit = _dynamics.decay_rate_fit(traj, mu=mu)
+        except _POINT_ERRORS as err:
+            results.append(err)
+            continue
+        results.append((fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
+                                          "theoretical_rate": fit.theoretical_rate,
+                                          "lam2": lam2[i], "mu": mu, "residual": fit.residual,
+                                          "truncated": float(fit.truncated)}))
+    return results
 
 
 def _prepare_deflection(seed, *, modes, components, nonlinearity, n_tails, w_amplitude,
@@ -256,16 +327,20 @@ def _measure_graph(d, ctx, point_seed):
 
 
 QUANTITIES = {
-    "resolvent_gap": (-0.5, _prepare_resolvent, _measure_resolvent),
+    "resolvent_gap": (-0.5, _prepare_resolvent, per_point(_measure_resolvent)),
     "w_decay_rate": (float("nan"), _prepare_decay, _measure_decay),
-    "hausdorff": (-0.5, _prepare_hausdorff, _measure_hausdorff),
-    "deflection": (-0.5, _prepare_deflection, _measure_deflection),
-    "graph_sup": (-0.5, _prepare_graph, _measure_graph),
+    "hausdorff": (-0.5, _prepare_hausdorff, per_point(_measure_hausdorff)),
+    "deflection": (-0.5, _prepare_deflection, per_point(_measure_deflection)),
+    "graph_sup": (-0.5, _prepare_graph, per_point(_measure_graph)),
 }
 
 
 def register_quantity(name: str, predicted_slope: float, prepare, measure) -> None:
-    """Extension hook (also used by tests to inject synthetic quantities)."""
+    """Extension hook (also used by tests to inject synthetic quantities).
+
+    `measure(ds, ctx, point_seeds)` measures the whole sweep; wrap a measure
+    of one point in `per_point`.
+    """
     QUANTITIES[name] = (predicted_slope, prepare, measure)
 
 
@@ -274,7 +349,11 @@ def register_quantity(name: str, predicted_slope: float, prepare, measure) -> No
 
 @dataclass
 class RunRecord:
-    """Everything needed to reproduce and audit one run."""
+    """Everything needed to reproduce and audit one run.
+
+    `metrics` holds what the run measured, the same for the same config and
+    seed; `timings` holds how long a sweep's stages took, in seconds.
+    """
 
     quantity: str
     config: dict
@@ -285,6 +364,7 @@ class RunRecord:
     status: str
     paths: dict
     metrics: dict
+    timings: dict = field(default_factory=dict)
 
 
 def persist_run(record: RunRecord, path) -> None:
@@ -367,12 +447,15 @@ def run_sweep(cfg: SweepConfig, out_root):
     measurement is zero at tolerance (note says so) and a FitError is raised
     when fewer than 4 points survive outright failures; points.csv and
     details.csv are written before that check, so a failed sweep keeps each
-    point's `failed: ...` reason.
+    point's `failed: ...` reason.  `record.timings` gives the seconds spent in
+    prepare, in measure, in persist (the fit and the run tables, stamped once
+    they are written) and in total.
     """
     predicted, prepare, measure = QUANTITIES[cfg.quantity]
     config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
               "params": cfg.params, "seed": cfg.seed}
     with open_run(out_root, cfg.quantity, cfg.seed, config=config) as record:
+        start = time.perf_counter()
         paths = record.paths
         run_dir = paths["run_dir"]
         paths.update({key: os.path.join(run_dir, name) for key, name in _RUN_FILES.items()})
@@ -380,21 +463,26 @@ def run_sweep(cfg: SweepConfig, out_root):
             json.dump(config, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
+        begun = time.perf_counter()
         ctx = prepare(cfg.seed, **cfg.params)
+        prepared = time.perf_counter()
         point_seeds = [int(s.generate_state(1)[0]) for s in
                        np.random.SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
+        results = measure(cfg.d_eps_values, ctx, point_seeds)
+        measured = time.perf_counter()
+        record.timings.update({"prepare": prepared - begun, "measure": measured - prepared})
         rows = []
         extras_list = []
         values = []
         fit_d, fit_v = [], []
         zeros = 0
-        for d, point_seed in zip(cfg.d_eps_values, point_seeds):
-            try:
-                value, extras = measure(d, ctx, point_seed)
-            except (RuntimeError, ValueError) as err:  # domain errors: recorded, not fitted
+        for d, result in zip(cfg.d_eps_values, results):
+            if isinstance(result, _POINT_ERRORS):  # recorded, not fitted
                 extras_list.append({})
-                rows.append((d, None, f"failed: {type(err).__name__}: {err}".replace(",", ";")))
+                rows.append((d, None,
+                             f"failed: {type(result).__name__}: {result}".replace(",", ";")))
                 continue
+            value, extras = result
             value = float(value)
             extras_list.append(extras)
             values.append(value)
@@ -431,6 +519,8 @@ def run_sweep(cfg: SweepConfig, out_root):
         write_table(paths["plot"], None, zip(fit_d, fit_v), sep=" ")
         write_table(paths["plot_loglog"], None,
                     [(np.log10(d), np.log10(v)) for d, v in zip(fit_d, fit_v)], sep=" ")
+        done = time.perf_counter()
+        record.timings.update({"persist": done - measured, "total": done - start})
         record.metrics.update({
             "n_points": len(cfg.d_eps_values),
             "n_ok": len(fit_d),

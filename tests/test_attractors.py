@@ -571,6 +571,29 @@ class TestFarthestNearest:
         at.hausdorff_distance(tanh_cloud, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
         assert len(rows) == 5 and max(rows) <= 4
 
+    def test_equally_spaced_cloud_settles_in_bounded_blocks(self, monkeypatch):
+        # every row of a uniform grid ties at the maximum and goes to cdist;
+        # 1-d distances are exact |a - b|, so neighbour gaps are the oracle
+        grid = np.linspace(0.0, 1.0, 20001)
+        mid = grid[:-1] + 0.5 * np.diff(grid)
+        gaps = np.diff(grid)
+        below = np.clip(np.searchsorted(grid, mid) - 1, 0, grid.size - 1)
+        oracle_self = float(np.r_[gaps[0], np.minimum(gaps[:-1], gaps[1:]), gaps[-1]].max())
+        oracle_mid = float(np.minimum(mid - grid[below], grid[below + 1] - mid).max())
+        rows = []
+
+        def counting_cdist(a, b):
+            rows.append(a.shape[0])
+            return cdist(a, b)
+
+        monkeypatch.setattr(at, "cdist", counting_cdist)
+        block = at.SETTLE_BLOCK // grid.size
+        assert at._farthest_nearest(grid[:, None], grid[:, None], skip_self=True) == oracle_self
+        assert sum(rows) == grid.size and max(rows) == block
+        rows.clear()
+        assert at._farthest_nearest(mid[:, None], grid[:, None]) == oracle_mid
+        assert sum(rows) == mid.size and max(rows) == block
+
     def test_duplicate_cloud_resolution_is_its_floor(self):
         cloud = at.AttractorCloud(np.full((50, 2), 0.25), "ode", ["x"] * 50,
                                   {"resolution_floor": 1e-3})

@@ -377,16 +377,32 @@ def constant_forcing(b):
 
 class TestEtdStepperProperties:
     @settings(max_examples=60, deadline=None)
-    @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-    def test_batch_step_equals_row_steps(self, case, rows, seed):
+    @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           per_row=st.booleans(), zero=st.booleans(), steps=st.integers(1, 6))
+    def test_batch_step_equals_row_steps(self, case, rows, seed, per_row, zero, steps):
+        # per_row: every row steps under its own E and dt, with its own running time
         basis, E, F, dt = case
-        stepper = dyn.EtdStepper(basis, E, F, dt)
-        c = np.random.default_rng(seed).standard_normal((rows, E.components,
-                                                         basis.mode_count + 1))
-        batch = stepper.step(c)
-        assert batch.shape == c.shape
+        F = dyn.zero_nonlinearity() if zero else F
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((rows, E.components, basis.mode_count + 1))
+        if not per_row:
+            stepper = dyn.EtdStepper(basis, E, F, dt)
+            batch = stepper.step(c)
+            assert batch.shape == c.shape
+            for i in range(rows):
+                assert np.array_equal(batch[i], stepper.step(c[i]))
+            return
+        Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in range(rows)]
+        dts = dt * rng.uniform(0.5, 2.0, rows)
+        step = dyn.EtdStepper(basis, Es, F, dts).step
+        batch, t = dyn.propagate(step, c, dts, steps * dts)
+        assert batch.shape == c.shape and t.shape == (rows,)
+        with pytest.raises(ValueError, match="cannot retire"):  # its weights would misalign
+            dyn.propagate(step, c, dts, steps * dts, 1, lambda b, t: np.arange(rows) > 0)
         for i in range(rows):
-            assert np.array_equal(batch[i], stepper.step(c[i]))
+            alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]).step, c[i],
+                                           dts[i], steps * dts[i])
+            assert np.array_equal(batch[i], alone) and t[i] == t_alone
 
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bigdiff import dynamics as dyn
 from bigdiff import rates as rt
+from bigdiff import spectral as sp
 
 
 def register_synthetic(name, fn, predicted=-0.5):
     rt.register_quantity(name, predicted, lambda seed: {},
-                         lambda d, ctx, s: (fn(d), {}))
+                         rt.per_point(lambda d, ctx, s: (fn(d), {})))
 
 
 register_synthetic("_test_power", lambda d: 3.0 * d**-0.5)
@@ -25,11 +27,12 @@ def flaky_measure(d, ctx, s):
     return 3.0 * d**-0.5, {}
 
 
-rt.register_quantity("_test_flaky", -0.5, lambda seed: {}, flaky_measure)
+rt.register_quantity("_test_flaky", -0.5, lambda seed: {}, rt.per_point(flaky_measure))
 rt.register_quantity("_test_allfail", -0.5, lambda seed: {},
-                     lambda d, ctx, s: (_ for _ in ()).throw(RuntimeError("no")))
+                     rt.per_point(lambda d, ctx, s: (_ for _ in ()).throw(RuntimeError("no"))))
 rt.register_quantity("_test_typeerror", -0.5, lambda seed: {},
-                     lambda d, ctx, s: (_ for _ in ()).throw(TypeError("programmer error")))
+                     rt.per_point(lambda d, ctx, s: (_ for _ in ()).throw(
+                         TypeError("programmer error"))))
 
 _CLOUD = {"modes": 8, "components": 1, "nonlinearity": {"name": "tanh", "beta": 2.0},
           "n_tails": 2, "w_amplitude": 0.3, "t_trans": 1.0, "sample_dt": 0.01, "arc_dt": 5e-3}
@@ -129,6 +132,40 @@ class TestRunSweep:
         slope, intercept = np.polyfit(cfg.d_eps_values, rates, 1)
         assert slope == pytest.approx(np.pi**2, rel=1e-2)
         assert intercept == pytest.approx(1.0, abs=0.2)
+
+    def test_decay_blow_up_fails_only_its_own_d(self, tmp_path):
+        # the nine d step as one batch; the oracle evolves each d alone
+        d_values = tuple(2.0 ** np.arange(9))
+        params = {"modes": 16, "components": 1, "nonlinearity": {"name": "linear", "c": 7.0},
+                  "m_horizon": 10.0}
+        _, record = rt.run_sweep(rt.SweepConfig("w_decay_rate", d_values, params=params),
+                                 out_root=tmp_path)
+        basis = sp.build_basis(sp.DomainSpec(), 16)
+        u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, 0.5)
+        F = dyn.linear_nonlinearity(7.0)
+        expected = ["d_eps,value,status"]
+        for d in d_values:
+            E = sp.diffusion([d])
+            T = 40.0 / E.second_eigenvalue(basis)
+            try:
+                traj = dyn.evolve_pde(u0, E, F, T=T, dt=T / 2000, stride=5)
+            except dyn.BlowUpError as err:
+                expected.append(f"{d:.17g},nan,failed: BlowUpError: {err}")
+                continue
+            mu = dyn.compute_M_and_mu(E, basis, horizon=10.0).mu
+            expected.append(f"{d:.17g},{dyn.decay_rate_fit(traj, mu=mu).fitted_rate:.17g},ok")
+        assert expected[1] == ("1,nan,failed: BlowUpError: trajectory blew up at t=3.06911 "
+                               "(coefficient norm 1e+08)")
+        assert all(row.endswith(",ok") for row in expected[2:])
+        assert open(record.paths["points"]).read().splitlines() == expected
+
+    def test_timings_of_every_stage(self, tmp_path):
+        _, record = rt.run_sweep(rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0)),
+                                 out_root=tmp_path)
+        timings = rt.load_run(record.paths["record"]).timings
+        assert set(timings) == {"prepare", "measure", "persist", "total"}
+        assert all(value >= 0.0 for value in timings.values())
+        assert timings["total"] >= timings["prepare"] + timings["measure"] + timings["persist"]
 
     def test_constant_quantity_slope_zero(self, tmp_path):
         cfg = rt.SweepConfig("_test_unit", (1.0, 2.0, 4.0, 8.0))
