@@ -144,6 +144,11 @@ class EquilibriumPoint:
         return self.location.coeffs[:, 0].copy()
 
 
+def absorbing_bound(F: Nonlinearity) -> float:
+    """The size every absorbing box is built from: F's bound B, or 10 if it declares none."""
+    return 10.0 if F.bound is None else F.bound
+
+
 def hyperbolicity_check(eq: EquilibriumPoint) -> bool:
     """True iff the linearization spectrum stays away from the imaginary axis."""
     return bool(np.min(np.abs(eq.eigenvalues.real)) > HYPERBOLICITY_TOL)
@@ -318,7 +323,7 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
     base = eq.vector()
     directions = _unstable_directions(-np.eye(base.size) + F.jac(base))
     if box is None:
-        box = (F.bound if F.bound else 10.0) + 2.0
+        box = absorbing_bound(F) + 2.0
 
     def inside_box(v, t):
         if np.linalg.norm(v) > box:
@@ -390,7 +395,7 @@ class AttractorCloud:
 def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
                   dt: float = 1e-3, sample_dt: float = 1e-2) -> AttractorCloud:
     """ODE attractor as the union of equilibria and unstable-manifold arcs."""
-    box = (F.bound if F.bound else 10.0) + 1.0
+    box = absorbing_bound(F) + 1.0
     equilibria = find_equilibria_ode(F, box, grid_density, components=components)
     for eq in equilibria:
         if not hyperbolicity_check(eq):
@@ -426,7 +431,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     every region at every post-burn-in time.
     """
     if box is None:
-        box = (F.bound if F.bound else 10.0) + 1.0
+        box = absorbing_bound(F) + 1.0
     decades = 8.0
     if components == 1:
         half = n_seeds // 2
@@ -560,23 +565,20 @@ def _pde_manifold_arc(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
 
 
 def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
-                  ode_cloud: AttractorCloud | None = None,
-                  n_tails: int = 24, w_amplitude: float = 0.1,
+                  ode_cloud: AttractorCloud, n_tails: int = 24, w_amplitude: float = 0.1,
                   t_trans: float = 1.0, dt: float = 1e-3, sample_dt: float = 1e-2,
                   seed: int = 0) -> AttractorCloud:
     """PDE attractor cloud: equilibria + shot unstable manifolds + tail states.
 
-    `ode_cloud` must come from `attractor_ode` (built here if omitted): its
-    equilibria, lifted to constants, seed the PDE Newton solve.  Tails
-    start from its points (already on the limit attractor) lifted to
-    constants and perturbed by a mean-free field in modes 1..8 with L2 norm
-    `w_amplitude`; evolving them for `t_trans` leaves exactly the mean-free
-    content the homogenization estimates control (`t_trans = 0` keeps them as
-    drawn).  `t_trans` and `sample_dt` should stay commensurate so tails stay
-    synchronized with the arc sampling of the reference ODE cloud.
+    `ode_cloud` must come from `attractor_ode`: its equilibria, lifted to
+    constants, seed the PDE Newton solve.  Tails start from its points
+    (already on the limit attractor) lifted to constants and perturbed by a
+    mean-free field in modes 1..8 with L2 norm `w_amplitude`; evolving them
+    for `t_trans` leaves exactly the mean-free content the homogenization
+    estimates control (`t_trans = 0` keeps them as drawn).  `t_trans` and
+    `sample_dt` should stay commensurate so tails stay synchronized with the
+    arc sampling of the reference ODE cloud.
     """
-    if ode_cloud is None:
-        ode_cloud = attractor_ode(F, components=E.components, dt=dt, sample_dt=sample_dt)
     equilibria = find_equilibria_pde(
         E, F, [constant_field(eq.vector(), basis) for eq in ode_cloud.equilibria])
 
@@ -678,7 +680,7 @@ def manifold_deflection(cloud: AttractorCloud) -> float:
     """
     if cloud.kind != "pde":
         raise ValueError("deflection needs a PDE cloud")
-    return float(np.max(mean_free_energy(cloud.points, cloud.diffusion, cloud.basis)))
+    return float(np.max(mean_free_energy(cloud.points, cloud.diffusion.gains(cloud.basis))))
 
 
 def save_cloud(cloud: AttractorCloud, csv_path) -> None:
@@ -740,7 +742,7 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             f"must exceed Lip(F) = {F.lip:.4g}")
     horizon = 10.0 / gap
     if box is None:
-        box = 1.2 * ((F.bound if F.bound else 10.0) + 0.5)
+        box = 1.2 * (absorbing_bound(F) + 0.5)
     axes = (np.linspace(-box, box, grid_points),) * n
     v_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)  # (m, n)
     m = v_grid.shape[0]
@@ -787,7 +789,7 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             weight = 0.5 * dt if j in (0, steps) else dt
             accum = accum + weight * decay[None] * q
 
-        diff = float(np.max(mean_free_energy(accum - s, E, basis)))
+        diff = float(np.max(mean_free_energy(accum - s, gains)))
         s = accum
         if prev_diff is not None and prev_diff > 0:
             factor = diff / prev_diff
@@ -800,6 +802,6 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             break
 
     return GraphEstimate(v_grid=v_grid, w_coeffs=s,
-                         sup_norm=float(np.max(mean_free_energy(s, E, basis))),
+                         sup_norm=float(np.max(mean_free_energy(s, gains))),
                          contraction_factors=factors, clamped=clamped, horizon=horizon,
                          iterations=sweep + 1)

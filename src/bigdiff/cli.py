@@ -211,7 +211,7 @@ def cmd_attractor(args) -> int:
         n = cfg.get("domain", "components")
         box = cfg.get("attractor", "longtime_box")
         if box is None:
-            box = (F.bound if F.bound else 10.0) + 1.0
+            box = at.absorbing_bound(F) + 1.0
         manifold = at.attractor_ode(F, components=n,
                                     dt=cfg.get("attractor", "arc_dt"),
                                     sample_dt=cfg.get("attractor", "sample_dt"))

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import configparser
 import copy
+import inspect
 
 import numpy as np
 
-from .dynamics import Nonlinearity, nonlinearity_from_spec
+from .dynamics import NONLINEARITIES, Nonlinearity
 from .spectral import CosineBasis, DiffusionSpec, DomainSpec, build_basis, diffusion
 
 __all__ = ["ConfigError", "Config", "DEFAULTS", "load_config", "default_config"]
@@ -32,7 +33,6 @@ DEFAULTS = {
     "domain": {
         "components": 1,        # system size n
         "modes": 128,           # cosine modes K
-        "quad_points": None,    # quadrature nodes G; empty -> 2K + 2
     },
     "diffusion": {
         "eps": (1.0,),          # diagonal diffusion coefficients
@@ -85,7 +85,6 @@ DEFAULTS = {
 
 # keys whose default is None still need a concrete type for coercion
 _OPTIONAL_TYPES = {
-    ("domain", "quad_points"): int,
     ("diffusion", "m0"): float,
     ("attractor", "longtime_box"): float,
     ("attractor", "t_burn"): float,
@@ -132,7 +131,7 @@ class Config:
 
     def basis(self, modes: int | None = None) -> CosineBasis:
         modes = self.get("domain", "modes") if modes is None else modes
-        return build_basis(DomainSpec(), modes, self.get("domain", "quad_points"))
+        return build_basis(DomainSpec(), modes)
 
     def diffusion_spec(self) -> DiffusionSpec:
         eps = self.get("diffusion", "eps")
@@ -145,17 +144,12 @@ class Config:
 
     def nonlinearity(self) -> Nonlinearity:
         name = self.get("nonlinearity", "name")
-        params = {
-            "tanh": {"beta": self.get("nonlinearity", "beta")},
-            "saturated_cubic": {"gamma": self.get("nonlinearity", "gamma")},
-            "coupled_tanh": {"a": self.get("nonlinearity", "a"),
-                             "c": self.get("nonlinearity", "c")},
-            "linear": {"c": self.get("nonlinearity", "c")},
-            "zero": {},
-        }.get(name)
-        if params is None:
+        factory = NONLINEARITIES.get(name)
+        if factory is None:
             raise ConfigError(f"[nonlinearity] unknown name {name!r}")
-        F = nonlinearity_from_spec(name, **params)
+        # each factory's keyword parameters are keys of [nonlinearity]
+        F = factory(**{key: self.get("nonlinearity", key)
+                       for key in inspect.signature(factory).parameters})
         n = self.get("domain", "components")
         if name == "coupled_tanh" and n != 2:
             raise ConfigError("[nonlinearity] coupled_tanh needs components = 2")
@@ -240,9 +234,6 @@ def _validate(cfg: Config) -> None:
         value = cfg.get(section, key)
         if value is not None and not value > 0:
             raise ConfigError(f"[{section}] {key} must be positive")
-    modes, quad_points = cfg.get("domain", "modes"), cfg.get("domain", "quad_points")
-    if quad_points is not None and quad_points < 2 * modes + 2:
-        raise ConfigError(f"[domain] quad_points must be >= 2*modes + 2 = {2 * modes + 2}")
     eps = cfg.get("diffusion", "eps")
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("[diffusion] eps needs at least one entry, all positive")

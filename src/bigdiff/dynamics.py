@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CosineBasis, DiffusionSpec, SpectralField, gains_of, mean_free_energy
+from .spectral import CosineBasis, DiffusionSpec, SpectralField, mean_free_energy
 
 __all__ = [
     "Nonlinearity",
@@ -60,15 +60,15 @@ __all__ = [
 class BlowUpError(RuntimeError):
     """Raised when a trajectory norm exceeds the blow-up threshold.
 
-    From a batch step, `rows` maps the index of each row that blew up to that
-    row's own BlowUpError (its time and its largest |coefficient|).
+    From `EtdStepper.step`, `state` is the step's result, in which a caller
+    stepping a batch finds the rows that blew up.
     """
 
-    def __init__(self, time: float, norm: float, rows: dict | None = None):
+    def __init__(self, time: float, norm: float, state: np.ndarray | None = None):
         super().__init__(f"trajectory blew up at t={time:.6g} (coefficient norm {norm:.3g})")
         self.time = time
         self.norm = norm
-        self.rows = {} if rows is None else rows
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -161,23 +161,24 @@ def linear_nonlinearity(c: float = 1.0) -> Nonlinearity:
     )
 
 
-_NONLINEARITY_FACTORIES = {
-    "tanh": lambda p: tanh_pitchfork(**p),
-    "saturated_cubic": lambda p: saturated_cubic(**p),
-    "coupled_tanh": lambda p: coupled_tanh(**p),
-    "zero": lambda p: zero_nonlinearity(),
-    "linear": lambda p: linear_nonlinearity(**p),
+# name -> factory; a factory's keyword parameters are the nonlinearity's parameters
+NONLINEARITIES = {
+    "tanh": tanh_pitchfork,
+    "saturated_cubic": saturated_cubic,
+    "coupled_tanh": coupled_tanh,
+    "zero": zero_nonlinearity,
+    "linear": linear_nonlinearity,
 }
 
 
 def nonlinearity_from_spec(name: str, **params) -> Nonlinearity:
     """Build a registered nonlinearity from a plain (JSON-safe) spec."""
     try:
-        factory = _NONLINEARITY_FACTORIES[name]
+        factory = NONLINEARITIES[name]
     except KeyError:
-        known = ", ".join(sorted(_NONLINEARITY_FACTORIES))
+        known = ", ".join(sorted(NONLINEARITIES))
         raise ValueError(f"unknown nonlinearity {name!r}; known: {known}") from None
-    return factory(params)
+    return factory(**params)
 
 
 def _diagonal_jacobian(diag: np.ndarray) -> np.ndarray:
@@ -296,18 +297,12 @@ def compute_M_and_mu(E: DiffusionSpec, basis: CosineBasis, horizon: float = 10.0
 
 @dataclass
 class Trajectory:
-    """Sampled PDE trajectory with the average and the mean-free energy norm.
-
-    `coeffs` and `v` are None where only the diagnostic was kept (each row of
-    the decay sweep), which is all `decay_rate_fit` reads.
-    """
+    """Sampled PDE trajectory with the average and the mean-free energy norm."""
 
     times: np.ndarray
-    coeffs: np.ndarray | None  # (samples, n, K+1)
-    basis: CosineBasis
-    diffusion: DiffusionSpec
-    v: np.ndarray | None  # (samples, n)
-    w_xhalf: np.ndarray   # energy norm of the mean-free part
+    coeffs: np.ndarray  # (samples, n, K+1)
+    v: np.ndarray       # (samples, n)
+    w_xhalf: np.ndarray  # energy norm of the mean-free part
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -347,20 +342,19 @@ def _galerkin_F(F: Nonlinearity, c: np.ndarray, basis: CosineBasis) -> np.ndarra
     return values.swapaxes(0, -2) @ phi.T / basis.quad_points
 
 
-_BLOWUP_LIMIT = 1e8
+BLOWUP_LIMIT = 1e8  # a larger |coefficient| is a blow-up
 
 
 class EtdStepper:
     """Reusable ETD2RK step for u_t + A u = F(u).
 
     Precomputes the exact linear propagator exp(-dt A) and the phi-function
-    weights.  Given one DiffusionSpec and a scalar dt they have shape
-    (n, K+1) and serve a state or every row of a batch.  Given a sequence of
-    m DiffusionSpecs and m time steps they have shape (m, n, K+1): row i of
-    an (m, n, K+1) batch steps under its own E and dt, bit for bit as a
-    scalar stepper would step it alone, while all rows share one batched
-    evaluation of F.  `step` advances a coefficient array and checks for
-    blow-up.
+    weights.  Given one DiffusionSpec and a scalar dt they serve a state or
+    every row of a batch.  Given a sequence of m DiffusionSpecs and m time
+    steps, the stepper stacks their gains: row i of an (m, n, K+1) batch
+    steps under its own E and dt, bit for bit as a scalar stepper would step
+    it alone, while all rows share one batched evaluation of F.  `step`
+    advances a coefficient array and checks for blow-up.
     """
 
     def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt):
@@ -371,41 +365,26 @@ class EtdStepper:
             raise ValueError("dt must be positive")
         self.basis = basis
         self.nonlinearity = F
-        self.dt = dt
-        h = dt[:, None, None] if dt.ndim else dt
-        z = -h * gains_of(E, basis)
+        gains = np.array([e.gains(basis) for e in E]) if dt.ndim else E.gains(basis)
+        h = dt[..., None, None]
+        z = -h * gains
         self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
 
     def step(self, c: np.ndarray, t_now=0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
 
-        `t_now` is the time before the step; with per-row weights it may hold
-        each row's own time.  A non-finite value of F spreads into the new
-        coefficients, so the one post-step max|c| test catches it at the step
-        where it appeared; only then are the rows that blew up picked out.
+        `t_now` is the time before the step (the earliest, if it holds one
+        per row).  A non-finite value of F spreads into the new coefficients,
+        so the one post-step max|c| test catches it at the step where it
+        appeared; the BlowUpError carries the step's result.
         """
         n0 = _galerkin_F(self.nonlinearity, c, self.basis)
         a = self.exp_full * c + self.w1 * n0
         c = a + self.w2 * (_galerkin_F(self.nonlinearity, a, self.basis) - n0)
         top = float(np.max(np.abs(c)))
-        if not np.isfinite(top) or top > _BLOWUP_LIMIT:
-            raise _blow_up(c, t_now, top)
+        if not np.isfinite(top) or top > BLOWUP_LIMIT:
+            raise BlowUpError(float(np.min(t_now)), top, c)
         return c
-
-
-def _blow_up(c: np.ndarray, t_now, top: float) -> BlowUpError:
-    """The BlowUpError of a step whose result `c` has largest |coefficient| `top`.
-
-    For a batch it names every row that blew up, with that row's own time and
-    norm; a NaN row counts as blown up.
-    """
-    if c.ndim < 3:
-        return BlowUpError(t_now, top)
-    tops = np.max(np.abs(c), axis=(-2, -1))
-    times = np.broadcast_to(t_now, tops.shape)
-    bad = np.flatnonzero(~(tops <= _BLOWUP_LIMIT))
-    rows = {int(i): BlowUpError(float(times[i]), float(tops[i])) for i in bad}
-    return BlowUpError(t_now if np.ndim(t_now) == 0 else rows[bad[0]].time, top, rows)
 
 
 def _step_count(T, dt) -> int:
@@ -471,8 +450,8 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
 
     times = np.array([s[0] for s in samples])
     coeffs = np.array([s[1] for s in samples])
-    return Trajectory(times=times, coeffs=coeffs, basis=u0.basis, diffusion=E,
-                      v=coeffs[:, :, 0], w_xhalf=mean_free_energy(coeffs, E, u0.basis))
+    return Trajectory(times=times, coeffs=coeffs, v=coeffs[:, :, 0],
+                      w_xhalf=mean_free_energy(coeffs, E.gains(u0.basis)))
 
 
 def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.ndarray:
@@ -524,17 +503,17 @@ class DecayFit:
 _FLOOR = 1e-290
 
 
-def decay_rate_fit(traj: Trajectory, mu: float | None = None) -> DecayFit:
+def decay_rate_fit(times: np.ndarray, w_xhalf: np.ndarray, lam2: float,
+                   mu: float | None = None) -> DecayFit:
     """Fit log(w_xhalf) ~ log A - rate * t over the post-transient window.
 
     The window discards the first 20% of the horizon.  Samples at or
     below the machine floor are dropped and the fit flagged as truncated;
-    the residual (RMS misfit of the line) is always reported.
+    the residual (RMS misfit of the line) is always reported.  The
+    theoretical rate is lam2 - mu (nan without mu).
     """
-    series = traj.w_xhalf
-    t = traj.times
-    mask = t >= 0.2 * t[-1]
-    alive = series > _FLOOR
+    mask = times >= 0.2 * times[-1]
+    alive = w_xhalf > _FLOOR
     truncated = bool(np.any(mask & ~alive))
     mask &= alive
     if np.count_nonzero(mask) < 2:
@@ -543,15 +522,14 @@ def decay_rate_fit(traj: Trajectory, mu: float | None = None) -> DecayFit:
         truncated = True
         if np.count_nonzero(mask) < 2:
             raise ValueError("quantity not positive on enough samples to fit")
-        usable_end = t[mask][-1]
-        mask &= (t >= 0.2 * usable_end)
+        usable_end = times[mask][-1]
+        mask &= (times >= 0.2 * usable_end)
         if np.count_nonzero(mask) < 2:
             mask = alive
-    ts = t[mask]
-    ys = np.log(series[mask])
+    ts = times[mask]
+    ys = np.log(w_xhalf[mask])
     slope, intercept = np.polyfit(ts, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * ts + intercept)) ** 2)))
-    lam2 = traj.diffusion.second_eigenvalue(traj.basis)
     theo = lam2 - mu if mu is not None else float("nan")
     return DecayFit(fitted_rate=float(-slope), residual=resid, theoretical_rate=theo,
                     truncated=truncated)

@@ -197,11 +197,13 @@ def _measure_decay(ds, ctx, point_seeds):
     """Evolve 1 + 0.5 phi_1 at every d as one ETD batch, each row with its own E and dt.
 
     Each row keeps only its sampled times and mean-free energy.  A row that
-    blows up fails its own d: it is zeroed and stepped on as ballast, so the
-    other rows run unchanged.
+    blows up fails its own d, with its own time and norm: it is zeroed in
+    the step's result and stepped on as ballast, so the other rows run
+    unchanged.
     """
     basis, n = ctx["basis"], ctx["n"]
     Es = [diffusion([d] * n) for d in ds]
+    gains = np.array([E.gains(basis) for E in Es])
     lam2 = np.array([E.second_eigenvalue(basis) for E in Es])
     T = _DECAY_EFOLDS / lam2
     dt = T / _DECAY_STEPS
@@ -214,18 +216,21 @@ def _measure_decay(ds, ctx, point_seeds):
         try:
             return stepper.step(c, t)
         except _dynamics.BlowUpError as err:
-            for i, row_err in err.rows.items():
-                failed.setdefault(i, row_err)
-            c = c.copy()
-            c[list(err.rows)] = 0.0
-            return stepper.step(c, t)
+            c = err.state
+            tops = np.max(np.abs(c), axis=(-2, -1))
+            bad = ~(tops <= _dynamics.BLOWUP_LIMIT)  # NaN rows too
+            t = np.broadcast_to(t, tops.shape)  # a scalar before the first step
+            for i in np.flatnonzero(bad):
+                failed.setdefault(i, _dynamics.BlowUpError(float(t[i]), float(tops[i])))
+            c[bad] = 0.0
+            return c
 
     batch = np.stack([u0.coeffs] * len(Es))
-    times, w = [np.zeros(len(Es))], [mean_free_energy(batch, Es, basis)]
+    times, w = [np.zeros(len(Es))], [mean_free_energy(batch, gains)]
 
     def sample(c, t):
         times.append(np.minimum(t, T))
-        w.append(mean_free_energy(c, Es, basis))
+        w.append(mean_free_energy(c, gains))
 
     _dynamics.propagate(step, batch, dt, T, _DECAY_STEPS // 400, sample)
     times, w = np.array(times), np.array(w)
@@ -234,11 +239,9 @@ def _measure_decay(ds, ctx, point_seeds):
         if i in failed:
             results.append(failed[i])
             continue
-        traj = _dynamics.Trajectory(times=times[:, i], coeffs=None, basis=basis, diffusion=E,
-                                    v=None, w_xhalf=w[:, i])
         try:
             mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
-            fit = _dynamics.decay_rate_fit(traj, mu=mu)
+            fit = _dynamics.decay_rate_fit(times[:, i], w[:, i], lam2[i], mu=mu)
         except _POINT_ERRORS as err:
             results.append(err)
             continue

@@ -33,7 +33,6 @@ __all__ = [
     "EnergyNorm",
     "build_basis",
     "diffusion",
-    "gains_of",
     "energy_norm",
     "mean_free_energy",
     "l2_norm",
@@ -156,7 +155,7 @@ class DiffusionSpec:
 
     def gains(self, basis: CosineBasis) -> np.ndarray:
         """Per-mode eigenvalues eps_i*lam_k + 1 of -E d^2/dx^2 + I, shape (n, K+1)."""
-        return _gains(self.eps, basis)
+        return self.eps[:, None] * basis.eigenvalues + 1.0
 
     def second_eigenvalue(self, basis: CosineBasis) -> float:
         """Smallest operator eigenvalue above 1, equal to d_eps*lam_1 + 1 exactly."""
@@ -253,27 +252,15 @@ def energy_norm(f: SpectralField, E: DiffusionSpec) -> float:
     return float(np.sqrt(np.sum(E.gains(f.basis) * f.coeffs**2)))
 
 
-def _gains(eps: np.ndarray, basis: CosineBasis) -> np.ndarray:
-    """eps_i*lam_k + 1 for eps of shape (n,) or (m, n); shape (n, K+1) or (m, n, K+1)."""
-    return eps[..., None] * basis.eigenvalues + 1.0
-
-
-def gains_of(E, basis: CosineBasis) -> np.ndarray:
-    """`E.gains(basis)` of one DiffusionSpec, shape (n, K+1), or of a sequence
-    of m DiffusionSpecs, one per row of a batch, stacked to shape (m, n, K+1)."""
-    if isinstance(E, DiffusionSpec):
-        return E.gains(basis)
-    return _gains(np.array([e.eps for e in E]), basis)
-
-
-def mean_free_energy(coeffs: np.ndarray, E, basis: CosineBasis) -> np.ndarray:
+def mean_free_energy(coeffs: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Energy norm of the mean-free part (modes 1..K) of each (n, K+1) row of `coeffs`.
 
-    `E` is one DiffusionSpec for every row, or one per row (see `gains_of`).
+    `gains` is `E.gains(basis)` for every row, or those of one E per row
+    stacked to the shape of `coeffs`.
     """
     w = np.array(coeffs, dtype=float)
     w[..., 0] = 0.0
-    return np.sqrt(np.sum(gains_of(E, basis) * w**2, axis=(-2, -1)))
+    return np.sqrt(np.sum(gains * w**2, axis=(-2, -1)))
 
 
 def average_projection(f: SpectralField) -> np.ndarray:

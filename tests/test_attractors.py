@@ -267,18 +267,19 @@ class TestEquilibriaPDE:
 
 
 @pytest.fixture(scope="module")
-def pde_cloud_fast():
+def pde_cloud_fast(tanh_cloud):
     basis = sp.build_basis(DOM, 16)
     E = sp.diffusion([8.0])
-    return at.attractor_pde(E, TANH2, basis, n_tails=8, t_trans=6.0, seed=1), E, basis
+    return at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=8, t_trans=6.0, seed=1), E, basis
 
 
 class TestAttractorPDE:
     def test_zero_nonlinearity_cloud_is_origin(self):
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([2.0])
-        cloud = at.attractor_pde(E, dyn.zero_nonlinearity(), basis, n_tails=4,
-                                 t_trans=12.0, seed=0)
+        F = dyn.zero_nonlinearity()
+        cloud = at.attractor_pde(E, F, basis, at.attractor_ode(F), n_tails=4, t_trans=12.0,
+                                 seed=0)
         norms = np.sqrt(np.sum(cloud.points**2, axis=(1, 2)))
         assert np.max(norms) < 1e-8
 
@@ -293,8 +294,9 @@ class TestAttractorPDE:
 
     def test_zero_transport_time_keeps_the_drawn_tails(self):
         basis = sp.build_basis(DOM, 8)
-        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, n_tails=4, t_trans=0.0,
-                                 w_amplitude=0.1, dt=1e-2, sample_dt=2e-2, seed=1)
+        ode_cloud = at.attractor_ode(TANH2, dt=1e-2, sample_dt=2e-2)
+        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, ode_cloud, n_tails=4,
+                                 t_trans=0.0, w_amplitude=0.1, dt=1e-2, sample_dt=2e-2, seed=1)
         tails = cloud.points[[p == "long_time_sampling" for p in cloud.provenance]]
         assert len(tails) == cloud.meta["n_tails"] == 4
         # untransported: each keeps its mean-free perturbation of norm w_amplitude
@@ -318,7 +320,8 @@ class TestAttractorPDE:
         # fine arc sampling pushes the cloud gap below 1e-4 drift
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([8.0])
-        cloud = at.attractor_pde(E, TANH2, basis, n_tails=6, t_trans=6.0,
+        ode_cloud = at.attractor_ode(TANH2, dt=2.5e-4, sample_dt=2.5e-4)
+        cloud = at.attractor_pde(E, TANH2, basis, ode_cloud, n_tails=6, t_trans=6.0,
                                  dt=2.5e-4, sample_dt=2.5e-4, seed=2)
         drift = invariance_drift(cloud, TANH2, T=1.0, n_probe=25, seed=3, dt=2.5e-4)
         assert drift < 1e-4
@@ -615,24 +618,25 @@ class TestManifoldDeflection:
         cloud = at.AttractorCloud(pts, "pde", ["x"] * 2, basis=basis, diffusion=E)
         assert at.manifold_deflection(cloud) == pytest.approx(0.3 * np.sqrt(4 * np.pi**2 + 1), rel=1e-14)
 
-    def test_bounded_by_graph_sup_norm(self):
+    def test_bounded_by_graph_sup_norm(self, tanh_cloud):
         # the attractor lies in the invariant manifold, so the cloud's
         # mean-free content cannot exceed the graph sup-norm (both vanish
         # here) plus interpolation tolerance
         basis = sp.build_basis(DOM, 16)
         E = sp.diffusion([4.0])
-        cloud = at.attractor_pde(E, TANH2, basis, n_tails=6, t_trans=10.0, seed=9)
+        cloud = at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=6, t_trans=10.0, seed=9)
         est = at.graph_iteration(E, TANH2, basis, grid_points=11)
         assert at.manifold_deflection(cloud) <= est.sup_norm + 1e-10
 
-    def test_decays_with_diffusion(self):
+    def test_decays_with_diffusion(self, tanh_cloud):
         # short transients leave measurable mean-free content that dies out
         # faster than d^{-1/2}: nonincreasing with log-log slope <= -0.4
         basis = sp.build_basis(DOM, 16)
         values = []
         for d in (1.0, 2.0, 4.0, 8.0):
             E = sp.diffusion([d])
-            cloud = at.attractor_pde(E, TANH2, basis, n_tails=6, t_trans=0.5, seed=5)
+            cloud = at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=6, t_trans=0.5,
+                                     seed=5)
             values.append(at.manifold_deflection(cloud))
         values = np.array(values)
         assert np.all(np.diff(values) < 0)

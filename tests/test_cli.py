@@ -109,7 +109,6 @@ _BY_TYPE = {bool: st.booleans(), int: st.integers(-10**6, 10**6), float: _FINITE
 _VALID = {
     ("domain", "components"): st.integers(1, 8),
     ("domain", "modes"): st.integers(2, 512),
-    ("domain", "quad_points"): st.none() | st.integers(2 * 512 + 2, 10**6),
     ("diffusion", "m0"): st.none() | st.floats(1e-9, 1e-6),  # at most every drawn eps
     ("sweep", "d_eps"): st.lists(_POSITIVE, min_size=4, max_size=9, unique=True)
                           .map(sorted).map(tuple),
@@ -168,6 +167,13 @@ _TINY = {
                 "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
                 "[manifold]\ngrid_points = 5\niterations = 2\n",
 }
+# a nonlinearity reads only its own parameters: decay studies that read the
+# parameters tanh does not
+_OTHER_F = [
+    "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,8\n[nonlinearity]\nname = saturated_cubic\n",
+    "[domain]\nmodes = 8\ncomponents = 2\n[sweep]\nd_eps = 1,2,4,8\n"
+    "[nonlinearity]\nname = coupled_tanh\n",
+]
 
 
 class TestEveryKeyRead:
@@ -194,8 +200,8 @@ class TestEveryKeyRead:
         (commands,) = [action.choices for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction)]
         assert set(_TINY) == set(commands) - {"report"}
-        for name, text in _TINY.items():
-            code = cli.main([name, "-c", write(tmp_path / f"{name}.ini", text), "--quiet",
+        for i, (name, text) in enumerate([*_TINY.items(), *(("decay", t) for t in _OTHER_F)]):
+            code = cli.main([name, "-c", write(tmp_path / f"{i}-{name}.ini", text), "--quiet",
                              "--out-root", str(tmp_path / "runs")])
             assert code in (0, 1), name
         capsys.readouterr()

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -380,7 +379,8 @@ class TestEtdStepperProperties:
     @given(case=stepper_cases(), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
            per_row=st.booleans(), zero=st.booleans(), steps=st.integers(1, 6))
     def test_batch_step_equals_row_steps(self, case, rows, seed, per_row, zero, steps):
-        # per_row: every row steps under its own E and dt, with its own running time
+        # per_row: every row steps under its own E and dt, with its own running time,
+        # and the mean-free energy of the batch with stacked gains is each row's own
         basis, E, F, dt = case
         F = dyn.zero_nonlinearity() if zero else F
         rng = np.random.default_rng(seed)
@@ -397,12 +397,14 @@ class TestEtdStepperProperties:
         step = dyn.EtdStepper(basis, Es, F, dts).step
         batch, t = dyn.propagate(step, c, dts, steps * dts)
         assert batch.shape == c.shape and t.shape == (rows,)
+        energy = sp.mean_free_energy(batch, np.array([e.gains(basis) for e in Es]))
         with pytest.raises(ValueError, match="cannot retire"):  # its weights would misalign
             dyn.propagate(step, c, dts, steps * dts, 1, lambda b, t: np.arange(rows) > 0)
         for i in range(rows):
             alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]).step, c[i],
                                            dts[i], steps * dts[i])
             assert np.array_equal(batch[i], alone) and t[i] == t_alone
+            assert energy[i] == sp.mean_free_energy(alone, Es[i].gains(basis))
 
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
@@ -505,8 +507,8 @@ class TestDecayFit:
         E = sp.diffusion([2.0])
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, amplitude=0.5)
         traj = dyn.evolve_pde(u0, E, dyn.zero_nonlinearity(), T=1.5, dt=1e-3, stride=10)
-        fit = dyn.decay_rate_fit(traj)
         lam2 = E.second_eigenvalue(basis)
+        fit = dyn.decay_rate_fit(traj.times, traj.w_xhalf, lam2)
         assert abs(fit.fitted_rate - lam2) / lam2 < 1e-3
         assert fit.residual < 1e-8
 
@@ -517,12 +519,13 @@ class TestDecayFit:
         u0 = sp.constant_field([1.8], basis) + sp.mode_field(basis, 1, amplitude=0.3)
         traj = dyn.evolve_pde(u0, E, F, T=1.5, dt=1e-3, stride=10)
         consts = dyn.compute_M_and_mu(E, basis, horizon=10.0)
-        fit = dyn.decay_rate_fit(traj, mu=consts.mu)
+        lam2 = E.second_eigenvalue(basis)
+        fit = dyn.decay_rate_fit(traj.times, traj.w_xhalf, lam2, mu=consts.mu)
         assert fit.fitted_rate >= fit.theoretical_rate
         # |Q|_L2 per sample: the mean-free modes of the projected F(u)
         q = np.array([np.sqrt(np.sum(pseudospectral_F(sp.SpectralField(c, basis), F)[:, 1:] ** 2))
                       for c in traj.coeffs])
-        fit_q = dyn.decay_rate_fit(dataclasses.replace(traj, w_xhalf=q), mu=consts.mu)
+        fit_q = dyn.decay_rate_fit(traj.times, q, lam2, mu=consts.mu)
         assert fit_q.fitted_rate >= fit_q.theoretical_rate
 
     def test_constant_quantity(self):
@@ -530,9 +533,8 @@ class TestDecayFit:
         E = sp.diffusion([1.0])
         traj = dyn.evolve_pde(sp.constant_field([1.0], basis), E, dyn.zero_nonlinearity(),
                               T=1.0, dt=1e-2, stride=10)
-        fake = dyn.Trajectory(times=traj.times, coeffs=traj.coeffs, basis=basis,
-                              diffusion=E, v=traj.v, w_xhalf=np.full_like(traj.times, 0.7))
-        fit = dyn.decay_rate_fit(fake)
+        fit = dyn.decay_rate_fit(traj.times, np.full_like(traj.times, 0.7),
+                                 E.second_eigenvalue(basis))
         assert fit.fitted_rate == pytest.approx(0.0, abs=1e-14)
         assert fit.residual == pytest.approx(0.0, abs=1e-14)
 
@@ -541,7 +543,7 @@ class TestDecayFit:
         E = sp.diffusion([64.0])
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, amplitude=0.5)
         traj = dyn.evolve_pde(u0, E, dyn.zero_nonlinearity(), T=5.0, dt=1e-3, stride=10)
-        fit = dyn.decay_rate_fit(traj)
-        assert fit.truncated
         lam2 = E.second_eigenvalue(basis)
+        fit = dyn.decay_rate_fit(traj.times, traj.w_xhalf, lam2)
+        assert fit.truncated
         assert abs(fit.fitted_rate - lam2) / lam2 < 1e-3

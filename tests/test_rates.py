@@ -153,11 +153,33 @@ class TestRunSweep:
                 expected.append(f"{d:.17g},nan,failed: BlowUpError: {err}")
                 continue
             mu = dyn.compute_M_and_mu(E, basis, horizon=10.0).mu
-            expected.append(f"{d:.17g},{dyn.decay_rate_fit(traj, mu=mu).fitted_rate:.17g},ok")
+            fit = dyn.decay_rate_fit(traj.times, traj.w_xhalf, E.second_eigenvalue(basis), mu=mu)
+            expected.append(f"{d:.17g},{fit.fitted_rate:.17g},ok")
         assert expected[1] == ("1,nan,failed: BlowUpError: trajectory blew up at t=3.06911 "
                                "(coefficient norm 1e+08)")
         assert all(row.endswith(",ok") for row in expected[2:])
         assert open(record.paths["points"]).read().splitlines() == expected
+
+    def test_decay_blow_up_in_the_first_step(self, tmp_path):
+        # d = 1 blows up in the batch's first step, before the rows have their own times
+        d_values = (1.0, 2.0, 64.0, 1e6)
+        params = {"modes": 8, "components": 1, "nonlinearity": {"name": "linear", "c": 1e7},
+                  "m_horizon": 10.0}
+        with pytest.raises(rt.FitError):
+            rt.run_sweep(rt.SweepConfig("w_decay_rate", d_values, params=params),
+                         out_root=tmp_path)
+        basis = sp.build_basis(sp.DomainSpec(), 8)
+        u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, 0.5)
+        expected = ["d_eps,value,status"]
+        for d in d_values:
+            E = sp.diffusion([d])
+            T = 40.0 / E.second_eigenvalue(basis)
+            with pytest.raises(dyn.BlowUpError) as err:
+                dyn.evolve_pde(u0, E, dyn.linear_nonlinearity(1e7), T=T, dt=T / 2000, stride=5)
+            expected.append(f"{d:.17g},nan,failed: BlowUpError: {err.value}")
+        assert expected[1].startswith("1,nan,failed: BlowUpError: trajectory blew up at t=0 ")
+        (points,) = tmp_path.glob("*/points.csv")
+        assert points.read_text().splitlines() == expected
 
     def test_timings_of_every_stage(self, tmp_path):
         _, record = rt.run_sweep(rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0)),
