@@ -18,7 +18,10 @@ PDE-vs-ODE deviation rather than mesh placement artifacts.
 
 Arcs, tails and long-time seeds run through `dynamics.propagate`, so a
 duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
-ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.
+ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Every
+arc, ODE or PDE, is shot by `_shoot_arcs`; `attractor_pde` given the d of a
+sweep shoots the arcs of every d in one batch and steps the tails of every
+d in one more, each row under its own exact propagator.
 
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
@@ -44,12 +47,14 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .dynamics import (
+    BlowUpError,
     EtdStepper,
     Nonlinearity,
     _galerkin_F,
     _rk4_step,
     _step_count,
     compute_M_and_mu,
+    contain_blow_up,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
     propagate,
 )
@@ -269,41 +274,95 @@ def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
     return directions
 
 
-def _shoot_arcs(step, starts, dt: float, sample_dt: float, horizon: float, targets,
-                stop_ball: float, check=None) -> list[np.ndarray]:
-    """Shoot every row of `starts` in lockstep until it stops; return all samples.
+def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, targets,
+                stop_ball: float, check=None, groups=None):
+    """Shoot every row of `starts` in lockstep until it stops; return each row's samples.
 
-    `step(batch, t)` advances the rows still active by `dt`.  Every
-    `sample_dt` each active row is passed to `check(row, t)`, sampled, and
-    retired once it lies within `stop_ball` of a target; the others run until
-    the horizon.  Samples come back row by row, each led by its start state,
-    the order in which shooting one row at a time would produce them.
+    `stepper.step(batch, t)` advances the rows still active by `dt`, and
+    `stepper.rows(keep)` is the stepper of the rows `keep` marks, swapped in
+    when rows retire.  Every `sample_dt` each active row is passed to
+    `check(row, t)`, sampled, and retired once it lies within `stop_ball` of
+    one of its own targets (`targets[i]`, a list of states, for row i); the
+    others run until the horizon.  Row i belongs to group `groups[i]` (all
+    to group 0 by default): a blow-up fails the groups of the rows that blew
+    up (`contain_blow_up`), and their rows retire at the next sample.
+
+    Returns (samples, failed).  `samples[i]` holds row i's samples, led by
+    its start state, exactly as shooting the row alone would produce them;
+    `failed` maps each failed group to its BlowUpError.
     """
-    samples = [[row.copy()] for row in starts]
-    active = np.arange(len(starts))
+    starts = np.array(starts, dtype=float)
+    rows = len(starts)
+    groups = np.zeros(rows, dtype=int) if groups is None else np.asarray(groups)
+    stride = max(1, round(sample_dt / dt))
+    # one buffer per row, sized for the whole horizon; only the pages the
+    # samples fill are ever touched, and each row's buffer is freed on its own
+    samples = [np.empty((_step_count(horizon, dt) // stride + 1,) + starts.shape[1:])
+               for _ in range(rows)]
+    for buffer, start in zip(samples, starts):
+        buffer[0] = start
+    counts = np.zeros(rows, dtype=int)  # set as each row retires
+    taken = 1  # samples of every active row
+    # every row's targets in one (rows, targets, state size) array; an
+    # absent target lies at infinity
+    ends = np.full((rows, max(map(len, targets), default=0), starts[0].size), np.inf)
+    for i, own in enumerate(targets):
+        if own:
+            ends[i, :len(own)] = np.reshape(own, (len(own), -1))
+    near_limit = (2.0 * stop_ball) ** 2
+    active = np.arange(rows)
+    current = stepper
+    failed = {}
+
+    def step(batch, t):
+        try:
+            return current.step(batch, t)
+        except BlowUpError as err:
+            return contain_blow_up(err, t, groups[active], failed)
 
     def sample(batch, t):
-        nonlocal active
-        running = np.ones(active.size, dtype=bool)
-        for i, row in enumerate(batch):
+        nonlocal active, current, ends, taken
+        for r, row in zip(active, batch):
             if check is not None:
                 check(row, t)
-            samples[active[i]].append(row.copy())
-            running[i] = not any(np.linalg.norm(row - tgt) < stop_ball for tgt in targets)
-        active = active[running]
+            samples[r][taken] = row
+        taken += 1
+        # a screen far wider than the rounding of either norm sends only the
+        # rows near a target to the exact per-target test
+        gaps = batch.reshape(len(batch), 1, -1) - ends
+        near = np.einsum("ijk,ijk->ij", gaps, gaps) < near_limit
+        if not failed and not near.any():
+            return None
+        running = ~np.isin(groups[active], list(failed))
+        for i in np.flatnonzero(near.any(axis=1) & running):
+            running[i] = not any(np.linalg.norm(batch[i] - tgt) < stop_ball
+                                 for tgt in targets[active[i]])
+        if not running.all():
+            counts[active[~running]] = taken
+            active, ends = active[running], ends[running]
+            current = current.rows(running)
         return running
 
-    propagate(step, np.array(starts, dtype=float), dt, horizon,
-              max(1, round(sample_dt / dt)), sample)
-    return [point for row in samples for point in row]
+    propagate(step, starts, dt, horizon, stride, sample)
+    counts[active] = taken
+    return [buffer[:count] for buffer, count in zip(samples, counts)], failed
 
 
-def _ode_step(F: Nonlinearity, dt: float):
-    """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first)."""
-    def rhs(u):
-        return -u + F(u)
+class _OdeStepper:
+    """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first).
 
-    return lambda batch, t: _rk4_step(batch.T, dt, rhs).T
+    Its rows share everything, so it serves any subset of them.
+    """
+
+    def __init__(self, F: Nonlinearity, dt: float):
+        self.dt = dt
+        self.rhs = lambda u: -u + F(u)
+
+    def step(self, batch, t):
+        return _rk4_step(batch.T, self.dt, self.rhs).T
+
+    def rows(self, keep):
+        return self
 
 
 def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
@@ -331,8 +390,10 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
 
     starts = [base + sign * ARC_OFFSET * direction
               for direction in directions for sign in (+1.0, -1.0)]
-    return np.array(_shoot_arcs(_ode_step(F, dt), starts, dt, sample_dt, horizon,
-                                [o.vector() for o in others], STOP_BALL, inside_box))
+    ends = [o.vector() for o in others]
+    arcs, _ = _shoot_arcs(_OdeStepper(F, dt), starts, dt, sample_dt, horizon,
+                          [ends] * len(starts), STOP_BALL, inside_box)
+    return np.concatenate(arcs)
 
 
 @dataclass
@@ -353,6 +414,7 @@ class AttractorCloud:
     basis: CosineBasis | None = None
     diffusion: DiffusionSpec | None = None
     equilibria: list = field(default_factory=list)
+    _resolution: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -383,13 +445,17 @@ class AttractorCloud:
 
         Never reported below the builder's quantization floor (e.g. the dedup
         cell of long-time sampling), which bounds the cloud's accuracy even
-        when the surviving points happen to sit close together.
+        when the surviving points happen to sit close together.  Computed
+        once per cloud: a cloud is not changed after it is built.
         """
-        floor = float(self.meta.get("resolution_floor", 0.0))
-        if len(self) < 2:
-            return floor
-        emb = self.embedded()
-        return max(_farthest_nearest(emb, emb, skip_self=True), floor)
+        if self._resolution is None:
+            floor = float(self.meta.get("resolution_floor", 0.0))
+            if len(self) < 2:
+                self._resolution = floor
+            else:
+                emb = self.embedded()
+                self._resolution = max(_farthest_nearest(emb, emb, skip_self=True), floor)
+        return self._resolution
 
 
 def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
@@ -455,7 +521,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         if next(step_index) >= burn:
             collected.append(batch.copy())
 
-    propagate(_ode_step(F, dt), v.T, dt, t_end, stride, sample)
+    propagate(_OdeStepper(F, dt).step, v.T, dt, t_end, stride, sample)
     points = np.concatenate(collected, axis=0)
     cells = np.round(points / dedup_cell).astype(np.int64)
     _, keep = np.unique(cells, axis=0, return_index=True)
@@ -554,20 +620,9 @@ def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec,
     return directions
 
 
-def _pde_manifold_arc(eq: EquilibriumPoint, E: DiffusionSpec, F: Nonlinearity,
-                      others, offset: float, dt: float, sample_dt: float,
-                      stop_ball: float, horizon: float) -> np.ndarray:
-    stepper = EtdStepper(eq.location.basis, E, F, dt)
-    starts = [eq.location.coeffs + sign * offset * direction
-              for direction in _pde_unstable_directions(eq, E, F) for sign in (+1.0, -1.0)]
-    return np.array(_shoot_arcs(stepper.step, starts, dt, sample_dt, horizon,
-                                [o.location.coeffs for o in others], stop_ball))
-
-
-def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
-                  ode_cloud: AttractorCloud, n_tails: int = 24, w_amplitude: float = 0.1,
-                  t_trans: float = 1.0, dt: float = 1e-3, sample_dt: float = 1e-2,
-                  seed: int = 0) -> AttractorCloud:
+def attractor_pde(E, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCloud,
+                  n_tails: int = 24, w_amplitude: float = 0.1, t_trans: float = 1.0,
+                  dt: float = 1e-3, sample_dt: float = 1e-2, seed: int = 0):
     """PDE attractor cloud: equilibria + shot unstable manifolds + tail states.
 
     `ode_cloud` must come from `attractor_ode`: its equilibria, lifted to
@@ -578,40 +633,99 @@ def attractor_pde(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     estimates control (`t_trans = 0` keeps them as drawn).  `t_trans` and
     `sample_dt` should stay commensurate so tails stay synchronized with the
     arc sampling of the reference ODE cloud.
+
+    Given one DiffusionSpec, returns its cloud.  Given a sequence of them
+    (the d of a sweep), builds every cloud in one lockstep flow: after each
+    E's Newton solve, one `propagate` steps the arc rows of every E (E x
+    equilibrium x direction x sign), each under its own exact propagator,
+    and one more steps the tail rows of every E.  A row steps bit for bit as
+    it would alone, so each cloud equals the one its E builds alone.  Returns
+    one entry per E: its cloud, or the error that failed that E only (its
+    Newton solve, or a blow-up of its rows, with its own time and norm).
     """
-    equilibria = find_equilibria_pde(
-        E, F, [constant_field(eq.vector(), basis) for eq in ode_cloud.equilibria])
+    if isinstance(E, DiffusionSpec):
+        (cloud,) = attractor_pde([E], F, basis, ode_cloud, n_tails, w_amplitude, t_trans,
+                                 dt, sample_dt, seed)
+        if isinstance(cloud, Exception):
+            raise cloud
+        return cloud
 
-    points = [eq.location.coeffs for eq in equilibria]
-    provenance = ["equilibrium"] * len(points)
-
-    for eq in equilibria:
-        if eq.unstable_count == 0 or not hyperbolicity_check(eq):
+    Es = list(E)
+    failed = {}
+    equilibria = {}
+    starts, owner, targets = [], [], []
+    seeds = [constant_field(eq.vector(), basis) for eq in ode_cloud.equilibria]
+    for i, Ei in enumerate(Es):
+        try:
+            eqs = find_equilibria_pde(Ei, F, seeds)
+            for eq in eqs:
+                if eq.unstable_count == 0 or not hyperbolicity_check(eq):
+                    continue
+                ends = [o.location.coeffs for o in eqs if o is not eq]
+                for direction in _pde_unstable_directions(eq, Ei, F):
+                    for sign in (+1.0, -1.0):
+                        starts.append(eq.location.coeffs + sign * ARC_OFFSET * direction)
+                        owner.append(i)
+                        targets.append(ends)
+        except (RuntimeError, ValueError) as err:  # what fails one point of a sweep
+            failed[i] = err
             continue
-        arc = _pde_manifold_arc(eq, E, F, [o for o in equilibria if o is not eq],
-                                ARC_OFFSET, dt, sample_dt, STOP_BALL, ARC_HORIZON)
-        points.extend(arc)
-        provenance.extend(["manifold_union"] * len(arc))
+        equilibria[i] = eqs
 
+    arcs = []
+    if starts:
+        stepper = EtdStepper(basis, [Es[i] for i in owner], F, dt)
+        arcs, blown = _shoot_arcs(stepper, starts, dt, sample_dt, ARC_HORIZON, targets,
+                                  STOP_BALL, groups=owner)
+        failed.update(blown)
+
+    alive = [i for i in range(len(Es)) if i not in failed]
     rng = np.random.default_rng(seed)
-    base_points = ode_cloud.points
-    if n_tails > 0:
-        pick = np.linspace(0, len(base_points) - 1, n_tails).astype(int)
-        kmax = min(8, basis.mode_count)
-        tails = np.zeros((n_tails, E.components, basis.mode_count + 1))
-        for c, idx in zip(tails, pick):
-            c[:, 0] = base_points[idx]
-            w = np.zeros_like(c)
-            w[:, 1:kmax + 1] = rng.standard_normal((E.components, kmax))
-            w *= w_amplitude / np.sqrt(np.sum(w**2))
-            c += w
-        points.extend(propagate(EtdStepper(basis, E, F, dt).step, tails, dt, t_trans)[0])
-        provenance.extend(["long_time_sampling"] * n_tails)
+    n, K1 = Es[0].components, basis.mode_count + 1
+    tails = np.zeros((n_tails, n, K1))
+    kmax = min(8, basis.mode_count)
+    for c, idx in zip(tails, np.linspace(0, len(ode_cloud) - 1, n_tails).astype(int)):
+        c[:, 0] = ode_cloud.points[idx]
+        w = np.zeros_like(c)
+        w[:, 1:kmax + 1] = rng.standard_normal((n, kmax))
+        w *= w_amplitude / np.sqrt(np.sum(w**2))
+        c += w
+    moved = {}
+    if n_tails > 0 and alive:
+        tail_owner = np.repeat(alive, n_tails)
+        stepper = EtdStepper(basis, [Es[i] for i in tail_owner], F, dt)
+        blown = {}
 
-    meta = {"F": F.name, "params": F.params, "d_eps": E.d_eps, "K": basis.mode_count,
-            "t_trans": t_trans, "w_amplitude": w_amplitude, "n_tails": n_tails,
-            "sample_dt": sample_dt}
-    return AttractorCloud(np.array(points), "pde", provenance, meta, basis=basis, diffusion=E)
+        def step(c, t):
+            try:
+                return stepper.step(c, t)
+            except BlowUpError as err:
+                return contain_blow_up(err, t, tail_owner, blown)
+
+        batch, _ = propagate(step, np.concatenate([tails] * len(alive)), dt, t_trans)
+        failed.update(blown)
+        moved = {i: batch[k * n_tails:(k + 1) * n_tails] for k, i in enumerate(alive)}
+
+    clouds = []
+    for i, Ei in enumerate(Es):
+        own = [r for r, o in enumerate(owner) if o == i]
+        if i in failed:
+            clouds.append(failed[i])
+        else:
+            eqs = equilibria[i]
+            parts = [np.array([eq.location.coeffs for eq in eqs]), *(arcs[r] for r in own),
+                     moved.get(i, tails)]
+            provenance = (["equilibrium"] * len(eqs)
+                          + ["manifold_union"] * sum(len(arcs[r]) for r in own)
+                          + ["long_time_sampling"] * n_tails)
+            meta = {"F": F.name, "params": F.params, "d_eps": Ei.d_eps, "K": basis.mode_count,
+                    "t_trans": t_trans, "w_amplitude": w_amplitude, "n_tails": n_tails,
+                    "sample_dt": sample_dt}
+            clouds.append(AttractorCloud(np.concatenate(parts), "pde", provenance, meta,
+                                         basis=basis, diffusion=Ei))
+        for r in own:
+            arcs[r] = None  # free each row's samples once its cloud holds them
+    return clouds
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,16 @@ Every sampled flow (`evolve_pde`, manifold arcs, perturbed tails, long-time
 ODE seeds, the decay sweep) runs through `propagate`, one lockstep loop over
 a batch: a duration T takes the ceil(T/dt - 1e-9) whole steps of dt that
 cover it.  The linear part is diagonal, so the rows of one ETD batch may each
-carry their own exact propagator and dt (one per swept d) while they share
-one batched evaluation of F; each row then keeps its own running time.
+carry their own exact propagator (one per swept d) while they share one
+batched evaluation of F.  Rows that share dt share the running time and may
+retire (the arcs and tails of every d of an attractor sweep); rows with
+their own dt each keep their own running time (the decay sweep).
+`contain_blow_up` fails only the group of rows (one d) that blew up.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ __all__ = [
     "compute_M_and_mu",
     "mu_from_M",
     "EtdStepper",
+    "contain_blow_up",
     "propagate",
     "evolve_pde",
     "evolve_ode",
@@ -350,25 +355,39 @@ class EtdStepper:
 
     Precomputes the exact linear propagator exp(-dt A) and the phi-function
     weights.  Given one DiffusionSpec and a scalar dt they serve a state or
-    every row of a batch.  Given a sequence of m DiffusionSpecs and m time
-    steps, the stepper stacks their gains: row i of an (m, n, K+1) batch
-    steps under its own E and dt, bit for bit as a scalar stepper would step
-    it alone, while all rows share one batched evaluation of F.  `step`
-    advances a coefficient array and checks for blow-up.
+    every row of a batch.  Given a sequence of m DiffusionSpecs, and a scalar
+    dt or m of them, the stepper stacks their gains: row i of an (m, n, K+1)
+    batch steps under its own E (and dt), bit for bit as a scalar stepper
+    would step it alone, while all rows share one batched evaluation of F.
+    `step` advances a coefficient array and checks for blow-up; `rows` gives
+    the stepper of a subset of the rows.
     """
 
     def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt):
         dt = np.asarray(dt, dtype=float)
-        if isinstance(E, DiffusionSpec) != (dt.ndim == 0) or (dt.ndim and len(E) != len(dt)):
-            raise ValueError("give one diffusion and a scalar dt, or one of each per row")
+        per_row = not isinstance(E, DiffusionSpec)
+        if dt.ndim and (not per_row or len(E) != len(dt)):
+            raise ValueError("give a scalar dt, or one dt per row with one diffusion per row")
         if np.any(dt <= 0):
             raise ValueError("dt must be positive")
         self.basis = basis
         self.nonlinearity = F
-        gains = np.array([e.gains(basis) for e in E]) if dt.ndim else E.gains(basis)
+        gains = np.array([e.gains(basis) for e in E]) if per_row else E.gains(basis)
         h = dt[..., None, None]
         z = -h * gains
         self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
+
+    def rows(self, keep) -> "EtdStepper":
+        """The stepper of the rows that `keep` (a mask or indices) selects.
+
+        Shared weights serve any rows, so a stepper built from one
+        DiffusionSpec returns itself.
+        """
+        if self.exp_full.ndim == 2:
+            return self
+        kept = copy.copy(self)
+        kept.exp_full, kept.w1, kept.w2 = self.exp_full[keep], self.w1[keep], self.w2[keep]
+        return kept
 
     def step(self, c: np.ndarray, t_now=0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
@@ -385,6 +404,30 @@ class EtdStepper:
         if not np.isfinite(top) or top > BLOWUP_LIMIT:
             raise BlowUpError(float(np.min(t_now)), top, c)
         return c
+
+
+def contain_blow_up(err: BlowUpError, t, groups, failed: dict) -> np.ndarray:
+    """Fail only the groups whose rows blew up in a batched step; return the batch.
+
+    `err` comes from `EtdStepper.step` on a batch whose row i belongs to
+    group `groups[i]` (an int, such as the index of its d), and `t` is the
+    time before that step, shared or one per row.  Each group with a row
+    above BLOWUP_LIMIT, or NaN, that has not failed before gets in `failed`
+    the BlowUpError it would raise stepped alone: its own time and the
+    max|c| over its own rows.  Those groups' rows are zeroed in the step's
+    result, which is returned, so the batch steps on with them as ballast
+    until the caller retires them.
+    """
+    c = err.state
+    tops = np.max(np.abs(c), axis=(-2, -1))
+    groups = np.asarray(groups)
+    t = np.broadcast_to(t, tops.shape)  # a scalar before the first step
+    for group in np.unique(groups[~(tops <= BLOWUP_LIMIT)]):  # NaN rows too
+        rows = groups == group
+        if int(group) not in failed:
+            failed[int(group)] = BlowUpError(float(t[rows][0]), float(np.max(tops[rows])))
+        c[rows] = 0.0
+    return c
 
 
 def _step_count(T, dt) -> int:
@@ -408,8 +451,10 @@ def propagate(step, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
     same number of steps, and t is the vector of their running times.  After
     every `stride`-th step the new batch and time go to `sample(batch, t)`; a
     boolean mask it returns over the rows (axis 0) retires the rows marked
-    False, and the flow stops once none is left.  Rows with their own dt
-    cannot retire.  Returns the rows still running and the final time.
+    False, and the flow stops once none is left; a `step` with per-row
+    weights must then step only the kept rows (`EtdStepper.rows`).  Rows
+    with their own dt cannot retire.  Returns the rows still running and the
+    final time.
     """
     t = 0.0
     for k in range(1, _step_count(T, dt) + 1):

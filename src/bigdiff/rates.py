@@ -3,10 +3,12 @@
 Every convergence claim in the package reduces to "quantity(d) decays at
 least like d^(-1/2)".  The harness hands the whole sweep of d values to the
 quantity's measurement, which returns each point's value or the error that
-failed it (the decay rate steps every d as one ETD batch; the other
-quantities measure one d at a time through `per_point`).  It fits ordinary
-least squares on (log d, log value) and persists a run directory containing
-the raw points, the fit, plain two-column plot data, and a JSON run record.
+failed it.  The decay rate steps every d as one ETD batch, and the
+hausdorff and deflection sweeps build the PDE clouds of every d in one
+batch (`attractors.attractor_pde`); resolvent_gap and graph_sup measure one
+d at a time through `per_point`.  It fits ordinary least squares on
+(log d, log value) and persists a run directory containing the raw points,
+the fit, plain two-column plot data, and a JSON run record.
 `open_run` is the one run lifecycle, of the sweeps here and of the CLI's
 other studies.  Identical config + seed reproduces every CSV byte for byte
 (per-point seeds are spawned from the master seed by index, and a row of a
@@ -197,8 +199,8 @@ def _measure_decay(ds, ctx, point_seeds):
     """Evolve 1 + 0.5 phi_1 at every d as one ETD batch, each row with its own E and dt.
 
     Each row keeps only its sampled times and mean-free energy.  A row that
-    blows up fails its own d, with its own time and norm: it is zeroed in
-    the step's result and stepped on as ballast, so the other rows run
+    blows up fails its own d, with its own time and norm, and steps on as
+    zeroed ballast (`dynamics.contain_blow_up`), so the other rows run
     unchanged.
     """
     basis, n = ctx["basis"], ctx["n"]
@@ -210,20 +212,14 @@ def _measure_decay(ds, ctx, point_seeds):
     u0 = constant_field([_DECAY_V0] * n, basis) + mode_field(basis, 1, _DECAY_MODE_AMP,
                                                              components=n)
     stepper = _dynamics.EtdStepper(basis, Es, ctx["F"], dt)
+    rows = np.arange(len(Es))  # each row is its own group
     failed = {}
 
     def step(c, t):
         try:
             return stepper.step(c, t)
         except _dynamics.BlowUpError as err:
-            c = err.state
-            tops = np.max(np.abs(c), axis=(-2, -1))
-            bad = ~(tops <= _dynamics.BLOWUP_LIMIT)  # NaN rows too
-            t = np.broadcast_to(t, tops.shape)  # a scalar before the first step
-            for i in np.flatnonzero(bad):
-                failed.setdefault(i, _dynamics.BlowUpError(float(t[i]), float(tops[i])))
-            c[bad] = 0.0
-            return c
+            return _dynamics.contain_blow_up(err, t, rows, failed)
 
     batch = np.stack([u0.coeffs] * len(Es))
     times, w = [np.zeros(len(Es))], [mean_free_energy(batch, gains)]
@@ -271,17 +267,35 @@ def _prepare_deflection(seed, *, modes, components, nonlinearity, n_tails, w_amp
             "tail_seed": seed}
 
 
-def _pde_cloud(E, ctx):
-    return _attractors.attractor_pde(E, ctx["F"], ctx["basis"], ode_cloud=ctx["ode_cloud"],
-                                     n_tails=ctx["n_tails"],
-                                     w_amplitude=ctx["w_amplitude"],
-                                     t_trans=ctx["t_trans"], dt=ctx["arc_dt"],
-                                     sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
+def _each_cloud(ds, ctx, measure):
+    """`measure(E, cloud)` at each d, on the PDE clouds of every d built in one batch.
+
+    A d whose cloud failed, or whose measure raises a point error, fails alone.
+    """
+    Es = [diffusion([d] * ctx["n"]) for d in ds]
+    clouds = _attractors.attractor_pde(Es, ctx["F"], ctx["basis"], ode_cloud=ctx["ode_cloud"],
+                                       n_tails=ctx["n_tails"], w_amplitude=ctx["w_amplitude"],
+                                       t_trans=ctx["t_trans"], dt=ctx["arc_dt"],
+                                       sample_dt=ctx["sample_dt"], seed=ctx["tail_seed"])
+    results = []
+    for i, E in enumerate(Es):
+        cloud, clouds[i] = clouds[i], None  # each cloud is freed once measured
+        if isinstance(cloud, _POINT_ERRORS):
+            results.append(cloud)
+            continue
+        try:
+            results.append(measure(E, cloud))
+        except _POINT_ERRORS as err:
+            results.append(err)
+    return results
 
 
-def _measure_deflection(d, ctx, point_seed):
-    value = _attractors.manifold_deflection(_pde_cloud(diffusion([d] * ctx["n"]), ctx))
-    return value, {"deflection": value, "scaled": value * np.sqrt(d)}
+def _measure_deflection(ds, ctx, point_seeds):
+    def measure(E, cloud):
+        value = _attractors.manifold_deflection(cloud)
+        return value, {"deflection": value, "scaled": value * np.sqrt(E.d_eps)}
+
+    return _each_cloud(ds, ctx, measure)
 
 
 def _prepare_hausdorff(seed, *, modes, components, nonlinearity, n_tails, w_amplitude,
@@ -291,16 +305,18 @@ def _prepare_hausdorff(seed, *, modes, components, nonlinearity, n_tails, w_ampl
     return {**_prepare_deflection(seed, **cloud), "m_horizon": float(m_horizon)}
 
 
-def _measure_hausdorff(d, ctx, point_seed):
+def _measure_hausdorff(ds, ctx, point_seeds):
     basis = ctx["basis"]
-    E = diffusion([d] * ctx["n"])
-    cloud = _pde_cloud(E, ctx)
-    res = _attractors.hausdorff_distance(cloud, ctx["ode_cloud"], E, basis)
-    consts = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"])
-    threshold_met = E.d_eps * basis.lambda1 > consts.mu - 1.0
-    return res.sym, {"a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
-                     "resolution": max(res.resolution_a, res.resolution_b),
-                     "mu": consts.mu, "threshold_met": float(threshold_met)}
+
+    def measure(E, cloud):
+        res = _attractors.hausdorff_distance(cloud, ctx["ode_cloud"], E, basis)
+        consts = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"])
+        threshold_met = E.d_eps * basis.lambda1 > consts.mu - 1.0
+        return res.sym, {"a_to_b": res.a_to_b, "b_to_a": res.b_to_a,
+                         "resolution": max(res.resolution_a, res.resolution_b),
+                         "mu": consts.mu, "threshold_met": float(threshold_met)}
+
+    return _each_cloud(ds, ctx, measure)
 
 
 def _prepare_graph(seed, *, modes, components, nonlinearity, grid_points, iters,
@@ -332,8 +348,8 @@ def _measure_graph(d, ctx, point_seed):
 QUANTITIES = {
     "resolvent_gap": (-0.5, _prepare_resolvent, per_point(_measure_resolvent)),
     "w_decay_rate": (float("nan"), _prepare_decay, _measure_decay),
-    "hausdorff": (-0.5, _prepare_hausdorff, per_point(_measure_hausdorff)),
-    "deflection": (-0.5, _prepare_deflection, per_point(_measure_deflection)),
+    "hausdorff": (-0.5, _prepare_hausdorff, _measure_hausdorff),
+    "deflection": (-0.5, _prepare_deflection, _measure_deflection),
     "graph_sup": (-0.5, _prepare_graph, per_point(_measure_graph)),
 }
 

@@ -256,11 +256,14 @@ def mean_free_energy(coeffs: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Energy norm of the mean-free part (modes 1..K) of each (n, K+1) row of `coeffs`.
 
     `gains` is `E.gains(basis)` for every row, or those of one E per row
-    stacked to the shape of `coeffs`.
+    stacked to the shape of `coeffs`.  The one temporary is the squared copy,
+    which matters for the clouds of a whole sweep.
     """
     w = np.array(coeffs, dtype=float)
     w[..., 0] = 0.0
-    return np.sqrt(np.sum(gains * w**2, axis=(-2, -1)))
+    w *= w
+    w *= gains
+    return np.sqrt(np.sum(w, axis=(-2, -1)))
 
 
 def average_projection(f: SpectralField) -> np.ndarray:

@@ -292,6 +292,28 @@ class TestAttractorPDE:
         kinds = set(cloud.provenance)
         assert {"equilibrium", "manifold_union", "long_time_sampling"} <= kinds
 
+    def test_sweep_clouds_equal_one_d_clouds(self, tanh_cloud):
+        # below d* = 1/pi^2 the origin has 2 unstable directions, so d = 0.05
+        # shoots 4 arc rows and the other d 2; every row steps bit for bit as alone
+        basis = sp.build_basis(DOM, 16)
+        ode_cloud = at.attractor_ode(TANH2, sample_dt=2e-2)
+        Es = [sp.diffusion([d]) for d in (0.05, 0.25, 1.0, 4.0)]
+        settings = dict(n_tails=3, w_amplitude=0.3, t_trans=0.5, dt=1e-2, sample_dt=2e-2, seed=4)
+        clouds = at.attractor_pde(Es, TANH2, basis, ode_cloud, **settings)
+        assert len(clouds) == len(Es)
+        for E, cloud in zip(Es, clouds):
+            alone = at.attractor_pde(E, TANH2, basis, ode_cloud, **settings)
+            assert np.array_equal(cloud.points, alone.points)
+            assert cloud.provenance == alone.provenance and cloud.meta == alone.meta
+            assert cloud.diffusion is E
+        (origin,) = at.find_equilibria_pde(Es[0], TANH2, [sp.constant_field([0.0], basis)])
+        assert origin.stability == "unstable(2)"
+        arcs = [c.provenance.count("manifold_union") for c in clouds]
+        # the constant arcs do not depend on d; d = 0.05's two phi_1 arcs miss
+        # every constant equilibrium and run to the horizon
+        assert len(set(arcs[1:])) == 1
+        assert arcs[0] == arcs[1] + 2 * (1 + round(at.ARC_HORIZON / 2e-2))
+
     def test_zero_transport_time_keeps_the_drawn_tails(self):
         basis = sp.build_basis(DOM, 8)
         ode_cloud = at.attractor_ode(TANH2, dt=1e-2, sample_dt=2e-2)
@@ -377,9 +399,10 @@ class TestLockstepShooting:
                   for sign in (+1.0, -1.0)]
         oracle = arcs_one_at_a_time(stepper.step, starts, self.DT, 2, self.HORIZON,
                                     [top.location.coeffs], 1e-6)
-        got = at._pde_manifold_arc(origin, E, TANH2, [top], 1e-5, self.DT, self.SAMPLE_DT,
-                                   1e-6, self.HORIZON)
-        assert np.array_equal(got, oracle)
+        arcs, failed = at._shoot_arcs(stepper, starts, self.DT, self.SAMPLE_DT, self.HORIZON,
+                                      [[top.location.coeffs]] * len(starts), 1e-6)
+        got = np.concatenate(arcs)
+        assert not failed and np.array_equal(got, oracle)
         minus = next(i for i, c in enumerate(got) if i and np.array_equal(c, starts[1]))
         assert np.linalg.norm(got[minus - 1] - top.location.coeffs) < 1e-6
         assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
@@ -405,6 +428,30 @@ class TestLockstepShooting:
         minus = next(i for i, v in enumerate(got) if i and np.array_equal(v, starts[1]))
         assert np.linalg.norm(got[minus - 1] - top.vector()) < 1e-6
         assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
+
+    def test_blow_up_fails_only_its_own_group(self):
+        # linear F = 7u grows mode 0 like e^{6t}: group 1 starts at 1 and blows up
+        # near t = 3.07, between two samples; group 0 starts at 1e-12 and survives
+        basis = sp.build_basis(DOM, 8)
+        F = dyn.linear_nonlinearity(7.0)
+        Es = [sp.diffusion([1.0]), sp.diffusion([2.0])]
+        starts = [sp.constant_field([a], basis).coeffs + sp.mode_field(basis, 1, a).coeffs
+                  for a in (1e-12, -1e-12, 1.0, 0.5)]
+        groups = [0, 0, 1, 1]
+
+        def shoot(rows):
+            stepper = dyn.EtdStepper(basis, [Es[groups[r]] for r in rows], F, self.DT)
+            return at._shoot_arcs(stepper, [starts[r] for r in rows], self.DT, self.SAMPLE_DT,
+                                  5.0, [[]] * len(rows), 1e-6, groups=[groups[r] for r in rows])
+
+        arcs, failed = shoot([0, 1, 2, 3])
+        alone_arcs, alone_failed = shoot([0, 1])
+        assert not alone_failed and list(failed) == [1]
+        for got, alone in zip(arcs[:2], alone_arcs):
+            assert np.array_equal(got, alone) and len(got) == 1 + round(5.0 / self.SAMPLE_DT)
+        (error,) = shoot([2, 3])[1].values()
+        assert str(failed[1]) == str(error)
+        assert str(error).startswith("trajectory blew up at t=3.0")
 
     @pytest.mark.parametrize("first_nan_call", [7, 8])
     def test_nan_forcing_raises_at_its_step(self, first_nan_call):
@@ -569,10 +616,27 @@ class TestFarthestNearest:
             return cdist(a, b)
 
         monkeypatch.setattr(at, "cdist", counting_cdist)
-        assert len(tanh_cloud) > 2000 and len(longtime) > 2000
-        tanh_cloud.resolution()
-        at.hausdorff_distance(tanh_cloud, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
-        assert len(rows) == 5 and max(rows) <= 4
+        # a fresh copy, whose resolution no earlier test has computed
+        manifold = at.AttractorCloud(tanh_cloud.points, "ode", tanh_cloud.provenance)
+        assert len(manifold) > 2000 and len(longtime) > 2000
+        manifold.resolution()
+        at.hausdorff_distance(manifold, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
+        # two resolutions (the manifold's is not computed again) and two one-sided maxima
+        assert len(rows) == 4 and max(rows) <= 4
+
+    def test_resolution_is_computed_once_per_cloud(self, tanh_cloud, monkeypatch):
+        calls = []
+        farthest_nearest = at._farthest_nearest
+
+        def counting(query, ref, skip_self=False):
+            calls.append(len(query))
+            return farthest_nearest(query, ref, skip_self)
+
+        monkeypatch.setattr(at, "_farthest_nearest", counting)
+        cloud = at.AttractorCloud(tanh_cloud.points, "ode", tanh_cloud.provenance)
+        first = cloud.resolution()
+        assert calls == [len(cloud)]
+        assert cloud.resolution() == first and calls == [len(cloud)]
 
     def test_equally_spaced_cloud_settles_in_bounded_blocks(self, monkeypatch):
         # every row of a uniform grid ties at the maximum and goes to cdist;

@@ -437,23 +437,33 @@ class TestEtdStepperProperties:
 
 class TestPropagate:
     @settings(max_examples=60, deadline=None)
-    @given(case=stepper_cases(), rk4=st.booleans(), steps=st.integers(0, 24),
-           stride=st.integers(1, 4), retire=st.lists(st.none() | st.integers(1, 8),
-                                                     min_size=1, max_size=6),
+    @given(case=stepper_cases(), kind=st.sampled_from(["rk4", "etd", "etd_per_row"]),
+           steps=st.integers(0, 24), stride=st.integers(1, 4),
+           retire=st.lists(st.none() | st.integers(1, 8), min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1))
-    def test_batch_with_retiring_rows_equals_each_row_alone(self, case, rk4, steps, stride,
+    def test_batch_with_retiring_rows_equals_each_row_alone(self, case, kind, steps, stride,
                                                             retire, seed):
-        # row i retires at its retire[i]-th sample (None: never)
+        # row i retires at its retire[i]-th sample (None: never); with etd_per_row
+        # every row steps under its own E and the shared dt, and the stepper of the
+        # kept rows (EtdStepper.rows) replaces the batch's when rows retire
         basis, E, F, dt = case
         rng = np.random.default_rng(seed)
-        if rk4:
-            def step(batch, t):
+        if kind == "rk4":
+            def stepper_of(rows):
                 # rows are states; F takes the component axis first
-                return dyn._rk4_step(batch.T, dt, lambda u: -u + F(u)).T
+                return lambda batch, t: dyn._rk4_step(batch.T, dt, lambda u: -u + F(u)).T
 
             starts = rng.standard_normal((len(retire), E.components))
         else:
-            step = dyn.EtdStepper(basis, E, F, dt).step
+            Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in retire]
+
+            def stepper_of(rows):
+                if kind == "etd":
+                    return dyn.EtdStepper(basis, E, F, dt)
+                if len(rows) == 1:  # alone: a scalar stepper of the row's own E
+                    return dyn.EtdStepper(basis, Es[rows[0]], F, dt)
+                return dyn.EtdStepper(basis, [Es[i] for i in rows], F, dt)
+
             starts = 0.5 * rng.standard_normal((len(retire), E.components,
                                                 basis.mode_count + 1))
 
@@ -461,6 +471,10 @@ class TestPropagate:
             samples = {i: [] for i in rows}
             active = list(rows)
             taken = [0]
+            current = [stepper_of(active)]
+
+            def step(batch, t):
+                return current[0](batch, t) if kind == "rk4" else current[0].step(batch, t)
 
             def sample(batch, t):
                 taken[0] += 1
@@ -468,12 +482,14 @@ class TestPropagate:
                 for i, row in zip(active, batch):
                     samples[i].append((t, row))
                 active[:] = [i for i, k in zip(active, keep) if k]
+                if kind != "rk4":
+                    current[0] = current[0].rows(keep)
                 return keep
 
             final, _ = dyn.propagate(step, starts[list(rows)], dt, steps * dt, stride, sample)
             return samples, final
 
-        together, final = run(range(len(retire)))
+        together, final = run(list(range(len(retire))))
         survivors = [i for i, r in enumerate(retire) if r is None or r > steps // stride]
         assert len(final) == len(survivors)
         for i in range(len(retire)):
@@ -484,6 +500,17 @@ class TestPropagate:
                 assert t_a == t_b and np.array_equal(row_a, row_b)
             if i in survivors:
                 assert np.array_equal(final[survivors.index(i)], final_alone[0])
+
+    def test_kept_rows_keep_their_own_weights(self):
+        basis = sp.build_basis(DOM, 8)
+        Es = [sp.diffusion([d]) for d in (1.0, 2.0, 4.0)]
+        stepper = dyn.EtdStepper(basis, Es, dyn.tanh_pitchfork(2.0), 1e-2)
+        kept = stepper.rows(np.array([True, False, True]))
+        alone = dyn.EtdStepper(basis, Es[2], dyn.tanh_pitchfork(2.0), 1e-2)
+        assert kept.exp_full.shape == (2, 1, 9)
+        assert np.array_equal(kept.w2[1], alone.w2) and np.array_equal(kept.w1[0], stepper.w1[0])
+        shared = dyn.EtdStepper(basis, Es[0], dyn.tanh_pitchfork(2.0), 1e-2)
+        assert shared.rows(np.array([True, False])) is shared
 
 
 class TestEvolveODE:

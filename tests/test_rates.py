@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bigdiff import attractors as at
 from bigdiff import dynamics as dyn
 from bigdiff import rates as rt
 from bigdiff import spectral as sp
@@ -158,6 +159,44 @@ class TestRunSweep:
         assert expected[1] == ("1,nan,failed: BlowUpError: trajectory blew up at t=3.06911 "
                                "(coefficient norm 1e+08)")
         assert all(row.endswith(",ok") for row in expected[2:])
+        assert open(record.paths["points"]).read().splitlines() == expected
+
+    @pytest.mark.parametrize("failure", ["newton", "blow_up"])
+    def test_cloud_sweep_failure_fails_only_its_own_d(self, tmp_path, monkeypatch, failure):
+        # d = 2 fails in its Newton solve, or its arcs start 1e9 from the origin and
+        # blow up in the first step; its row reads as when d = 2 runs alone, and
+        # every other row as when that d runs alone
+        solve, directions = at.find_equilibria_pde, at._pde_unstable_directions
+
+        def failing_solve(E, F, seeds):
+            if E.d_eps == 2.0:
+                raise at.NoEquilibriaError("no PDE equilibrium found from the given seeds")
+            return solve(E, F, seeds)
+
+        def far_directions(eq, E, F):
+            return [(1e14 if E.d_eps == 2.0 else 1.0) * v for v in directions(eq, E, F)]
+
+        if failure == "newton":
+            monkeypatch.setattr(at, "find_equilibria_pde", failing_solve)
+        else:
+            monkeypatch.setattr(at, "_pde_unstable_directions", far_directions)
+        d_values = (1.0, 2.0, 4.0, 8.0, 16.0)
+        params = PARAMS["hausdorff"]
+        _, record = rt.run_sweep(rt.SweepConfig("hausdorff", d_values, params=params, seed=3),
+                                 out_root=tmp_path)
+        _, prepare, measure = rt.QUANTITIES["hausdorff"]
+        ctx = prepare(3, **params)
+        expected = ["d_eps,value,status"]
+        for d in d_values:
+            (alone,) = measure((d,), ctx, [0])
+            if isinstance(alone, Exception):
+                expected.append(f"{d:.17g},nan,failed: {type(alone).__name__}: {alone}")
+            else:
+                expected.append(f"{d:.17g},{alone[0]:.17g},ok")
+        assert expected[2].startswith("2,nan,failed: " + {
+            "newton": "NoEquilibriaError: no PDE equilibrium",
+            "blow_up": "BlowUpError: trajectory blew up at t=0 "}[failure])
+        assert sum(row.endswith(",ok") for row in expected) == 4
         assert open(record.paths["points"]).read().splitlines() == expected
 
     def test_decay_blow_up_in_the_first_step(self, tmp_path):
