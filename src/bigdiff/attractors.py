@@ -19,9 +19,10 @@ PDE-vs-ODE deviation rather than mesh placement artifacts.
 Arcs, tails and long-time seeds run through `dynamics.propagate`, so a
 duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
 ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Every
-arc, ODE or PDE, is shot by `_shoot_arcs`; `attractor_pde` given the d of a
-sweep shoots the arcs of every d in one batch and steps the tails of every
-d in one more, each row under its own exact propagator.
+arc, ODE or PDE, is shot by `_shoot_arcs`; `attractor_pde`, given the d of
+a sweep, shoots the arcs of every d in one batch and steps the tails of
+every d in one more, each row under its own exact propagator, and a
+blow-up fails only the d whose rows blew up (`EtdStepper.failed`).
 
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
@@ -47,14 +48,12 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .dynamics import (
-    BlowUpError,
     EtdStepper,
     Nonlinearity,
     _galerkin_F,
     _rk4_step,
     _step_count,
     compute_M_and_mu,
-    contain_blow_up,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
     propagate,
 )
@@ -275,25 +274,20 @@ def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
 
 
 def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, targets,
-                stop_ball: float, check=None, groups=None):
+                stop_ball: float, check=None):
     """Shoot every row of `starts` in lockstep until it stops; return each row's samples.
 
-    `stepper.step(batch, t)` advances the rows still active by `dt`, and
-    `stepper.rows(keep)` is the stepper of the rows `keep` marks, swapped in
-    when rows retire.  Every `sample_dt` each active row is passed to
-    `check(row, t)`, sampled, and retired once it lies within `stop_ball` of
-    one of its own targets (`targets[i]`, a list of states, for row i); the
-    others run until the horizon.  Row i belongs to group `groups[i]` (all
-    to group 0 by default): a blow-up fails the groups of the rows that blew
-    up (`contain_blow_up`), and their rows retire at the next sample.
+    `propagate` steps the rows with `stepper`.  Every `sample_dt` each
+    active row is passed to `check(row, t)`, sampled, and retired once it
+    lies within `stop_ball` of one of its own targets (`targets[i]`, a list
+    of states, for row i); the others run until the horizon.  The rows of a
+    d that blew up (`EtdStepper.failed`) retire at the next sample.
 
-    Returns (samples, failed).  `samples[i]` holds row i's samples, led by
-    its start state, exactly as shooting the row alone would produce them;
-    `failed` maps each failed group to its BlowUpError.
+    `samples[i]` holds row i's samples, led by its start state, exactly as
+    shooting the row alone would produce them.
     """
     starts = np.array(starts, dtype=float)
     rows = len(starts)
-    groups = np.zeros(rows, dtype=int) if groups is None else np.asarray(groups)
     stride = max(1, round(sample_dt / dt))
     # one buffer per row, sized for the whole horizon; only the pages the
     # samples fill are ever touched, and each row's buffer is freed on its own
@@ -311,17 +305,9 @@ def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, ta
             ends[i, :len(own)] = np.reshape(own, (len(own), -1))
     near_limit = (2.0 * stop_ball) ** 2
     active = np.arange(rows)
-    current = stepper
-    failed = {}
-
-    def step(batch, t):
-        try:
-            return current.step(batch, t)
-        except BlowUpError as err:
-            return contain_blow_up(err, t, groups[active], failed)
 
     def sample(batch, t):
-        nonlocal active, current, ends, taken
+        nonlocal active, ends, taken
         for r, row in zip(active, batch):
             if check is not None:
                 check(row, t)
@@ -331,21 +317,22 @@ def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, ta
         # rows near a target to the exact per-target test
         gaps = batch.reshape(len(batch), 1, -1) - ends
         near = np.einsum("ijk,ijk->ij", gaps, gaps) < near_limit
-        if not failed and not near.any():
+        if not stepper.failed and not near.any():
             return None
-        running = ~np.isin(groups[active], list(failed))
+        running = np.ones(len(active), dtype=bool)
+        if stepper.failed:
+            running = ~np.isin(stepper.owner[active], list(stepper.failed))
         for i in np.flatnonzero(near.any(axis=1) & running):
             running[i] = not any(np.linalg.norm(batch[i] - tgt) < stop_ball
                                  for tgt in targets[active[i]])
         if not running.all():
             counts[active[~running]] = taken
             active, ends = active[running], ends[running]
-            current = current.rows(running)
         return running
 
-    propagate(step, starts, dt, horizon, stride, sample)
+    propagate(stepper, starts, dt, horizon, stride, sample)
     counts[active] = taken
-    return [buffer[:count] for buffer, count in zip(samples, counts)], failed
+    return [buffer[:count] for buffer, count in zip(samples, counts)]
 
 
 class _OdeStepper:
@@ -357,6 +344,7 @@ class _OdeStepper:
     def __init__(self, F: Nonlinearity, dt: float):
         self.dt = dt
         self.rhs = lambda u: -u + F(u)
+        self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
 
     def step(self, batch, t):
         return _rk4_step(batch.T, self.dt, self.rhs).T
@@ -391,8 +379,8 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
     starts = [base + sign * ARC_OFFSET * direction
               for direction in directions for sign in (+1.0, -1.0)]
     ends = [o.vector() for o in others]
-    arcs, _ = _shoot_arcs(_OdeStepper(F, dt), starts, dt, sample_dt, horizon,
-                          [ends] * len(starts), STOP_BALL, inside_box)
+    arcs = _shoot_arcs(_OdeStepper(F, dt), starts, dt, sample_dt, horizon,
+                       [ends] * len(starts), STOP_BALL, inside_box)
     return np.concatenate(arcs)
 
 
@@ -521,7 +509,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         if next(step_index) >= burn:
             collected.append(batch.copy())
 
-    propagate(_OdeStepper(F, dt).step, v.T, dt, t_end, stride, sample)
+    propagate(_OdeStepper(F, dt), v.T, dt, t_end, stride, sample)
     points = np.concatenate(collected, axis=0)
     cells = np.round(points / dedup_cell).astype(np.int64)
     _, keep = np.unique(cells, axis=0, return_index=True)
@@ -620,7 +608,7 @@ def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec,
     return directions
 
 
-def attractor_pde(E, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCloud,
+def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCloud,
                   n_tails: int = 24, w_amplitude: float = 0.1, t_trans: float = 1.0,
                   dt: float = 1e-3, sample_dt: float = 1e-2, seed: int = 0):
     """PDE attractor cloud: equilibria + shot unstable manifolds + tail states.
@@ -634,23 +622,15 @@ def attractor_pde(E, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCl
     `sample_dt` should stay commensurate so tails stay synchronized with the
     arc sampling of the reference ODE cloud.
 
-    Given one DiffusionSpec, returns its cloud.  Given a sequence of them
-    (the d of a sweep), builds every cloud in one lockstep flow: after each
-    E's Newton solve, one `propagate` steps the arc rows of every E (E x
-    equilibrium x direction x sign), each under its own exact propagator,
-    and one more steps the tail rows of every E.  A row steps bit for bit as
-    it would alone, so each cloud equals the one its E builds alone.  Returns
-    one entry per E: its cloud, or the error that failed that E only (its
-    Newton solve, or a blow-up of its rows, with its own time and norm).
+    `Es` is a sequence of DiffusionSpecs (the d of a sweep), and every cloud
+    is built in one lockstep flow: after each E's Newton solve, one
+    `propagate` steps the arc rows of every E (E x equilibrium x direction x
+    sign), each under its own exact propagator, and one more steps the tail
+    rows of every E.  A row steps bit for bit as it would alone, so each
+    cloud equals the one its E builds alone.  Returns one entry per E: its
+    cloud, or the error that failed that E only (its Newton solve, or a
+    blow-up of its rows, with its own time and norm).
     """
-    if isinstance(E, DiffusionSpec):
-        (cloud,) = attractor_pde([E], F, basis, ode_cloud, n_tails, w_amplitude, t_trans,
-                                 dt, sample_dt, seed)
-        if isinstance(cloud, Exception):
-            raise cloud
-        return cloud
-
-    Es = list(E)
     failed = {}
     equilibria = {}
     starts, owner, targets = [], [], []
@@ -674,10 +654,9 @@ def attractor_pde(E, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCl
 
     arcs = []
     if starts:
-        stepper = EtdStepper(basis, [Es[i] for i in owner], F, dt)
-        arcs, blown = _shoot_arcs(stepper, starts, dt, sample_dt, ARC_HORIZON, targets,
-                                  STOP_BALL, groups=owner)
-        failed.update(blown)
+        stepper = EtdStepper(basis, Es, F, dt, owner)
+        arcs = _shoot_arcs(stepper, starts, dt, sample_dt, ARC_HORIZON, targets, STOP_BALL)
+        failed.update(stepper.failed)
 
     alive = [i for i in range(len(Es)) if i not in failed]
     rng = np.random.default_rng(seed)
@@ -692,18 +671,9 @@ def attractor_pde(E, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCl
         c += w
     moved = {}
     if n_tails > 0 and alive:
-        tail_owner = np.repeat(alive, n_tails)
-        stepper = EtdStepper(basis, [Es[i] for i in tail_owner], F, dt)
-        blown = {}
-
-        def step(c, t):
-            try:
-                return stepper.step(c, t)
-            except BlowUpError as err:
-                return contain_blow_up(err, t, tail_owner, blown)
-
-        batch, _ = propagate(step, np.concatenate([tails] * len(alive)), dt, t_trans)
-        failed.update(blown)
+        stepper = EtdStepper(basis, Es, F, dt, np.repeat(alive, n_tails))
+        batch, _ = propagate(stepper, np.concatenate([tails] * len(alive)), dt, t_trans)
+        failed.update(stepper.failed)
         moved = {i: batch[k * n_tails:(k + 1) * n_tails] for k, i in enumerate(alive)}
 
     clouds = []

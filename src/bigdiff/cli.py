@@ -290,16 +290,22 @@ def cmd_manifold(args) -> int:
         iters=cfg.get("manifold", "iterations"),
         seed_amplitude=cfg.get("manifold", "seed_amplitude"),
         m_horizon=cfg.get("semigroup", "m_horizon"))
-    defl_values = np.array([row["deflection"] for row in defl_rows])
-    if np.all(defl_values <= rt.ZERO_FLOOR):
+    # a failed point has no deflection (nan): the zero and band tests read
+    # the surviving points, and any failed point fails the verdict
+    defl = np.array([(row["d_eps"], row["deflection"]) for row in defl_rows])
+    defl = defl[~np.isnan(defl[:, 1])]
+    if np.all(defl[:, 1] <= rt.ZERO_FLOOR):
         defl_ok = True
         defl_txt = "identically-zero"
         _say(args, "deflection identically zero at solver tolerance; bound trivially satisfied")
     else:
-        scaled = defl_values * np.sqrt(np.array([row["d_eps"] for row in defl_rows]))
+        scaled = defl[:, 1] * np.sqrt(defl[:, 0])
         positive = scaled[scaled > rt.ZERO_FLOOR]
         defl_ok = positive.max() / positive.min() <= 2.0
         defl_txt = f"band_ratio={positive.max() / positive.min():.3f}"
+    if defl_record.metrics["n_failed"]:
+        defl_ok = False
+        defl_txt += f" failed_points={defl_record.metrics['n_failed']}"
     factors = [row["contraction_factor"] for row in graph_rows]
     graph_ok = all(f < 1.0 for f in factors)
     sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= rt.ZERO_FLOOR))

@@ -25,8 +25,9 @@ cover it.  The linear part is diagonal, so the rows of one ETD batch may each
 carry their own exact propagator (one per swept d) while they share one
 batched evaluation of F.  Rows that share dt share the running time and may
 retire (the arcs and tails of every d of an attractor sweep); rows with
-their own dt each keep their own running time (the decay sweep).
-`contain_blow_up` fails only the group of rows (one d) that blew up.
+their own dt each keep their own running time (the decay sweep).  A
+stepper built from the d of a sweep maps each row to its d, and a blow-up
+fails only the d whose rows blew up (`EtdStepper.failed`).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "compute_M_and_mu",
     "mu_from_M",
     "EtdStepper",
-    "contain_blow_up",
     "propagate",
     "evolve_pde",
     "evolve_ode",
@@ -63,17 +63,12 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a trajectory norm exceeds the blow-up threshold.
+    """Raised when a trajectory norm exceeds the blow-up threshold."""
 
-    From `EtdStepper.step`, `state` is the step's result, in which a caller
-    stepping a batch finds the rows that blew up.
-    """
-
-    def __init__(self, time: float, norm: float, state: np.ndarray | None = None):
+    def __init__(self, time: float, norm: float):
         super().__init__(f"trajectory blew up at t={time:.6g} (coefficient norm {norm:.3g})")
         self.time = time
         self.norm = norm
-        self.state = state
 
 
 @dataclass(frozen=True)
@@ -355,24 +350,35 @@ class EtdStepper:
 
     Precomputes the exact linear propagator exp(-dt A) and the phi-function
     weights.  Given one DiffusionSpec and a scalar dt they serve a state or
-    every row of a batch.  Given a sequence of m DiffusionSpecs, and a scalar
-    dt or m of them, the stepper stacks their gains: row i of an (m, n, K+1)
-    batch steps under its own E (and dt), bit for bit as a scalar stepper
-    would step it alone, while all rows share one batched evaluation of F.
-    `step` advances a coefficient array and checks for blow-up; `rows` gives
-    the stepper of a subset of the rows.
+    every row of a batch, and a blow-up raises a BlowUpError.  Given a
+    sequence E of m DiffusionSpecs (the d of a sweep), and a scalar dt or m
+    of them, row r of a batch steps under E[owner[r]] (and its dt), bit for
+    bit as a scalar stepper would step it alone, while all rows share one
+    batched evaluation of F; `owner` defaults to one row per E.  A blow-up
+    then fails only its own d: `failed[i]` holds the BlowUpError that the
+    rows of E[i] raise stepped alone (their time, their max|c|), and those
+    rows are zeroed and step on as ballast until the caller retires them.
+    `step` advances a coefficient array; `rows` gives the stepper of a
+    subset of the rows.
     """
 
-    def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt):
+    def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt, owner=None):
         dt = np.asarray(dt, dtype=float)
         per_row = not isinstance(E, DiffusionSpec)
         if dt.ndim and (not per_row or len(E) != len(dt)):
-            raise ValueError("give a scalar dt, or one dt per row with one diffusion per row")
+            raise ValueError("give a scalar dt, or one dt per diffusion of a sequence")
         if np.any(dt <= 0):
             raise ValueError("dt must be positive")
         self.basis = basis
         self.nonlinearity = F
-        gains = np.array([e.gains(basis) for e in E]) if per_row else E.gains(basis)
+        self.failed = {}  # E index -> BlowUpError; stays empty for one DiffusionSpec
+        self.owner = None
+        if per_row:
+            self.owner = np.arange(len(E)) if owner is None else np.asarray(owner, dtype=int)
+            gains = np.array([e.gains(basis) for e in E])[self.owner]
+            dt = dt[self.owner] if dt.ndim else dt
+        else:
+            gains = E.gains(basis)
         h = dt[..., None, None]
         z = -h * gains
         self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
@@ -380,54 +386,39 @@ class EtdStepper:
     def rows(self, keep) -> "EtdStepper":
         """The stepper of the rows that `keep` (a mask or indices) selects.
 
-        Shared weights serve any rows, so a stepper built from one
-        DiffusionSpec returns itself.
+        It shares `failed`.  Shared weights serve any rows, so a stepper
+        built from one DiffusionSpec returns itself.
         """
-        if self.exp_full.ndim == 2:
+        if self.owner is None:
             return self
         kept = copy.copy(self)
         kept.exp_full, kept.w1, kept.w2 = self.exp_full[keep], self.w1[keep], self.w2[keep]
+        kept.owner = self.owner[keep]
         return kept
 
     def step(self, c: np.ndarray, t_now=0.0) -> np.ndarray:
         """One step of every row of `c`, shape (n, K+1) or a batch (rows, n, K+1).
 
-        `t_now` is the time before the step (the earliest, if it holds one
-        per row).  A non-finite value of F spreads into the new coefficients,
-        so the one post-step max|c| test catches it at the step where it
-        appeared; the BlowUpError carries the step's result.
+        `t_now` is the time before the step, shared or one per row.  A
+        non-finite value of F spreads into the new coefficients, so the
+        post-step max|c| test catches it at the step where it appeared.
         """
         n0 = _galerkin_F(self.nonlinearity, c, self.basis)
         a = self.exp_full * c + self.w1 * n0
         c = a + self.w2 * (_galerkin_F(self.nonlinearity, a, self.basis) - n0)
         top = float(np.max(np.abs(c)))
-        if not np.isfinite(top) or top > BLOWUP_LIMIT:
-            raise BlowUpError(float(np.min(t_now)), top, c)
+        if top <= BLOWUP_LIMIT:  # False for NaN
+            return c
+        if self.owner is None:
+            raise BlowUpError(float(np.min(t_now)), top)
+        tops = np.max(np.abs(c), axis=(-2, -1))
+        t_now = np.broadcast_to(t_now, tops.shape)  # a scalar before the first step
+        for i in np.unique(self.owner[~(tops <= BLOWUP_LIMIT)]):  # NaN rows too
+            rows = self.owner == i
+            if int(i) not in self.failed:
+                self.failed[int(i)] = BlowUpError(float(t_now[rows][0]), float(np.max(tops[rows])))
+            c[rows] = 0.0
         return c
-
-
-def contain_blow_up(err: BlowUpError, t, groups, failed: dict) -> np.ndarray:
-    """Fail only the groups whose rows blew up in a batched step; return the batch.
-
-    `err` comes from `EtdStepper.step` on a batch whose row i belongs to
-    group `groups[i]` (an int, such as the index of its d), and `t` is the
-    time before that step, shared or one per row.  Each group with a row
-    above BLOWUP_LIMIT, or NaN, that has not failed before gets in `failed`
-    the BlowUpError it would raise stepped alone: its own time and the
-    max|c| over its own rows.  Those groups' rows are zeroed in the step's
-    result, which is returned, so the batch steps on with them as ballast
-    until the caller retires them.
-    """
-    c = err.state
-    tops = np.max(np.abs(c), axis=(-2, -1))
-    groups = np.asarray(groups)
-    t = np.broadcast_to(t, tops.shape)  # a scalar before the first step
-    for group in np.unique(groups[~(tops <= BLOWUP_LIMIT)]):  # NaN rows too
-        rows = groups == group
-        if int(group) not in failed:
-            failed[int(group)] = BlowUpError(float(t[rows][0]), float(np.max(tops[rows])))
-        c[rows] = 0.0
-    return c
 
 
 def _step_count(T, dt) -> int:
@@ -442,23 +433,22 @@ def _step_count(T, dt) -> int:
     return int(counts[0])
 
 
-def propagate(step, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
+def propagate(stepper, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
     """Advance `batch` in lockstep through the whole steps of `dt` that cover T.
 
-    `step(batch, t)` advances every row by `dt` from the running time t, which
-    accumulates as t = t + dt.  `dt` and `T` may instead hold one value per
-    row (for an EtdStepper with per-row weights); the rows must then take the
-    same number of steps, and t is the vector of their running times.  After
-    every `stride`-th step the new batch and time go to `sample(batch, t)`; a
-    boolean mask it returns over the rows (axis 0) retires the rows marked
-    False, and the flow stops once none is left; a `step` with per-row
-    weights must then step only the kept rows (`EtdStepper.rows`).  Rows
-    with their own dt cannot retire.  Returns the rows still running and the
-    final time.
+    `stepper.step(batch, t)` advances every row by `dt` from the running
+    time t, which accumulates as t = t + dt.  `dt` and `T` may instead hold
+    one value per row (for an EtdStepper with per-row weights); the rows
+    must then take the same number of steps, and t is the vector of their
+    running times.  After every `stride`-th step the new batch and time go
+    to `sample(batch, t)`; a boolean mask it returns over the rows (axis 0)
+    retires the rows marked False, whose stepper `stepper.rows(keep)` then
+    steps on, and the flow stops once none is left.  Rows with their own dt
+    cannot retire.  Returns the rows still running and the final time.
     """
     t = 0.0
     for k in range(1, _step_count(T, dt) + 1):
-        batch = step(batch, t)
+        batch = stepper.step(batch, t)
         t = t + dt
         if sample is not None and k % stride == 0:
             keep = sample(batch, t)
@@ -468,6 +458,7 @@ def propagate(step, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
                 batch = batch[keep]
                 if not keep.any():
                     break
+                stepper = stepper.rows(keep)
     return batch, t
 
 
@@ -488,7 +479,7 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
         raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} steps")
 
     samples = [(0.0, u0.coeffs)]
-    c, t = propagate(stepper.step, u0.coeffs, dt, T, stride,
+    c, t = propagate(stepper, u0.coeffs, dt, T, stride,
                      lambda c, t: samples.append((min(t, T), c)))
     if steps % stride:
         samples.append((min(t, T), c))

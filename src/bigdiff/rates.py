@@ -200,7 +200,7 @@ def _measure_decay(ds, ctx, point_seeds):
 
     Each row keeps only its sampled times and mean-free energy.  A row that
     blows up fails its own d, with its own time and norm, and steps on as
-    zeroed ballast (`dynamics.contain_blow_up`), so the other rows run
+    zeroed ballast (`dynamics.EtdStepper.failed`), so the other rows run
     unchanged.
     """
     basis, n = ctx["basis"], ctx["n"]
@@ -212,15 +212,6 @@ def _measure_decay(ds, ctx, point_seeds):
     u0 = constant_field([_DECAY_V0] * n, basis) + mode_field(basis, 1, _DECAY_MODE_AMP,
                                                              components=n)
     stepper = _dynamics.EtdStepper(basis, Es, ctx["F"], dt)
-    rows = np.arange(len(Es))  # each row is its own group
-    failed = {}
-
-    def step(c, t):
-        try:
-            return stepper.step(c, t)
-        except _dynamics.BlowUpError as err:
-            return _dynamics.contain_blow_up(err, t, rows, failed)
-
     batch = np.stack([u0.coeffs] * len(Es))
     times, w = [np.zeros(len(Es))], [mean_free_energy(batch, gains)]
 
@@ -228,12 +219,12 @@ def _measure_decay(ds, ctx, point_seeds):
         times.append(np.minimum(t, T))
         w.append(mean_free_energy(c, gains))
 
-    _dynamics.propagate(step, batch, dt, T, _DECAY_STEPS // 400, sample)
+    _dynamics.propagate(stepper, batch, dt, T, _DECAY_STEPS // 400, sample)
     times, w = np.array(times), np.array(w)
     results = []
     for i, E in enumerate(Es):
-        if i in failed:
-            results.append(failed[i])
+        if i in stepper.failed:
+            results.append(stepper.failed[i])
             continue
         try:
             mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu

@@ -40,7 +40,7 @@ def invariance_drift(cloud, F, T, n_probe, seed, dt=1e-3):
     else:
         stepper = dyn.EtdStepper(cloud.basis, cloud.diffusion, F, dt)
         moved = sp.EnergyNorm(cloud.diffusion, cloud.basis).embed(
-            dyn.propagate(stepper.step, cloud.points[idx], dt, T)[0])
+            dyn.propagate(stepper, cloud.points[idx], dt, T)[0])
     return float(cdist(moved, cloud.embedded()).min(axis=1).max())
 
 
@@ -270,7 +270,8 @@ class TestEquilibriaPDE:
 def pde_cloud_fast(tanh_cloud):
     basis = sp.build_basis(DOM, 16)
     E = sp.diffusion([8.0])
-    return at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=8, t_trans=6.0, seed=1), E, basis
+    (cloud,) = at.attractor_pde([E], TANH2, basis, tanh_cloud, n_tails=8, t_trans=6.0, seed=1)
+    return cloud, E, basis
 
 
 class TestAttractorPDE:
@@ -278,8 +279,8 @@ class TestAttractorPDE:
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([2.0])
         F = dyn.zero_nonlinearity()
-        cloud = at.attractor_pde(E, F, basis, at.attractor_ode(F), n_tails=4, t_trans=12.0,
-                                 seed=0)
+        (cloud,) = at.attractor_pde([E], F, basis, at.attractor_ode(F), n_tails=4,
+                                    t_trans=12.0, seed=0)
         norms = np.sqrt(np.sum(cloud.points**2, axis=(1, 2)))
         assert np.max(norms) < 1e-8
 
@@ -302,7 +303,7 @@ class TestAttractorPDE:
         clouds = at.attractor_pde(Es, TANH2, basis, ode_cloud, **settings)
         assert len(clouds) == len(Es)
         for E, cloud in zip(Es, clouds):
-            alone = at.attractor_pde(E, TANH2, basis, ode_cloud, **settings)
+            (alone,) = at.attractor_pde([E], TANH2, basis, ode_cloud, **settings)
             assert np.array_equal(cloud.points, alone.points)
             assert cloud.provenance == alone.provenance and cloud.meta == alone.meta
             assert cloud.diffusion is E
@@ -317,8 +318,9 @@ class TestAttractorPDE:
     def test_zero_transport_time_keeps_the_drawn_tails(self):
         basis = sp.build_basis(DOM, 8)
         ode_cloud = at.attractor_ode(TANH2, dt=1e-2, sample_dt=2e-2)
-        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, ode_cloud, n_tails=4,
-                                 t_trans=0.0, w_amplitude=0.1, dt=1e-2, sample_dt=2e-2, seed=1)
+        (cloud,) = at.attractor_pde([sp.diffusion([8.0])], TANH2, basis, ode_cloud, n_tails=4,
+                                    t_trans=0.0, w_amplitude=0.1, dt=1e-2, sample_dt=2e-2,
+                                    seed=1)
         tails = cloud.points[[p == "long_time_sampling" for p in cloud.provenance]]
         assert len(tails) == cloud.meta["n_tails"] == 4
         # untransported: each keeps its mean-free perturbation of norm w_amplitude
@@ -332,8 +334,8 @@ class TestAttractorPDE:
 
         monkeypatch.setattr(at, "find_equilibria_ode", solve_again)
         basis = sp.build_basis(DOM, 8)
-        cloud = at.attractor_pde(sp.diffusion([8.0]), TANH2, basis, ode_cloud=tanh_cloud,
-                                 n_tails=2, t_trans=0.1, dt=1e-2, sample_dt=2e-2)
+        (cloud,) = at.attractor_pde([sp.diffusion([8.0])], TANH2, basis, ode_cloud=tanh_cloud,
+                                    n_tails=2, t_trans=0.1, dt=1e-2, sample_dt=2e-2)
         eqs = cloud.points[[p == "equilibrium" for p in cloud.provenance]]
         np.testing.assert_allclose(eqs[:, 0, 0], [-USTAR, 0.0, USTAR], rtol=0, atol=1e-10)
         assert np.max(np.abs(eqs[:, :, 1:])) < 1e-12
@@ -343,8 +345,8 @@ class TestAttractorPDE:
         basis = sp.build_basis(DOM, 8)
         E = sp.diffusion([8.0])
         ode_cloud = at.attractor_ode(TANH2, dt=2.5e-4, sample_dt=2.5e-4)
-        cloud = at.attractor_pde(E, TANH2, basis, ode_cloud, n_tails=6, t_trans=6.0,
-                                 dt=2.5e-4, sample_dt=2.5e-4, seed=2)
+        (cloud,) = at.attractor_pde([E], TANH2, basis, ode_cloud, n_tails=6, t_trans=6.0,
+                                    dt=2.5e-4, sample_dt=2.5e-4, seed=2)
         drift = invariance_drift(cloud, TANH2, T=1.0, n_probe=25, seed=3, dt=2.5e-4)
         assert drift < 1e-4
 
@@ -399,10 +401,10 @@ class TestLockstepShooting:
                   for sign in (+1.0, -1.0)]
         oracle = arcs_one_at_a_time(stepper.step, starts, self.DT, 2, self.HORIZON,
                                     [top.location.coeffs], 1e-6)
-        arcs, failed = at._shoot_arcs(stepper, starts, self.DT, self.SAMPLE_DT, self.HORIZON,
-                                      [[top.location.coeffs]] * len(starts), 1e-6)
+        arcs = at._shoot_arcs(stepper, starts, self.DT, self.SAMPLE_DT, self.HORIZON,
+                              [[top.location.coeffs]] * len(starts), 1e-6)
         got = np.concatenate(arcs)
-        assert not failed and np.array_equal(got, oracle)
+        assert not stepper.failed and np.array_equal(got, oracle)
         minus = next(i for i, c in enumerate(got) if i and np.array_equal(c, starts[1]))
         assert np.linalg.norm(got[minus - 1] - top.location.coeffs) < 1e-6
         assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
@@ -429,7 +431,7 @@ class TestLockstepShooting:
         assert np.linalg.norm(got[minus - 1] - top.vector()) < 1e-6
         assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
 
-    def test_blow_up_fails_only_its_own_group(self):
+    def test_blow_up_fails_only_its_own_group(self, monkeypatch):
         # linear F = 7u grows mode 0 like e^{6t}: group 1 starts at 1 and blows up
         # near t = 3.07, between two samples; group 0 starts at 1e-12 and survives
         basis = sp.build_basis(DOM, 8)
@@ -438,13 +440,28 @@ class TestLockstepShooting:
         starts = [sp.constant_field([a], basis).coeffs + sp.mode_field(basis, 1, a).coeffs
                   for a in (1e-12, -1e-12, 1.0, 0.5)]
         groups = [0, 0, 1, 1]
+        stepped = []  # the rows of each step
+        step = dyn.EtdStepper.step
+
+        def counted(stepper, c, t_now=0.0):
+            stepped.append(len(c))
+            return step(stepper, c, t_now)
+
+        monkeypatch.setattr(dyn.EtdStepper, "step", counted)
 
         def shoot(rows):
-            stepper = dyn.EtdStepper(basis, [Es[groups[r]] for r in rows], F, self.DT)
-            return at._shoot_arcs(stepper, [starts[r] for r in rows], self.DT, self.SAMPLE_DT,
-                                  5.0, [[]] * len(rows), 1e-6, groups=[groups[r] for r in rows])
+            stepped.clear()
+            stepper = dyn.EtdStepper(basis, Es, F, self.DT, owner=[groups[r] for r in rows])
+            arcs = at._shoot_arcs(stepper, [starts[r] for r in rows], self.DT, self.SAMPLE_DT,
+                                  5.0, [[]] * len(rows), 1e-6)
+            return arcs, stepper.failed
 
         arcs, failed = shoot([0, 1, 2, 3])
+        # group 1's rows retire at the first sample after the step that blew up
+        stride = round(self.SAMPLE_DT / self.DT)
+        blown_step = round(failed[1].time / self.DT) + 1
+        assert stepped.count(4) == -(-blown_step // stride) * stride
+        assert len(stepped) == round(5.0 / self.DT) and set(stepped) == {4, 2}
         alone_arcs, alone_failed = shoot([0, 1])
         assert not alone_failed and list(failed) == [1]
         for got, alone in zip(arcs[:2], alone_arcs):
@@ -469,7 +486,7 @@ class TestLockstepShooting:
             dyn.evolve_pde(u0, E, nan_from_call(first_nan_call), T=1.0, dt=dt)
         stepper = dyn.EtdStepper(basis, E, nan_from_call(first_nan_call), dt)
         with pytest.raises(dyn.BlowUpError) as batch:
-            dyn.propagate(stepper.step, np.stack([u0.coeffs] * 5), dt, 1.0)
+            dyn.propagate(stepper, np.stack([u0.coeffs] * 5), dt, 1.0)
         assert single.value.time == batch.value.time == t_nan
 
 
@@ -688,7 +705,8 @@ class TestManifoldDeflection:
         # here) plus interpolation tolerance
         basis = sp.build_basis(DOM, 16)
         E = sp.diffusion([4.0])
-        cloud = at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=6, t_trans=10.0, seed=9)
+        (cloud,) = at.attractor_pde([E], TANH2, basis, tanh_cloud, n_tails=6, t_trans=10.0,
+                                    seed=9)
         est = at.graph_iteration(E, TANH2, basis, grid_points=11)
         assert at.manifold_deflection(cloud) <= est.sup_norm + 1e-10
 
@@ -699,8 +717,8 @@ class TestManifoldDeflection:
         values = []
         for d in (1.0, 2.0, 4.0, 8.0):
             E = sp.diffusion([d])
-            cloud = at.attractor_pde(E, TANH2, basis, tanh_cloud, n_tails=6, t_trans=0.5,
-                                     seed=5)
+            (cloud,) = at.attractor_pde([E], TANH2, basis, tanh_cloud, n_tails=6, t_trans=0.5,
+                                        seed=5)
             values.append(at.manifold_deflection(cloud))
         values = np.array(values)
         assert np.all(np.diff(values) < 0)

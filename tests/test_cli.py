@@ -395,6 +395,30 @@ class TestVerdicts:
         assert record["metrics"]["verdict"] == "FAIL"
         assert record["metrics"]["verdict_detail"] == out[len("VERDICT: resolvent-rate "):-6]
 
+    def test_manifold_with_a_failed_deflection_point_fails_its_verdict(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # d = 8 finds no PDE equilibrium, and every surviving deflection is zero
+        solve = at.find_equilibria_pde
+
+        def none_at_8(E, *args, **kwargs):
+            if E.d_eps == 8.0:
+                raise at.NoEquilibriaError("no PDE equilibrium found from the given seeds")
+            return solve(E, *args, **kwargs)
+
+        monkeypatch.setattr(at, "find_equilibria_pde", none_at_8)
+        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
+               "[nonlinearity]\nname = tanh\nbeta = 2\n"
+               "[attractor]\nn_tails = 4\ndeflection_t_trans = 10\narc_dt = 1e-2\n"
+               "sample_dt = 0.02\n[manifold]\ngrid_points = 11\niterations = 3\n")
+        code = cli.main(["manifold", "-c", write(tmp_path / "m.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("VERDICT: manifold deflection=identically-zero failed_points=1 ")
+        assert out.endswith(" FAIL\n")
+        points = next((tmp_path / "runs").glob("*-deflection/points.csv")).read_text()
+        assert "\n8,nan,failed: NoEquilibriaError: " in points
+
     def test_eigs_table(self, tmp_path, capsys):
         code = cli.main(["eigs", "--count", "3", "--quiet",
                          "--out-root", str(tmp_path / "runs")])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bigdiff import attractors as at
 from bigdiff import dynamics as dyn
 from bigdiff import spectral as sp
 
@@ -394,17 +395,48 @@ class TestEtdStepperProperties:
             return
         Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in range(rows)]
         dts = dt * rng.uniform(0.5, 2.0, rows)
-        step = dyn.EtdStepper(basis, Es, F, dts).step
-        batch, t = dyn.propagate(step, c, dts, steps * dts)
+        stepper = dyn.EtdStepper(basis, Es, F, dts)
+        batch, t = dyn.propagate(stepper, c, dts, steps * dts)
         assert batch.shape == c.shape and t.shape == (rows,)
         energy = sp.mean_free_energy(batch, np.array([e.gains(basis) for e in Es]))
         with pytest.raises(ValueError, match="cannot retire"):  # its weights would misalign
-            dyn.propagate(step, c, dts, steps * dts, 1, lambda b, t: np.arange(rows) > 0)
+            dyn.propagate(stepper, c, dts, steps * dts, 1, lambda b, t: np.arange(rows) > 0)
         for i in range(rows):
-            alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]).step, c[i],
+            alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]), c[i],
                                            dts[i], steps * dts[i])
             assert np.array_equal(batch[i], alone) and t[i] == t_alone
             assert energy[i] == sp.mean_free_energy(alone, Es[i].gains(basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stepper_cases(), owner=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+           growth=st.floats(0.0, 20.0), steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_stepper_fails_only_the_d_that_blew_up(self, case, owner, growth, steps,
+                                                         seed):
+        # row r steps under Es[owner[r]]; F = (1 + growth) u grows mode 0 like
+        # e^{growth t}, and the rows of each big d start near BLOWUP_LIMIT
+        basis, E, _, dt = case
+        F = dyn.linear_nonlinearity(1.0 + growth)
+        rng = np.random.default_rng(seed)
+        Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in range(4)]
+        owner = np.array(owner)
+        big = rng.random(len(Es)) < 0.5
+        c = rng.standard_normal((len(owner), E.components, basis.mode_count + 1))
+        c[:, :, 0] += big[owner, None] * rng.uniform(0.5, 2.0, (len(owner), 1)) * dyn.BLOWUP_LIMIT
+        stepper = dyn.EtdStepper(basis, Es, F, dt, owner)
+        batch, _ = dyn.propagate(stepper, c, dt, steps * dt)
+        expected = {}
+        for i in np.unique(owner):
+            own = owner == i
+            try:
+                dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dt), c[own], dt, steps * dt)
+            except dyn.BlowUpError as err:
+                expected[int(i)] = str(err)
+                assert not batch[own].any()  # zeroed, and F(0) = 0 keeps the ballast at 0
+        assert {i: str(err) for i, err in stepper.failed.items()} == expected
+        for r in np.flatnonzero(~np.isin(owner, list(expected))):
+            alone, _ = dyn.propagate(dyn.EtdStepper(basis, Es[owner[r]], F, dt), c[r], dt,
+                                     steps * dt)
+            assert np.array_equal(batch[r], alone)
 
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(), steps=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
@@ -444,14 +476,13 @@ class TestPropagate:
     def test_batch_with_retiring_rows_equals_each_row_alone(self, case, kind, steps, stride,
                                                             retire, seed):
         # row i retires at its retire[i]-th sample (None: never); with etd_per_row
-        # every row steps under its own E and the shared dt, and the stepper of the
-        # kept rows (EtdStepper.rows) replaces the batch's when rows retire
+        # every row steps under its own E and the shared dt, and propagate steps
+        # on with the stepper of the kept rows (EtdStepper.rows) when rows retire
         basis, E, F, dt = case
         rng = np.random.default_rng(seed)
         if kind == "rk4":
             def stepper_of(rows):
-                # rows are states; F takes the component axis first
-                return lambda batch, t: dyn._rk4_step(batch.T, dt, lambda u: -u + F(u)).T
+                return at._OdeStepper(F, dt)
 
             starts = rng.standard_normal((len(retire), E.components))
         else:
@@ -462,7 +493,7 @@ class TestPropagate:
                     return dyn.EtdStepper(basis, E, F, dt)
                 if len(rows) == 1:  # alone: a scalar stepper of the row's own E
                     return dyn.EtdStepper(basis, Es[rows[0]], F, dt)
-                return dyn.EtdStepper(basis, [Es[i] for i in rows], F, dt)
+                return dyn.EtdStepper(basis, Es, F, dt, owner=rows)
 
             starts = 0.5 * rng.standard_normal((len(retire), E.components,
                                                 basis.mode_count + 1))
@@ -471,10 +502,6 @@ class TestPropagate:
             samples = {i: [] for i in rows}
             active = list(rows)
             taken = [0]
-            current = [stepper_of(active)]
-
-            def step(batch, t):
-                return current[0](batch, t) if kind == "rk4" else current[0].step(batch, t)
 
             def sample(batch, t):
                 taken[0] += 1
@@ -482,11 +509,10 @@ class TestPropagate:
                 for i, row in zip(active, batch):
                     samples[i].append((t, row))
                 active[:] = [i for i, k in zip(active, keep) if k]
-                if kind != "rk4":
-                    current[0] = current[0].rows(keep)
                 return keep
 
-            final, _ = dyn.propagate(step, starts[list(rows)], dt, steps * dt, stride, sample)
+            final, _ = dyn.propagate(stepper_of(rows), starts[list(rows)], dt, steps * dt,
+                                     stride, sample)
             return samples, final
 
         together, final = run(list(range(len(retire))))
@@ -509,6 +535,7 @@ class TestPropagate:
         alone = dyn.EtdStepper(basis, Es[2], dyn.tanh_pitchfork(2.0), 1e-2)
         assert kept.exp_full.shape == (2, 1, 9)
         assert np.array_equal(kept.w2[1], alone.w2) and np.array_equal(kept.w1[0], stepper.w1[0])
+        assert list(kept.owner) == [0, 2] and kept.failed is stepper.failed
         shared = dyn.EtdStepper(basis, Es[0], dyn.tanh_pitchfork(2.0), 1e-2)
         assert shared.rows(np.array([True, False])) is shared
 

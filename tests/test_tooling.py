@@ -69,3 +69,22 @@ def test_every_public_name_has_a_caller_or_is_an_oracle():
                 without_caller.add(name)
     assert without_caller == set(ORACLES)
     assert all(reason for reason in ORACLES.values())
+
+
+# (module, imported name) pairs that the module itself does not use
+UNUSED_IMPORTS = {
+    ("attractors", "evolve_pde"): "perfbench/spans.py traces calls through attractors.evolve_pde",
+}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = set()
+    for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # `from __future__ import annotations` binds no name to use
+        unused |= {(module.stem, name) for name in imported - used - {"annotations"}}
+    assert unused == set(UNUSED_IMPORTS)
+    assert all(reason for reason in UNUSED_IMPORTS.values())
