@@ -474,9 +474,13 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     """Long-time sampling: post-burn-in orbit segments of many seeds.
 
     Orbits are integrated in lockstep; states for t in [t_burn, t_end], both
-    ends included, are collected every `sample_dt` and deduplicated on a grid
-    of size `dedup_cell` (first occupant wins), which bounds the cloud size
-    by the attractor volume instead of seeds x samples.
+    ends included, are sampled every `sample_dt` and deduplicated on cells
+    of size `dedup_cell` (first occupant wins, in sample then row order).
+    The dedup streams: each sample is checked against a sorted array of the
+    cells seen so far and only the rows in new cells are kept, so memory
+    grows with the cloud, not with seeds x samples, and no grid over the box
+    is needed however small the cell.  `meta["samples"]` counts the rows
+    the dedup saw.
 
     Seed magnitudes are geometric over the eight decades below `box`
     rather than uniform: uniform seeds all escape the neighborhood of an
@@ -503,20 +507,28 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     stride = max(1, round(sample_dt / dt))
     burn = _step_count(t_burn, dt)
     step_index = itertools.count(stride, stride)
-    collected = []
+    key_type = np.dtype((np.void, 8 * components))  # one row's int64 cells as one key
+    seen = np.empty(0, key_type)  # sorted
+    kept = []
 
     def sample(batch, t):
-        if next(step_index) >= burn:
-            collected.append(batch.copy())
+        nonlocal seen
+        if next(step_index) < burn:
+            return
+        cells = np.ascontiguousarray(np.round(batch / dedup_cell).astype(np.int64))
+        keys, first = np.unique(cells.view(key_type).ravel(), return_index=True)
+        pos = np.searchsorted(seen, keys)
+        new = pos == len(seen)
+        new[~new] = seen[pos[~new]] != keys[~new]
+        kept.append(batch[np.sort(first[new])])
+        seen = np.insert(seen, pos[new], keys[new])
 
     propagate(_OdeStepper(F, dt), v.T, dt, t_end, stride, sample)
-    points = np.concatenate(collected, axis=0)
-    cells = np.round(points / dedup_cell).astype(np.int64)
-    _, keep = np.unique(cells, axis=0, return_index=True)
-    points = points[np.sort(keep)]
+    points = np.concatenate(kept, axis=0)
     meta = {"F": F.name, "params": F.params, "n_seeds": n_seeds, "t_burn": t_burn,
             "t_end": t_end, "dedup_cell": dedup_cell,
-            "resolution_floor": dedup_cell * np.sqrt(components)}
+            "resolution_floor": dedup_cell * np.sqrt(components),
+            "samples": len(kept) * v.shape[1]}
     return AttractorCloud(points, "ode", ["long_time_sampling"] * len(points), meta)
 
 

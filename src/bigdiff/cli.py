@@ -238,7 +238,8 @@ def cmd_attractor(args) -> int:
         resolution = max(res.resolution_a, res.resolution_b)
         record.metrics.update(d_H=res.sym, a_to_b=res.a_to_b, b_to_a=res.b_to_a,
                               resolution=resolution, n_equilibria=len(equilibria),
-                              manifold_points=len(manifold), longtime_points=len(longtime))
+                              manifold_points=len(manifold), longtime_points=len(longtime),
+                              longtime_samples=longtime.meta["samples"])
     _say(args, f"manifold cloud: {len(manifold)} points, longtime cloud: {len(longtime)} points")
     _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
     passed = res.sym <= 2 * resolution
@@ -261,11 +262,13 @@ def cmd_hausdorff_sweep(args) -> int:
     cfg = _load(args)
     fit, record, details = _sweep(cfg, "hausdorff", **_cloud_params(cfg, "t_trans"),
                                   m_horizon=cfg.get("semigroup", "m_horizon"))
+    # a failed point has no distances (nan): the checks read the surviving
+    # points, and any failed point fails the verdict
+    details = [row for row in details if not np.isnan(row["a_to_b"])]
     values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in details])
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
-    threshold_ok = all(row["threshold_met"] < 0.5
-                       or max(row["a_to_b"], row["b_to_a"]) <= row["resolution"]
-                       for row in details)
+    threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
+                       for row, v in zip(details, values))
     if fit is not None:
         slope_ok = fit.slope <= cfg.get("tolerances", "hausdorff_slope")
         slope_txt = f"{fit.slope:.4f}"
@@ -276,8 +279,11 @@ def cmd_hausdorff_sweep(args) -> int:
         _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
     detail = (f"slope={slope_txt} bound={cfg.get('tolerances', 'hausdorff_slope'):g} "
               f"nonincreasing={nonincreasing} below_resolution_past_threshold={threshold_ok}")
-    return _verdict("hausdorff-sweep", detail, nonincreasing and slope_ok and threshold_ok,
-                    record)
+    failed = record.metrics["n_failed"]
+    if failed:
+        detail += f" failed_points={failed}"
+    return _verdict("hausdorff-sweep", detail,
+                    nonincreasing and slope_ok and threshold_ok and not failed, record)
 
 
 def cmd_manifold(args) -> int:
@@ -306,13 +312,18 @@ def cmd_manifold(args) -> int:
     if defl_record.metrics["n_failed"]:
         defl_ok = False
         defl_txt += f" failed_points={defl_record.metrics['n_failed']}"
+    # likewise a failed graph point has nan factors and sup norm
+    graph_rows = [row for row in graph_rows if not np.isnan(row["contraction_factor"])]
     factors = [row["contraction_factor"] for row in graph_rows]
     graph_ok = all(f < 1.0 for f in factors)
+    graph_txt = f"{max(factors):.4f}"
+    if graph_record.metrics["n_failed"]:
+        graph_ok = False
+        graph_txt += f" failed_points={graph_record.metrics['n_failed']}"
     sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= rt.ZERO_FLOOR))
     for row, f in zip(graph_rows, factors):
         _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
-    detail = (f"deflection={defl_txt} contraction_max={max(factors):.4f} "
-              f"graph_sup_zero={sup_ok}")
+    detail = f"deflection={defl_txt} contraction_max={graph_txt} graph_sup_zero={sup_ok}"
     return _verdict("manifold", detail, defl_ok and graph_ok and sup_ok,
                     defl_record, graph_record)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,59 @@ class TestAttractorODE:
         assert np.all(np.abs(v) <= USTAR + 2e-3)
         assert np.max(np.diff(v)) < 1.2e-2
         assert set(cloud.provenance) == {"long_time_sampling"}
+
+
+class TestLongtimeDedup:
+    # the cloud is first occupant wins over every post-burn-in sample, in
+    # (sample, row) order, however the dedup is carried out
+
+    @pytest.mark.parametrize("F, kwargs", [
+        (TANH2, dict(n_seeds=400, box=2.0)),
+        (TANH2, dict(n_seeds=301, box=2.0)),
+        (dyn.coupled_tanh(a=1.2, c=0.6), dict(n_seeds=200, components=2, seed=5)),
+        (dyn.coupled_tanh(a=1.2, c=0.6), dict(n_seeds=40, components=2, seed=6,
+                                               dedup_cell=1e-12)),
+    ], ids=["tanh", "odd-seeds", "coupled", "coupled-fine-cell"])
+    def test_equals_one_dedup_over_every_sample(self, F, kwargs, monkeypatch):
+        dt, sample_dt, t_burn, t_end = 1e-3, 1e-2, 2.0, 5.0
+        cell = kwargs.get("dedup_cell", 1.25e-3)
+        seeds = []
+        propagate = at.propagate
+
+        def recording(stepper, batch, *args):
+            seeds.append(batch.copy())
+            return propagate(stepper, batch, *args)
+
+        monkeypatch.setattr(at, "propagate", recording)
+        cloud = at.attractor_ode_longtime(F, t_burn=t_burn, t_end=t_end, dt=dt,
+                                          sample_dt=sample_dt, **kwargs)
+        # oracle: keep every post-burn-in sample of whole RK4 steps, then one
+        # np.unique over all of them
+        stride, burn = round(sample_dt / dt), dyn._step_count(t_burn, dt)
+        v, samples = seeds[0].T, []
+        for k in range(1, dyn._step_count(t_end, dt) + 1):
+            v = dyn._rk4_step(v, dt, lambda u: -u + F(u))
+            if k % stride == 0 and k >= burn:
+                samples.append(v.T)
+        points = np.concatenate(samples)
+        cells = np.round(points / cell).astype(np.int64)
+        _, keep = np.unique(cells, axis=0, return_index=True)
+        expected = points[np.sort(keep)]
+        assert cloud.meta["samples"] == len(points)
+        assert cloud.points.shape == expected.shape
+        assert cloud.points.tobytes() == expected.tobytes()
+
+    def test_memory_grows_with_the_cloud_not_the_samples(self):
+        # the post-burn-in samples alone take 500 x 301 x 8 bytes = 1.2 MB
+        tracemalloc.start()
+        try:
+            cloud = at.attractor_ode_longtime(TANH2, n_seeds=500, box=2.0,
+                                              t_burn=2.0, t_end=5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cloud.meta["samples"] == 500 * 301
+        assert peak < cloud.meta["samples"] * 8
 
 
 class TestWholeSteps:

@@ -365,6 +365,12 @@ class TestBadInput:
 
 
 class TestVerdicts:
+    # every deflection is zero at d = 4..64 with K = 16
+    MANIFOLD_INI = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
+                    "[nonlinearity]\nname = tanh\nbeta = 2\n"
+                    "[attractor]\nn_tails = 4\ndeflection_t_trans = 10\narc_dt = 1e-2\n"
+                    "sample_dt = 0.02\n[manifold]\ngrid_points = 11\niterations = 3\n")
+
     def test_verdict_line_greppable(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.ini", SMALL)
         code = cli.main(["resolvent-rate", "-c", cfg,
@@ -406,18 +412,59 @@ class TestVerdicts:
             return solve(E, *args, **kwargs)
 
         monkeypatch.setattr(at, "find_equilibria_pde", none_at_8)
-        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
-               "[nonlinearity]\nname = tanh\nbeta = 2\n"
-               "[attractor]\nn_tails = 4\ndeflection_t_trans = 10\narc_dt = 1e-2\n"
-               "sample_dt = 0.02\n[manifold]\ngrid_points = 11\niterations = 3\n")
-        code = cli.main(["manifold", "-c", write(tmp_path / "m.ini", ini), "--quiet",
-                         "--out-root", str(tmp_path / "runs")])
+        code = cli.main(["manifold", "-c", write(tmp_path / "m.ini", self.MANIFOLD_INI),
+                         "--quiet", "--out-root", str(tmp_path / "runs")])
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("VERDICT: manifold deflection=identically-zero failed_points=1 ")
         assert out.endswith(" FAIL\n")
         points = next((tmp_path / "runs").glob("*-deflection/points.csv")).read_text()
         assert "\n8,nan,failed: NoEquilibriaError: " in points
+
+    def test_manifold_with_a_failed_graph_point_counts_it(self, tmp_path, monkeypatch, capsys):
+        # d = 4, the first point, fails its graph measure: its nan factor
+        # must not become the contraction maximum
+        iterate = at.graph_iteration
+
+        def fails_at_4(E, *args, **kwargs):
+            if E.d_eps == 4.0:
+                raise at.ContractionError("graph map did not contract")
+            return iterate(E, *args, **kwargs)
+
+        monkeypatch.setattr(at, "graph_iteration", fails_at_4)
+        code = cli.main(["manifold", "-c", write(tmp_path / "m.ini", self.MANIFOLD_INI),
+                         "--quiet", "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        details = next((tmp_path / "runs").glob("*-graph_sup/details.csv")).read_text()
+        header, *rows = [line.split(",") for line in details.splitlines()]
+        factors = [float(row[header.index("contraction_factor")]) for row in rows]
+        assert np.isnan(factors[0]) and not np.isnan(factors[1:]).any()
+        assert code == 1
+        assert out == (f"VERDICT: manifold deflection=identically-zero "
+                       f"contraction_max={max(factors[1:]):.4f} failed_points=1 "
+                       f"graph_sup_zero=True FAIL\n")
+
+    def test_hausdorff_sweep_with_a_failed_point_says_so(self, tmp_path, monkeypatch, capsys):
+        # d = 8 finds no PDE equilibrium; the surviving points pass both checks
+        solve = at.find_equilibria_pde
+
+        def none_at_8(E, *args, **kwargs):
+            if E.d_eps == 8.0:
+                raise at.NoEquilibriaError("no PDE equilibrium found from the given seeds")
+            return solve(E, *args, **kwargs)
+
+        monkeypatch.setattr(at, "find_equilibria_pde", none_at_8)
+        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
+               "[attractor]\nn_tails = 4\narc_dt = 1e-2\nsample_dt = 0.02\n")
+        code = cli.main(["hausdorff-sweep", "-c", write(tmp_path / "h.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("VERDICT: hausdorff-sweep slope=")
+        assert out.endswith(" nonincreasing=True below_resolution_past_threshold=True "
+                            "failed_points=1 FAIL\n")
+        run_dir = next((tmp_path / "runs").glob("*-hausdorff"))
+        assert "\n8,nan,failed: NoEquilibriaError: " in (run_dir / "points.csv").read_text()
 
     def test_eigs_table(self, tmp_path, capsys):
         code = cli.main(["eigs", "--count", "3", "--quiet",
@@ -450,6 +497,11 @@ class TestVerdicts:
             rows = (run_dir / f"{name}_cloud.csv").read_text().splitlines()[1:]
             assert metrics[f"{name}_points"] == len(rows)
         assert metrics["manifold_points"] == 1
+        # every post-burn-in row the long-time dedup saw, one per seed and sample
+        sidecar = json.loads((run_dir / "longtime_cloud.csv.meta.json").read_text())
+        assert metrics["longtime_samples"] == sidecar["meta"]["samples"]
+        assert metrics["longtime_samples"] % 2000 == 0
+        assert metrics["longtime_samples"] > metrics["longtime_points"]
 
     def test_box_inside_the_dedup_cell_burns_nothing(self, tmp_path, capsys):
         # log(2 box / cell) < 0 here: transients already lie below the cell
