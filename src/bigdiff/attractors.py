@@ -16,13 +16,23 @@ Arc sampling between the ODE and PDE clouds is synchronized (same offsets,
 same sampling times), so cloud-to-cloud Hausdorff distances measure the
 PDE-vs-ODE deviation rather than mesh placement artifacts.
 
-Arcs, tails and long-time seeds run through `dynamics.propagate`, so a
+Arcs, tails and long-time seeds run through `dynamics.propagate` with a
+stepper that carries its dt (`EtdStepper`, or the RK4 `_OdeStepper`), so a
 duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
 ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Every
 arc, ODE or PDE, is shot by `_shoot_arcs`; `attractor_pde`, given the d of
 a sweep, shoots the arcs of every d in one batch and steps the tails of
 every d in one more, each row under its own exact propagator, and a
 blow-up fails only the d whose rows blew up (`EtdStepper.failed`).
+
+`graph_iteration` keeps a time loop of its own.  Its trapezoid sum needs
+the forcing of every state of the backward flow, and that forcing is also
+the next RK4 step's k1, so each step evaluates the forcing four times.
+Through `propagate`, an RK4 step knows nothing of the sum and would need a
+fifth evaluation, a quarter more of the work that dominates a `manifold`
+run: a cProfile'd `perfbench` `manifold` execution (seed 11, 2-core x86-64
+host) spent 1.20 of 2.76 s in `graph_iteration`, 1.09 s of it in 9,360
+forcing evaluations.
 
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
@@ -51,6 +61,7 @@ from .dynamics import (
     EtdStepper,
     Nonlinearity,
     _galerkin_F,
+    _OdeStepper,
     _rk4_step,
     _step_count,
     compute_M_and_mu,
@@ -273,26 +284,27 @@ def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
     return directions
 
 
-def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, targets,
-                stop_ball: float, check=None):
+def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop_ball: float,
+                check=None):
     """Shoot every row of `starts` in lockstep until it stops; return each row's samples.
 
-    `propagate` steps the rows with `stepper`.  Every `sample_dt` each
-    active row is passed to `check(row, t)`, sampled, and retired once it
-    lies within `stop_ball` of one of its own targets (`targets[i]`, a list
-    of states, for row i); the others run until the horizon.  The rows of a
-    d that blew up (`EtdStepper.failed`) retire at the next sample.
+    `propagate` steps the rows with `stepper` in the whole steps of its dt
+    that cover `horizon`.  Every `sample_dt` each active row is passed to
+    `check(row, t)`, sampled, and retired once it lies within `stop_ball` of
+    one of its own targets (`targets[i]`, a list of states, for row i); the
+    others run until the horizon.  The rows of a d that blew up
+    (`EtdStepper.failed`) retire at the next sample.
 
     `samples[i]` holds row i's samples, led by its start state, exactly as
     shooting the row alone would produce them.
     """
     starts = np.array(starts, dtype=float)
     rows = len(starts)
-    stride = max(1, round(sample_dt / dt))
+    steps = _step_count(horizon, stepper.dt)
+    stride = max(1, round(sample_dt / stepper.dt))
     # one buffer per row, sized for the whole horizon; only the pages the
     # samples fill are ever touched, and each row's buffer is freed on its own
-    samples = [np.empty((_step_count(horizon, dt) // stride + 1,) + starts.shape[1:])
-               for _ in range(rows)]
+    samples = [np.empty((steps // stride + 1,) + starts.shape[1:]) for _ in range(rows)]
     for buffer, start in zip(samples, starts):
         buffer[0] = start
     counts = np.zeros(rows, dtype=int)  # set as each row retires
@@ -330,27 +342,9 @@ def _shoot_arcs(stepper, starts, dt: float, sample_dt: float, horizon: float, ta
             active, ends = active[running], ends[running]
         return running
 
-    propagate(stepper, starts, dt, horizon, stride, sample)
+    propagate(stepper, starts, steps, stride, sample)
     counts[active] = taken
     return [buffer[:count] for buffer, count in zip(samples, counts)]
-
-
-class _OdeStepper:
-    """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first).
-
-    Its rows share everything, so it serves any subset of them.
-    """
-
-    def __init__(self, F: Nonlinearity, dt: float):
-        self.dt = dt
-        self.rhs = lambda u: -u + F(u)
-        self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
-
-    def step(self, batch, t):
-        return _rk4_step(batch.T, self.dt, self.rhs).T
-
-    def rows(self, keep):
-        return self
 
 
 def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
@@ -379,8 +373,8 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
     starts = [base + sign * ARC_OFFSET * direction
               for direction in directions for sign in (+1.0, -1.0)]
     ends = [o.vector() for o in others]
-    arcs = _shoot_arcs(_OdeStepper(F, dt), starts, dt, sample_dt, horizon,
-                       [ends] * len(starts), STOP_BALL, inside_box)
+    arcs = _shoot_arcs(_OdeStepper(F, dt), starts, sample_dt, horizon, [ends] * len(starts),
+                       STOP_BALL, inside_box)
     return np.concatenate(arcs)
 
 
@@ -523,7 +517,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         kept.append(batch[np.sort(first[new])])
         seen = np.insert(seen, pos[new], keys[new])
 
-    propagate(_OdeStepper(F, dt), v.T, dt, t_end, stride, sample)
+    propagate(_OdeStepper(F, dt), v.T, _step_count(t_end, dt), stride, sample)
     points = np.concatenate(kept, axis=0)
     meta = {"F": F.name, "params": F.params, "n_seeds": n_seeds, "t_burn": t_burn,
             "t_end": t_end, "dedup_cell": dedup_cell,
@@ -667,7 +661,7 @@ def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorC
     arcs = []
     if starts:
         stepper = EtdStepper(basis, Es, F, dt, owner)
-        arcs = _shoot_arcs(stepper, starts, dt, sample_dt, ARC_HORIZON, targets, STOP_BALL)
+        arcs = _shoot_arcs(stepper, starts, sample_dt, ARC_HORIZON, targets, STOP_BALL)
         failed.update(stepper.failed)
 
     alive = [i for i in range(len(Es)) if i not in failed]
@@ -684,7 +678,8 @@ def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorC
     moved = {}
     if n_tails > 0 and alive:
         stepper = EtdStepper(basis, Es, F, dt, np.repeat(alive, n_tails))
-        batch, _ = propagate(stepper, np.concatenate([tails] * len(alive)), dt, t_trans)
+        batch, _ = propagate(stepper, np.concatenate([tails] * len(alive)),
+                             _step_count(t_trans, dt))
         failed.update(stepper.failed)
         moved = {i: batch[k * n_tails:(k + 1) * n_tails] for k, i in enumerate(alive)}
 

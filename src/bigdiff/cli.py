@@ -124,10 +124,15 @@ def cmd_decay(args) -> int:
     spec = cfg.nonlinearity_spec()
     fit, record, details = _sweep(cfg, "w_decay_rate", nonlinearity=spec,
                                   m_horizon=cfg.get("semigroup", "m_horizon"))
+    # a failed point has no rates (nan): the checks read the surviving
+    # points, and any failed point fails the verdict
+    details = [row for row in details if not np.isnan(row["fitted_rate"])]
     one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in details)
-    detail = f"min_margin={min(r['fitted_rate'] - r['theoretical_rate'] for r in details):.4g}"
+    margin = min((r["fitted_rate"] - r["theoretical_rate"] for r in details), default=np.nan)
+    detail = f"min_margin={margin:.4g}"
     if spec["name"] == "zero":
-        rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in details)
+        rel = max((abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in details),
+                  default=np.nan)
         linear_ok = rel <= cfg.get("tolerances", "decay_rel")
         detail += f" linear_rel_err={rel:.2e}"
     else:
@@ -135,7 +140,10 @@ def cmd_decay(args) -> int:
     for row in details:
         _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
                    f"theoretical {row['theoretical_rate']:.4f}")
-    return _verdict("decay", detail, one_sided_ok and linear_ok, record)
+    failed = record.metrics["n_failed"]
+    if failed:
+        detail += f" failed_points={failed}"
+    return _verdict("decay", detail, one_sided_ok and linear_ok and not failed, record)
 
 
 def cmd_eigs(args) -> int:

@@ -18,14 +18,16 @@ ETD2RK of Cox & Matthews) removes stiffness entirely; stiffness grows with
 d, which is the very regime under study.  phi-function weights switch to
 series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
 
-Every sampled flow (`evolve_pde`, manifold arcs, perturbed tails, long-time
-ODE seeds, the decay sweep) runs through `propagate`, one lockstep loop over
-a batch: a duration T takes the ceil(T/dt - 1e-9) whole steps of dt that
-cover it.  The linear part is diagonal, so the rows of one ETD batch may each
-carry their own exact propagator (one per swept d) while they share one
-batched evaluation of F.  Rows that share dt share the running time and may
-retire (the arcs and tails of every d of an attractor sweep); rows with
-their own dt each keep their own running time (the decay sweep).  A
+Every sampled flow (`evolve_pde`, the RK4 reference trajectory, manifold
+arcs, perturbed tails, long-time ODE seeds, the decay sweep) runs through
+`propagate`, one lockstep loop that takes a given number of whole steps of
+a batch.  A stepper carries its own dt (`EtdStepper`, the RK4
+`_OdeStepper`); a duration T takes the ceil(T/dt - 1e-9) whole steps of dt
+that cover it (`_step_count`).  The linear part is diagonal, so the rows of
+one ETD batch may each carry their own exact propagator and dt (one per
+swept d) while they share one batched evaluation of F.  Rows that share dt
+share the running time, rows with their own dt each keep their own, and
+either may retire (the arcs and tails of every d of an attractor sweep).  A
 stepper built from the d of a sweep maps each row to its d, and a blow-up
 fails only the d whose rows blew up (`EtdStepper.failed`).
 """
@@ -358,8 +360,8 @@ class EtdStepper:
     then fails only its own d: `failed[i]` holds the BlowUpError that the
     rows of E[i] raise stepped alone (their time, their max|c|), and those
     rows are zeroed and step on as ballast until the caller retires them.
-    `step` advances a coefficient array; `rows` gives the stepper of a
-    subset of the rows.
+    `dt` is the step, a scalar or one per row; `step` advances a coefficient
+    array; `rows` gives the stepper of a subset of the rows.
     """
 
     def __init__(self, basis: CosineBasis, E, F: Nonlinearity, dt, owner=None):
@@ -379,6 +381,7 @@ class EtdStepper:
             dt = dt[self.owner] if dt.ndim else dt
         else:
             gains = E.gains(basis)
+        self.dt = dt if dt.ndim else float(dt)
         h = dt[..., None, None]
         z = -h * gains
         self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
@@ -394,6 +397,8 @@ class EtdStepper:
         kept = copy.copy(self)
         kept.exp_full, kept.w1, kept.w2 = self.exp_full[keep], self.w1[keep], self.w2[keep]
         kept.owner = self.owner[keep]
+        if np.ndim(self.dt):
+            kept.dt = self.dt[keep]
         return kept
 
     def step(self, c: np.ndarray, t_now=0.0) -> np.ndarray:
@@ -421,45 +426,48 @@ class EtdStepper:
         return c
 
 
-def _step_count(T, dt) -> int:
-    """The whole steps of `dt` that cover a duration T (none for T <= 0).
-
-    `T` and `dt` may hold one value per row, and every row must then take
-    the same number of steps.
-    """
-    counts = np.unique(np.maximum(0.0, np.ceil(np.asarray(T) / dt - 1e-9)))
-    if counts.size != 1:
-        raise ValueError(f"rows would take different numbers of steps: {counts}")
-    return int(counts[0])
+def _step_count(T: float, dt: float) -> int:
+    """The whole steps of `dt` that cover a duration T (none for T <= 0)."""
+    return max(0, int(np.ceil(T / dt - 1e-9)))
 
 
-def propagate(stepper, batch: np.ndarray, dt, T, stride: int = 1, sample=None):
-    """Advance `batch` in lockstep through the whole steps of `dt` that cover T.
+def propagate(stepper, batch: np.ndarray, steps: int, stride: int = 1, sample=None):
+    """Advance `batch` in lockstep by `steps` whole steps of `stepper.dt`.
 
-    `stepper.step(batch, t)` advances every row by `dt` from the running
-    time t, which accumulates as t = t + dt.  `dt` and `T` may instead hold
-    one value per row (for an EtdStepper with per-row weights); the rows
-    must then take the same number of steps, and t is the vector of their
-    running times.  After every `stride`-th step the new batch and time go
-    to `sample(batch, t)`; a boolean mask it returns over the rows (axis 0)
-    retires the rows marked False, whose stepper `stepper.rows(keep)` then
-    steps on, and the flow stops once none is left.  Rows with their own dt
-    cannot retire.  Returns the rows still running and the final time.
+    `stepper.step(batch, t)` advances every row by `stepper.dt` from the
+    running time t, which accumulates as t = t + dt; with one dt per row t is
+    the vector of their running times.  After every `stride`-th step the new
+    batch and time go to `sample(batch, t)`; a boolean mask it returns over
+    the rows (axis 0) retires the rows marked False, whose stepper
+    `stepper.rows(keep)` and running times then step on, and the flow stops
+    once none is left.  Returns the rows still running and their time.
     """
     t = 0.0
-    for k in range(1, _step_count(T, dt) + 1):
+    for k in range(1, steps + 1):
         batch = stepper.step(batch, t)
-        t = t + dt
+        t = t + stepper.dt
         if sample is not None and k % stride == 0:
             keep = sample(batch, t)
             if keep is not None and not keep.all():
-                if np.ndim(dt):
-                    raise ValueError("rows with their own dt cannot retire")
                 batch = batch[keep]
+                if np.ndim(t):
+                    t = t[keep]
                 if not keep.any():
                     break
                 stepper = stepper.rows(keep)
     return batch, t
+
+
+def _sampled(stepper, c0: np.ndarray, steps: int, stride: int):
+    """Take `steps` whole steps from `c0`; return the (times, states) at t = 0,
+    after every `stride`-th step and after the last step."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    samples = [(0.0, c0)]
+    c, t = propagate(stepper, c0, steps, stride, lambda c, t: samples.append((t, c)))
+    if steps % stride:
+        samples.append((t, c))
+    return np.array([s[0] for s in samples]), np.array([s[1] for s in samples])
 
 
 def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
@@ -471,22 +479,11 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
     `T` must be a non-negative whole number of `dt` steps, to rounding;
     there is no shortened final step.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    stepper = EtdStepper(u0.basis, E, F, dt)
     steps = round(T / dt)
     if steps < 0 or abs(T / dt - steps) > 1e-9:
         raise ValueError(f"T = {T:g} is not a whole number of dt = {dt:g} steps")
-
-    samples = [(0.0, u0.coeffs)]
-    c, t = propagate(stepper, u0.coeffs, dt, T, stride,
-                     lambda c, t: samples.append((min(t, T), c)))
-    if steps % stride:
-        samples.append((min(t, T), c))
-
-    times = np.array([s[0] for s in samples])
-    coeffs = np.array([s[1] for s in samples])
-    return Trajectory(times=times, coeffs=coeffs, v=coeffs[:, :, 0],
+    times, coeffs = _sampled(EtdStepper(u0.basis, E, F, dt), u0.coeffs, steps, stride)
+    return Trajectory(times=np.minimum(times, T), coeffs=coeffs, v=coeffs[:, :, 0],
                       w_xhalf=mean_free_energy(coeffs, E.gains(u0.basis)))
 
 
@@ -499,31 +496,37 @@ def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.
     return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+class _OdeStepper:
+    """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first).
+
+    Its rows share everything, so it serves any subset of them.
+    """
+
+    def __init__(self, F: Nonlinearity, dt: float):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self.dt = dt
+        self.rhs = lambda u: -u + F(u)
+        self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
+
+    def step(self, batch, t):
+        return _rk4_step(batch.T, self.dt, self.rhs).T
+
+    def rows(self, keep):
+        return self
+
+
 def evolve_ode(v0: np.ndarray, F: Nonlinearity, T: float, dt: float = 1e-3,
                stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 on v' = -v + F(v); returns (times, values).
+    """Classic RK4 on v' = -v + F(v) in the whole steps of `dt` that cover T.
 
-    `v0` may be a single state (n,) or a batch (n, m) integrated in lockstep.
+    Returns (times, values), recorded at t = 0, every `stride` steps and
+    after the last step.  `v0` may be a single state (n,) or a batch (n, m)
+    integrated in lockstep.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
-
-    def rhs(u):
-        return -u + F(u)
-
-    steps = _step_count(T, dt)
-    times = [0.0]
-    states = [v.copy()]
-    t = 0.0
-    for step in range(steps):
-        h = min(dt, T - t)
-        v = _rk4_step(v, h, rhs)
-        t += h
-        if (step + 1) % stride == 0 or step == steps - 1:
-            times.append(t)
-            states.append(v.copy())
-    return np.array(times), np.array(states)
+    v = np.atleast_1d(np.asarray(v0, dtype=float))
+    times, states = _sampled(_OdeStepper(F, dt), v.T, _step_count(T, dt), stride)
+    return times, states.swapaxes(1, -1)  # each state back to (n,) or (n, m)
 
 
 @dataclass(frozen=True)

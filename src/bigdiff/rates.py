@@ -208,10 +208,9 @@ def _measure_decay(ds, ctx, point_seeds):
     gains = np.array([E.gains(basis) for E in Es])
     lam2 = np.array([E.second_eigenvalue(basis) for E in Es])
     T = _DECAY_EFOLDS / lam2
-    dt = T / _DECAY_STEPS
     u0 = constant_field([_DECAY_V0] * n, basis) + mode_field(basis, 1, _DECAY_MODE_AMP,
                                                              components=n)
-    stepper = _dynamics.EtdStepper(basis, Es, ctx["F"], dt)
+    stepper = _dynamics.EtdStepper(basis, Es, ctx["F"], T / _DECAY_STEPS)
     batch = np.stack([u0.coeffs] * len(Es))
     times, w = [np.zeros(len(Es))], [mean_free_energy(batch, gains)]
 
@@ -219,7 +218,7 @@ def _measure_decay(ds, ctx, point_seeds):
         times.append(np.minimum(t, T))
         w.append(mean_free_energy(c, gains))
 
-    _dynamics.propagate(stepper, batch, dt, T, _DECAY_STEPS // 400, sample)
+    _dynamics.propagate(stepper, batch, _DECAY_STEPS, _DECAY_STEPS // 400, sample)
     times, w = np.array(times), np.array(w)
     results = []
     for i, E in enumerate(Es):

@@ -67,24 +67,20 @@ class DomainSpec:
 class CosineBasis:
     """Orthonormal Neumann cosine basis truncated to modes 0..K.
 
-    Holds the eigenvalues lam_k = (k pi)^2, the midpoint quadrature nodes and
-    the synthesis matrix phi[k, j] = phi_k(x_j).  `to_grid`/`to_spectral` are
-    mutually inverse on band-limited data; `to_spectral` is the discrete L2
-    projection (truncation) otherwise.  Transforms are direct matrix products;
-    at the mode counts used here (K <= a few hundred) fast transforms buy
-    nothing.
+    Holds the eigenvalues lam_k = (k pi)^2, the 2K + 2 midpoint quadrature
+    nodes (exact for quadratic products) and the synthesis matrix
+    phi[k, j] = phi_k(x_j).  `to_grid`/`to_spectral` are mutually inverse on
+    band-limited data; `to_spectral` is the discrete L2 projection
+    (truncation) otherwise.  Transforms are direct matrix products; at the
+    mode counts used here (K <= a few hundred) fast transforms buy nothing.
     """
 
-    def __init__(self, domain: DomainSpec, mode_count: int, quad_points: int | None = None):
+    def __init__(self, domain: DomainSpec, mode_count: int):
         if mode_count < 2:
             raise ValueError("mode_count must be >= 2")
-        if quad_points is None:
-            quad_points = 2 * mode_count + 2
-        if quad_points < 2 * mode_count + 2:
-            raise ValueError("quad_points must be >= 2*mode_count + 2 for exact quadratic products")
         self.domain = domain
         self.mode_count = int(mode_count)
-        self.quad_points = int(quad_points)
+        self.quad_points = 2 * self.mode_count + 2
         self.nodes = _freeze((np.arange(self.quad_points) + 0.5) / self.quad_points)
         k = np.arange(self.mode_count + 1)
         self.eigenvalues = _freeze((k * np.pi) ** 2)
@@ -107,22 +103,18 @@ class CosineBasis:
         return np.asarray(values) @ self._phi.T / self.quad_points
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CosineBasis)
-            and self.mode_count == other.mode_count
-            and self.quad_points == other.quad_points
-            and self.domain == other.domain
-        )
+        return (isinstance(other, CosineBasis) and self.mode_count == other.mode_count
+                and self.domain == other.domain)
 
     def __hash__(self):
-        return hash((self.mode_count, self.quad_points, self.domain))
+        return hash((self.mode_count, self.domain))
 
     def __repr__(self):
         return f"CosineBasis(K={self.mode_count}, G={self.quad_points})"
 
 
-def build_basis(domain: DomainSpec, mode_count: int, quad_points: int | None = None) -> CosineBasis:
-    return CosineBasis(domain, mode_count, quad_points)
+def build_basis(domain: DomainSpec, mode_count: int) -> CosineBasis:
+    return CosineBasis(domain, mode_count)
 
 
 @dataclass(frozen=True)

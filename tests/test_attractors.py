@@ -41,7 +41,7 @@ def invariance_drift(cloud, F, T, n_probe, seed, dt=1e-3):
     else:
         stepper = dyn.EtdStepper(cloud.basis, cloud.diffusion, F, dt)
         moved = sp.EnergyNorm(cloud.diffusion, cloud.basis).embed(
-            dyn.propagate(stepper, cloud.points[idx], dt, T)[0])
+            dyn.propagate(stepper, cloud.points[idx], dyn._step_count(T, dt))[0])
     return float(cdist(moved, cloud.embedded()).min(axis=1).max())
 
 
@@ -269,7 +269,7 @@ class TestWholeSteps:
             calls[0] += 1
             return rk4(*args)
 
-        monkeypatch.setattr(at, "_rk4_step", counting_rk4)
+        monkeypatch.setattr(dyn, "_rk4_step", counting_rk4)
         origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
         arc = at.unstable_manifold_ode(origin, TANH2, dt=1e-3, sample_dt=1e-2)
         assert calls[0] == 60_000
@@ -455,7 +455,7 @@ class TestLockstepShooting:
                   for sign in (+1.0, -1.0)]
         oracle = arcs_one_at_a_time(stepper.step, starts, self.DT, 2, self.HORIZON,
                                     [top.location.coeffs], 1e-6)
-        arcs = at._shoot_arcs(stepper, starts, self.DT, self.SAMPLE_DT, self.HORIZON,
+        arcs = at._shoot_arcs(stepper, starts, self.SAMPLE_DT, self.HORIZON,
                               [[top.location.coeffs]] * len(starts), 1e-6)
         got = np.concatenate(arcs)
         assert not stepper.failed and np.array_equal(got, oracle)
@@ -506,8 +506,8 @@ class TestLockstepShooting:
         def shoot(rows):
             stepped.clear()
             stepper = dyn.EtdStepper(basis, Es, F, self.DT, owner=[groups[r] for r in rows])
-            arcs = at._shoot_arcs(stepper, [starts[r] for r in rows], self.DT, self.SAMPLE_DT,
-                                  5.0, [[]] * len(rows), 1e-6)
+            arcs = at._shoot_arcs(stepper, [starts[r] for r in rows], self.SAMPLE_DT, 5.0,
+                                  [[]] * len(rows), 1e-6)
             return arcs, stepper.failed
 
         arcs, failed = shoot([0, 1, 2, 3])
@@ -540,7 +540,7 @@ class TestLockstepShooting:
             dyn.evolve_pde(u0, E, nan_from_call(first_nan_call), T=1.0, dt=dt)
         stepper = dyn.EtdStepper(basis, E, nan_from_call(first_nan_call), dt)
         with pytest.raises(dyn.BlowUpError) as batch:
-            dyn.propagate(stepper, np.stack([u0.coeffs] * 5), dt, 1.0)
+            dyn.propagate(stepper, np.stack([u0.coeffs] * 5), round(1.0 / dt))
         assert single.value.time == batch.value.time == t_nan
 
 

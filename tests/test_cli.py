@@ -466,6 +466,21 @@ class TestVerdicts:
         run_dir = next((tmp_path / "runs").glob("*-hausdorff"))
         assert "\n8,nan,failed: NoEquilibriaError: " in (run_dir / "points.csv").read_text()
 
+    def test_decay_with_a_failed_point_says_so(self, tmp_path, capsys):
+        # F = 3u blows up at d = 0.01 only; the margin reads the surviving points
+        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 0.01,1,2,4,8\n"
+               "[nonlinearity]\nname = linear\nc = 3.0\n")
+        code = cli.main(["decay", "-c", write(tmp_path / "d.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        run_dir = next((tmp_path / "runs").glob("*-w_decay_rate"))
+        assert "\n0.01,nan,failed: BlowUpError: " in (run_dir / "points.csv").read_text()
+        header, *rows = [line.split(",") for line in (run_dir / "details.csv").read_text().split()]
+        fitted, theoretical = header.index("fitted_rate"), header.index("theoretical_rate")
+        margin = min(float(row[fitted]) - float(row[theoretical]) for row in rows[1:])
+        assert code == 1
+        assert out == f"VERDICT: decay min_margin={margin:.4g} failed_points=1 FAIL\n"
+
     def test_eigs_table(self, tmp_path, capsys):
         code = cli.main(["eigs", "--count", "3", "--quiet",
                          "--out-root", str(tmp_path / "runs")])

@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigdiff import attractors as at
@@ -396,14 +396,11 @@ class TestEtdStepperProperties:
         Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in range(rows)]
         dts = dt * rng.uniform(0.5, 2.0, rows)
         stepper = dyn.EtdStepper(basis, Es, F, dts)
-        batch, t = dyn.propagate(stepper, c, dts, steps * dts)
+        batch, t = dyn.propagate(stepper, c, steps)
         assert batch.shape == c.shape and t.shape == (rows,)
         energy = sp.mean_free_energy(batch, np.array([e.gains(basis) for e in Es]))
-        with pytest.raises(ValueError, match="cannot retire"):  # its weights would misalign
-            dyn.propagate(stepper, c, dts, steps * dts, 1, lambda b, t: np.arange(rows) > 0)
         for i in range(rows):
-            alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]), c[i],
-                                           dts[i], steps * dts[i])
+            alone, t_alone = dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dts[i]), c[i], steps)
             assert np.array_equal(batch[i], alone) and t[i] == t_alone
             assert energy[i] == sp.mean_free_energy(alone, Es[i].gains(basis))
 
@@ -423,19 +420,18 @@ class TestEtdStepperProperties:
         c = rng.standard_normal((len(owner), E.components, basis.mode_count + 1))
         c[:, :, 0] += big[owner, None] * rng.uniform(0.5, 2.0, (len(owner), 1)) * dyn.BLOWUP_LIMIT
         stepper = dyn.EtdStepper(basis, Es, F, dt, owner)
-        batch, _ = dyn.propagate(stepper, c, dt, steps * dt)
+        batch, _ = dyn.propagate(stepper, c, steps)
         expected = {}
         for i in np.unique(owner):
             own = owner == i
             try:
-                dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dt), c[own], dt, steps * dt)
+                dyn.propagate(dyn.EtdStepper(basis, Es[i], F, dt), c[own], steps)
             except dyn.BlowUpError as err:
                 expected[int(i)] = str(err)
                 assert not batch[own].any()  # zeroed, and F(0) = 0 keeps the ballast at 0
         assert {i: str(err) for i, err in stepper.failed.items()} == expected
         for r in np.flatnonzero(~np.isin(owner, list(expected))):
-            alone, _ = dyn.propagate(dyn.EtdStepper(basis, Es[owner[r]], F, dt), c[r], dt,
-                                     steps * dt)
+            alone, _ = dyn.propagate(dyn.EtdStepper(basis, Es[owner[r]], F, dt), c[r], steps)
             assert np.array_equal(batch[r], alone)
 
     @settings(max_examples=60, deadline=None)
@@ -469,15 +465,19 @@ class TestEtdStepperProperties:
 
 class TestPropagate:
     @settings(max_examples=60, deadline=None)
-    @given(case=stepper_cases(), kind=st.sampled_from(["rk4", "etd", "etd_per_row"]),
+    @given(case=stepper_cases(),
+           kind=st.sampled_from(["rk4", "etd", "etd_per_row", "etd_own_dt"]),
            steps=st.integers(0, 24), stride=st.integers(1, 4),
            retire=st.lists(st.none() | st.integers(1, 8), min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1))
+    @example(case=(sp.build_basis(DOM, 8), sp.diffusion([1.0]), dyn.tanh_pitchfork(2.0), 1e-2),
+             kind="etd_own_dt", steps=12, stride=2, retire=[2, None, 4], seed=0)
     def test_batch_with_retiring_rows_equals_each_row_alone(self, case, kind, steps, stride,
                                                             retire, seed):
         # row i retires at its retire[i]-th sample (None: never); with etd_per_row
-        # every row steps under its own E and the shared dt, and propagate steps
-        # on with the stepper of the kept rows (EtdStepper.rows) when rows retire
+        # every row steps under its own E and the shared dt, with etd_own_dt under
+        # its own E and dt, and propagate steps on with the stepper of the kept
+        # rows (EtdStepper.rows) and their running times when rows retire
         basis, E, F, dt = case
         rng = np.random.default_rng(seed)
         if kind == "rk4":
@@ -487,13 +487,15 @@ class TestPropagate:
             starts = rng.standard_normal((len(retire), E.components))
         else:
             Es = [sp.diffusion(E.eps * rng.uniform(0.5, 2.0, E.components)) for _ in retire]
+            dts = dt * rng.uniform(0.5, 2.0, len(retire)) if kind == "etd_own_dt" else None
 
             def stepper_of(rows):
                 if kind == "etd":
                     return dyn.EtdStepper(basis, E, F, dt)
-                if len(rows) == 1:  # alone: a scalar stepper of the row's own E
-                    return dyn.EtdStepper(basis, Es[rows[0]], F, dt)
-                return dyn.EtdStepper(basis, Es, F, dt, owner=rows)
+                if len(rows) == 1:  # alone: a scalar stepper of the row's own E and dt
+                    return dyn.EtdStepper(basis, Es[rows[0]], F,
+                                          dt if dts is None else dts[rows[0]])
+                return dyn.EtdStepper(basis, Es, F, dt if dts is None else dts, owner=rows)
 
             starts = 0.5 * rng.standard_normal((len(retire), E.components,
                                                 basis.mode_count + 1))
@@ -506,13 +508,12 @@ class TestPropagate:
             def sample(batch, t):
                 taken[0] += 1
                 keep = np.array([retire[i] != taken[0] for i in active])
-                for i, row in zip(active, batch):
-                    samples[i].append((t, row))
+                for i, row, t_row in zip(active, batch, np.broadcast_to(t, len(batch))):
+                    samples[i].append((t_row, row))
                 active[:] = [i for i, k in zip(active, keep) if k]
                 return keep
 
-            final, _ = dyn.propagate(stepper_of(rows), starts[list(rows)], dt, steps * dt,
-                                     stride, sample)
+            final, _ = dyn.propagate(stepper_of(rows), starts[list(rows)], steps, stride, sample)
             return samples, final
 
         together, final = run(list(range(len(retire))))
@@ -548,6 +549,16 @@ class TestEvolveODE:
     def test_equilibrium_is_fixed(self):
         _, states = dyn.evolve_ode(np.array([0.0]), dyn.tanh_pitchfork(2.0), T=5.0, dt=1e-3)
         assert np.max(np.abs(states)) == 0.0
+
+    def test_last_state_is_the_lockstep_rk4_flow(self):
+        # the oracle takes the whole steps of every sampled flow of the lab:
+        # coupled_tanh from 50 random states to T = 0.1, bit for bit
+        F = dyn.coupled_tanh()
+        v0 = np.random.default_rng(38).uniform(-3.0, 3.0, (2, 50))
+        times, states = dyn.evolve_ode(v0, F, T=0.1, dt=1e-3, stride=10)
+        flow, t = dyn.propagate(dyn._OdeStepper(F, 1e-3), v0.T, 100)
+        assert states.shape == (11, 2, 50) and times[-1] == t
+        assert np.array_equal(states[-1], flow.T)
 
     def test_converges_to_bistable_state(self):
         _, states = dyn.evolve_ode(np.array([0.1]), dyn.tanh_pitchfork(2.0), T=30.0, dt=1e-3)

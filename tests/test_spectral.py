@@ -48,10 +48,6 @@ class TestBasis:
         with pytest.raises(ValueError):
             sp.build_basis(DOM, 1)
 
-    def test_insufficient_quadrature_rejected(self):
-        with pytest.raises(ValueError):
-            sp.build_basis(DOM, 8, quad_points=17)
-
 
 class TestTransforms:
     def test_constant_round_trip(self):

@@ -88,3 +88,39 @@ def test_every_imported_name_is_used_in_its_module():
         unused |= {(module.stem, name) for name in imported - used - {"annotations"}}
     assert unused == set(UNUSED_IMPORTS)
     assert all(reason for reason in UNUSED_IMPORTS.values())
+
+
+# (module, function) pairs that step a flow in a loop of their own
+OWN_TIME_LOOPS = {
+    ("attractors", "graph_iteration"): "its trapezoid sum reuses each state's forcing as the "
+                                       "next RK4 k1; through propagate every step would need "
+                                       "a fifth forcing evaluation",
+}
+
+
+def test_every_flow_steps_in_propagate():
+    # a call of _rk4_step or of a .step( method sits in dynamics.propagate, in
+    # a stepper's own step method, or in a function of OWN_TIME_LOOPS
+    def is_step(call):
+        return (isinstance(call.func, ast.Name) and call.func.id == "_rk4_step"
+                or isinstance(call.func, ast.Attribute) and call.func.attr == "step")
+
+    def calls_outside(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + ((type(child), child.name),)
+            if isinstance(child, ast.Call) and is_step(child):
+                own_step = scope[-2:] and scope[-1] == (ast.FunctionDef, "step") and (
+                    scope[-2][0] is ast.ClassDef)
+                outer = scope[0][1] if scope else None
+                if not own_step and (module, outer) not in {("dynamics", "propagate"),
+                                                            *OWN_TIME_LOOPS}:
+                    yield module, outer, child.lineno
+            yield from calls_outside(child, module, inner)
+
+    outside = []
+    for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
+        outside += calls_outside(ast.parse(module.read_text()), module.stem, ())
+    assert outside == []
+    assert all(reason for reason in OWN_TIME_LOOPS.values())
