@@ -58,6 +58,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .dynamics import (
+    POINT_ERRORS,
     EtdStepper,
     Nonlinearity,
     _galerkin_F,
@@ -67,6 +68,7 @@ from .dynamics import (
     compute_M_and_mu,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
     propagate,
+    try_point,
 )
 from .spectral import (
     CosineBasis,
@@ -637,26 +639,28 @@ def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorC
     cloud, or the error that failed that E only (its Newton solve, or a
     blow-up of its rows, with its own time and norm).
     """
-    failed = {}
-    equilibria = {}
-    starts, owner, targets = [], [], []
     seeds = [constant_field(eq.vector(), basis) for eq in ode_cloud.equilibria]
+
+    def shots_of(Ei):
+        """Ei's equilibria, and the start and the targets of each arc they shoot."""
+        eqs = find_equilibria_pde(Ei, F, seeds)
+        return eqs, [(eq.location.coeffs + sign * ARC_OFFSET * direction,
+                      [o.location.coeffs for o in eqs if o is not eq])
+                     for eq in eqs if eq.unstable_count > 0 and hyperbolicity_check(eq)
+                     for direction in _pde_unstable_directions(eq, Ei, F)
+                     for sign in (+1.0, -1.0)]
+
+    failed, equilibria = {}, {}
+    starts, owner, targets = [], [], []
     for i, Ei in enumerate(Es):
-        try:
-            eqs = find_equilibria_pde(Ei, F, seeds)
-            for eq in eqs:
-                if eq.unstable_count == 0 or not hyperbolicity_check(eq):
-                    continue
-                ends = [o.location.coeffs for o in eqs if o is not eq]
-                for direction in _pde_unstable_directions(eq, Ei, F):
-                    for sign in (+1.0, -1.0):
-                        starts.append(eq.location.coeffs + sign * ARC_OFFSET * direction)
-                        owner.append(i)
-                        targets.append(ends)
-        except (RuntimeError, ValueError) as err:  # what fails one point of a sweep
-            failed[i] = err
+        found = try_point(shots_of, Ei)
+        if isinstance(found, POINT_ERRORS):
+            failed[i] = found
             continue
-        equilibria[i] = eqs
+        equilibria[i], shots = found
+        starts += [start for start, _ in shots]
+        targets += [ends for _, ends in shots]
+        owner += [i] * len(shots)
 
     arcs = []
     if starts:

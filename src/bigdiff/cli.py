@@ -11,7 +11,9 @@ Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
 configuration (itself a valid config reproducing the run), the measured
 points, fits, plain two-column plot data, and a JSON run record.  Each study
 runs inside `rates.open_run`, which alone sets the record's status; once the
-run is closed, the study stamps its verdict into the record.  Verdict
+run is closed, the study stamps its verdict into the record.  A sweep
+verdict reads the points that survived, with the status `rates.run_sweep`
+gave each, and any failed point fails it (`failed_points=N`).  Verdict
 lines are machine-greppable with the fixed prefix "VERDICT:".  The
 environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
 --out-root flag overrides both.
@@ -83,7 +85,9 @@ def _sweep(cfg: Config, quantity: str, **params):
     """Sweep `quantity` over [sweep] d_eps with the configured seed, modes and components.
 
     Runs under the configured out root and writes resolved.ini beside the
-    record.  Returns (fit, record, details.csv rows as dicts).
+    record.  Returns (fit, record, rows, failed): the details.csv row of each
+    point that survived, as a dict with its `status` ("ok" or "zero", as
+    `rt.run_sweep` decided it), and the number of points that failed.
     """
     sweep_cfg = rt.SweepConfig(
         quantity, cfg.get("sweep", "d_eps"),
@@ -92,12 +96,17 @@ def _sweep(cfg: Config, quantity: str, **params):
         seed=cfg.get("run", "seed"))
     fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"))
     _write_resolved(cfg, record)
-    details = []
-    if "details" in record.paths:
-        with open(record.paths["details"]) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            details = [dict(zip(header, (float(x) for x in line.split(",")))) for line in fh]
-    return fit, record, details
+    with open(record.paths["details"]) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        rows = [dict(zip(header, map(float, line.split(","))), status=status)
+                for line, status in zip(fh, record.metrics["statuses"])]
+    surviving = [row for row in rows if row["status"] in ("ok", "zero")]
+    return fit, record, surviving, len(rows) - len(surviving)
+
+
+def _with_failed(detail: str, failed: int) -> str:
+    """`detail`, with `failed_points=N` once a point failed; a failed point fails the verdict."""
+    return f"{detail} failed_points={failed}" if failed else detail
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +115,9 @@ def _sweep(cfg: Config, quantity: str, **params):
 
 def cmd_resolvent_rate(args) -> int:
     cfg = _load(args)
-    fit, record, details = _sweep(cfg, "resolvent_gap", trials=64)
+    fit, record, rows, failed = _sweep(cfg, "resolvent_gap", trials=64)
     tol = cfg.get("tolerances", "slope")
-    attained = max(abs(row["attained_product"] - 1.0) for row in details)
+    attained = max(abs(row["attained_product"] - 1.0) for row in rows)
     # no fit when fewer than 4 points lie above the zero floor: no rate was measured
     slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
     slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
@@ -116,34 +125,29 @@ def cmd_resolvent_rate(args) -> int:
     _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
     _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
     detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
-    return _verdict("resolvent-rate", detail, slope_ok and attained_ok, record)
+    return _verdict("resolvent-rate", _with_failed(detail, failed),
+                    slope_ok and attained_ok and not failed, record)
 
 
 def cmd_decay(args) -> int:
     cfg = _load(args)
     spec = cfg.nonlinearity_spec()
-    fit, record, details = _sweep(cfg, "w_decay_rate", nonlinearity=spec,
-                                  m_horizon=cfg.get("semigroup", "m_horizon"))
-    # a failed point has no rates (nan): the checks read the surviving
-    # points, and any failed point fails the verdict
-    details = [row for row in details if not np.isnan(row["fitted_rate"])]
-    one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in details)
-    margin = min((r["fitted_rate"] - r["theoretical_rate"] for r in details), default=np.nan)
+    _, record, rows, failed = _sweep(cfg, "w_decay_rate", nonlinearity=spec,
+                                     m_horizon=cfg.get("semigroup", "m_horizon"))
+    one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in rows)
+    margin = min(r["fitted_rate"] - r["theoretical_rate"] for r in rows)
     detail = f"min_margin={margin:.4g}"
     if spec["name"] == "zero":
-        rel = max((abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in details),
-                  default=np.nan)
+        rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in rows)
         linear_ok = rel <= cfg.get("tolerances", "decay_rel")
         detail += f" linear_rel_err={rel:.2e}"
     else:
         linear_ok = True
-    for row in details:
+    for row in rows:
         _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
                    f"theoretical {row['theoretical_rate']:.4f}")
-    failed = record.metrics["n_failed"]
-    if failed:
-        detail += f" failed_points={failed}"
-    return _verdict("decay", detail, one_sided_ok and linear_ok and not failed, record)
+    return _verdict("decay", _with_failed(detail, failed),
+                    one_sided_ok and linear_ok and not failed, record)
 
 
 def cmd_eigs(args) -> int:
@@ -268,72 +272,55 @@ def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
 
 def cmd_hausdorff_sweep(args) -> int:
     cfg = _load(args)
-    fit, record, details = _sweep(cfg, "hausdorff", **_cloud_params(cfg, "t_trans"),
-                                  m_horizon=cfg.get("semigroup", "m_horizon"))
-    # a failed point has no distances (nan): the checks read the surviving
-    # points, and any failed point fails the verdict
-    details = [row for row in details if not np.isnan(row["a_to_b"])]
-    values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in details])
+    fit, record, rows, failed = _sweep(cfg, "hausdorff", **_cloud_params(cfg, "t_trans"),
+                                       m_horizon=cfg.get("semigroup", "m_horizon"))
+    values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in rows])
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
     threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
-                       for row, v in zip(details, values))
+                       for row, v in zip(rows, values))
+    bound = cfg.get("tolerances", "hausdorff_slope")
     if fit is not None:
-        slope_ok = fit.slope <= cfg.get("tolerances", "hausdorff_slope")
-        slope_txt = f"{fit.slope:.4f}"
+        slope_ok, slope_txt = fit.slope <= bound, f"{fit.slope:.4f}"
+    elif any(row["status"] == "ok" for row in rows):
+        slope_ok, slope_txt = False, "none"  # fewer than 4 nonzero points: no rate was fitted
     else:
-        slope_ok = True  # identically zero at cloud resolution
-        slope_txt = "zero"
-    for row, v in zip(details, values):
+        slope_ok, slope_txt = True, "zero"  # identically zero at cloud resolution
+    for row, v in zip(rows, values):
         _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
-    detail = (f"slope={slope_txt} bound={cfg.get('tolerances', 'hausdorff_slope'):g} "
-              f"nonincreasing={nonincreasing} below_resolution_past_threshold={threshold_ok}")
-    failed = record.metrics["n_failed"]
-    if failed:
-        detail += f" failed_points={failed}"
-    return _verdict("hausdorff-sweep", detail,
+    detail = (f"slope={slope_txt} bound={bound:g} nonincreasing={nonincreasing} "
+              f"below_resolution_past_threshold={threshold_ok}")
+    return _verdict("hausdorff-sweep", _with_failed(detail, failed),
                     nonincreasing and slope_ok and threshold_ok and not failed, record)
 
 
 def cmd_manifold(args) -> int:
     cfg = _load(args)
-    _, defl_record, defl_rows = _sweep(cfg, "deflection",
-                                       **_cloud_params(cfg, "deflection_t_trans"))
-    _, graph_record, graph_rows = _sweep(
+    _, defl_record, defl_rows, defl_failed = _sweep(cfg, "deflection",
+                                                    **_cloud_params(cfg, "deflection_t_trans"))
+    _, graph_record, graph_rows, graph_failed = _sweep(
         cfg, "graph_sup", nonlinearity=cfg.nonlinearity_spec(),
         grid_points=cfg.get("manifold", "grid_points"),
         iters=cfg.get("manifold", "iterations"),
         seed_amplitude=cfg.get("manifold", "seed_amplitude"),
         m_horizon=cfg.get("semigroup", "m_horizon"))
-    # a failed point has no deflection (nan): the zero and band tests read
-    # the surviving points, and any failed point fails the verdict
-    defl = np.array([(row["d_eps"], row["deflection"]) for row in defl_rows])
-    defl = defl[~np.isnan(defl[:, 1])]
-    if np.all(defl[:, 1] <= rt.ZERO_FLOOR):
-        defl_ok = True
-        defl_txt = "identically-zero"
+    if all(row["status"] == "zero" for row in defl_rows):
+        defl_ok, defl_txt = True, "identically-zero"
         _say(args, "deflection identically zero at solver tolerance; bound trivially satisfied")
     else:
-        scaled = defl[:, 1] * np.sqrt(defl[:, 0])
-        positive = scaled[scaled > rt.ZERO_FLOOR]
-        defl_ok = positive.max() / positive.min() <= 2.0
-        defl_txt = f"band_ratio={positive.max() / positive.min():.3f}"
-    if defl_record.metrics["n_failed"]:
-        defl_ok = False
-        defl_txt += f" failed_points={defl_record.metrics['n_failed']}"
-    # likewise a failed graph point has nan factors and sup norm
-    graph_rows = [row for row in graph_rows if not np.isnan(row["contraction_factor"])]
+        scaled = [row["deflection"] * np.sqrt(row["d_eps"]) for row in defl_rows
+                  if row["status"] == "ok"]
+        band = max(scaled) / min(scaled)
+        defl_ok, defl_txt = band <= 2.0, f"band_ratio={band:.3f}"
     factors = [row["contraction_factor"] for row in graph_rows]
     graph_ok = all(f < 1.0 for f in factors)
-    graph_txt = f"{max(factors):.4f}"
-    if graph_record.metrics["n_failed"]:
-        graph_ok = False
-        graph_txt += f" failed_points={graph_record.metrics['n_failed']}"
-    sup_ok = bool(np.all(np.array([row["sup_norm"] for row in graph_rows]) <= rt.ZERO_FLOOR))
+    sup_ok = all(row["status"] == "zero" for row in graph_rows)
     for row, f in zip(graph_rows, factors):
         _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
-    detail = f"deflection={defl_txt} contraction_max={graph_txt} graph_sup_zero={sup_ok}"
-    return _verdict("manifold", detail, defl_ok and graph_ok and sup_ok,
-                    defl_record, graph_record)
+    detail = (f"deflection={_with_failed(defl_txt, defl_failed)} "
+              f"contraction_max={_with_failed(f'{max(factors):.4f}', graph_failed)} "
+              f"graph_sup_zero={sup_ok}")
+    passed = defl_ok and graph_ok and sup_ok and not (defl_failed or graph_failed)
+    return _verdict("manifold", detail, passed, defl_record, graph_record)
 
 
 def cmd_report(args) -> int:

@@ -18,6 +18,7 @@ import inspect
 import numpy as np
 
 from .dynamics import NONLINEARITIES, Nonlinearity
+from .rates import check_d_eps
 from .spectral import CosineBasis, DiffusionSpec, DomainSpec, build_basis, diffusion
 
 __all__ = ["ConfigError", "Config", "DEFAULTS", "load_config", "default_config"]
@@ -240,13 +241,10 @@ def _validate(cfg: Config) -> None:
     m0 = cfg.get("diffusion", "m0")
     if m0 is not None and not 0 < m0 <= min(eps):
         raise ConfigError("[diffusion] m0 must satisfy 0 < m0 <= min(eps)")
-    sweep = cfg.get("sweep", "d_eps")
-    if len(sweep) < 4:
-        raise ConfigError("[sweep] d_eps needs at least 4 values")
-    if any(v <= 0 for v in sweep):
-        raise ConfigError("[sweep] d_eps values must be positive")
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ConfigError("[sweep] d_eps must be strictly increasing")
+    try:
+        check_d_eps(cfg.get("sweep", "d_eps"))
+    except ValueError as err:
+        raise ConfigError(f"[sweep] d_eps: {err}") from None
     t_burn, t_end = cfg.get("attractor", "t_burn"), cfg.get("attractor", "t_end")
     if t_burn is not None and t_end is not None and not t_end > t_burn:
         raise ConfigError("[attractor] t_end must exceed t_burn")

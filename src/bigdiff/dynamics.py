@@ -29,7 +29,8 @@ swept d) while they share one batched evaluation of F.  Rows that share dt
 share the running time, rows with their own dt each keep their own, and
 either may retire (the arcs and tails of every d of an attractor sweep).  A
 stepper built from the d of a sweep maps each row to its d, and a blow-up
-fails only the d whose rows blew up (`EtdStepper.failed`).
+fails only the d whose rows blew up (`EtdStepper.failed`).  Any other
+failure of one d is a POINT_ERRORS error, caught only in `try_point`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ __all__ = [
     "Trajectory",
     "DecayFit",
     "BlowUpError",
+    "POINT_ERRORS",
+    "try_point",
     "tanh_pitchfork",
     "saturated_cubic",
     "coupled_tanh",
@@ -71,6 +74,19 @@ class BlowUpError(RuntimeError):
         super().__init__(f"trajectory blew up at t={time:.6g} (coefficient norm {norm:.3g})")
         self.time = time
         self.norm = norm
+
+
+# the errors that fail one point of a sweep; any other exception is a bug and
+# aborts the sweep
+POINT_ERRORS = (RuntimeError, ValueError)
+
+
+def try_point(measure, *args):
+    """`measure(*args)`, or the point error it raised: the one place a sweep point fails."""
+    try:
+        return measure(*args)
+    except POINT_ERRORS as err:
+        return err
 
 
 @dataclass(frozen=True)

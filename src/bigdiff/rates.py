@@ -15,10 +15,13 @@ other studies.  Identical config + seed reproduces every CSV byte for byte
 batch steps bit for bit as it would alone, so no point depends on the
 others).
 
-Measured zeros are not fitted: a value at or below ZERO_FLOOR counts as
-zero, here and in the CLI verdicts, and quantities that vanish identically
-(the manifold graph) are reported as "identically zero; bound trivially
-satisfied" instead of being forced through a log.
+A point fails on a `dynamics.POINT_ERRORS` error, which only
+`dynamics.try_point` catches.  `run_sweep` gives each point its status
+once: "ok", "zero" (at or below ZERO_FLOOR) or "failed: <reason>", in
+points.csv and in `record.metrics["statuses"]`, and the CLI verdicts read
+those statuses.  Zeros are not fitted, and quantities that vanish
+identically (the manifold graph) are reported as "identically zero; bound
+trivially satisfied" instead of being forced through a log.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from . import elliptic as _elliptic
 
 __all__ = [
     "SweepConfig",
+    "check_d_eps",
     "RateFit",
     "RunRecord",
     "FitError",
@@ -69,6 +73,20 @@ class RecordError(RuntimeError):
     """A run record failed to parse."""
 
 
+def check_d_eps(values) -> tuple:
+    """The d of a sweep as floats; ValueError unless 4 or more, finite, positive, increasing."""
+    values = tuple(float(v) for v in values)
+    if len(values) < 4:
+        raise ValueError("a sweep needs at least 4 points")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("d values must be finite")
+    if any(v <= 0 for v in values):
+        raise ValueError("d values must be positive")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("d values must be strictly increasing")
+    return values
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: a quantity name, increasing d values, parameters, a seed.
@@ -82,16 +100,7 @@ class SweepConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.d_eps_values)
-        object.__setattr__(self, "d_eps_values", values)
-        if len(values) < 4:
-            raise ValueError("a sweep needs at least 4 points")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("d values must be finite")
-        if any(v <= 0 for v in values):
-            raise ValueError("d values must be positive")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("d values must be strictly increasing")
+        object.__setattr__(self, "d_eps_values", check_d_eps(self.d_eps_values))
         if self.quantity not in QUANTITIES:
             known = ", ".join(sorted(QUANTITIES))
             raise ValueError(f"unknown quantity {self.quantity!r}; known: {known}")
@@ -136,12 +145,9 @@ def loglog_fit(d_values, values, predicted_slope: float = -0.5) -> RateFit:
 # ---------------------------------------------------------------------------
 # quantity registry: name -> (predicted slope, prepare(seed, **params) -> ctx,
 #                             measure(ds, ctx, point_seeds) -> per-point results)
-# each point's result is (value, extras), or the RuntimeError or ValueError
-# that failed it; `per_point` lifts a measure(d, ctx, point_seed) of one point
-
-# the errors that fail one sweep point; any other exception is a bug and
-# aborts the sweep
-_POINT_ERRORS = (RuntimeError, ValueError)
+# each point's result is (value, extras), or the point error that failed it
+# (`dynamics.POINT_ERRORS`, returned by `dynamics.try_point`); `per_point`
+# lifts a measure(d, ctx, point_seed) of one point
 
 
 def per_point(measure):
@@ -150,13 +156,7 @@ def per_point(measure):
     It takes the name of `measure`, so the registry and traces still name it.
     """
     def measure_all(ds, ctx, point_seeds):
-        results = []
-        for d, point_seed in zip(ds, point_seeds):
-            try:
-                results.append(measure(d, ctx, point_seed))
-            except _POINT_ERRORS as err:
-                results.append(err)
-        return results
+        return [_dynamics.try_point(measure, d, ctx, s) for d, s in zip(ds, point_seeds)]
 
     measure_all.__name__ = measure_all.__qualname__ = measure.__name__
     return measure_all
@@ -220,22 +220,17 @@ def _measure_decay(ds, ctx, point_seeds):
 
     _dynamics.propagate(stepper, batch, _DECAY_STEPS, _DECAY_STEPS // 400, sample)
     times, w = np.array(times), np.array(w)
-    results = []
-    for i, E in enumerate(Es):
-        if i in stepper.failed:
-            results.append(stepper.failed[i])
-            continue
-        try:
-            mu = _dynamics.compute_M_and_mu(E, basis, horizon=ctx["m_horizon"]).mu
-            fit = _dynamics.decay_rate_fit(times[:, i], w[:, i], lam2[i], mu=mu)
-        except _POINT_ERRORS as err:
-            results.append(err)
-            continue
-        results.append((fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
-                                          "theoretical_rate": fit.theoretical_rate,
-                                          "lam2": lam2[i], "mu": mu, "residual": fit.residual,
-                                          "truncated": float(fit.truncated)}))
-    return results
+
+    def measure(i):
+        mu = _dynamics.compute_M_and_mu(Es[i], basis, horizon=ctx["m_horizon"]).mu
+        fit = _dynamics.decay_rate_fit(times[:, i], w[:, i], lam2[i], mu=mu)
+        return fit.fitted_rate, {"fitted_rate": fit.fitted_rate,
+                                 "theoretical_rate": fit.theoretical_rate, "lam2": lam2[i],
+                                 "mu": mu, "residual": fit.residual,
+                                 "truncated": float(fit.truncated)}
+
+    return [stepper.failed[i] if i in stepper.failed else _dynamics.try_point(measure, i)
+            for i in range(len(Es))]
 
 
 def _prepare_deflection(seed, *, modes, components, nonlinearity, n_tails, w_amplitude,
@@ -270,13 +265,8 @@ def _each_cloud(ds, ctx, measure):
     results = []
     for i, E in enumerate(Es):
         cloud, clouds[i] = clouds[i], None  # each cloud is freed once measured
-        if isinstance(cloud, _POINT_ERRORS):
-            results.append(cloud)
-            continue
-        try:
-            results.append(measure(E, cloud))
-        except _POINT_ERRORS as err:
-            results.append(err)
+        failed = isinstance(cloud, _dynamics.POINT_ERRORS)
+        results.append(cloud if failed else _dynamics.try_point(measure, E, cloud))
     return results
 
 
@@ -480,30 +470,25 @@ def run_sweep(cfg: SweepConfig, out_root):
         results = measure(cfg.d_eps_values, ctx, point_seeds)
         measured = time.perf_counter()
         record.timings.update({"prepare": prepared - begun, "measure": measured - prepared})
-        rows = []
-        extras_list = []
-        values = []
-        fit_d, fit_v = [], []
-        zeros = 0
+        rows, extras_list = [], []  # each point's (d, value, status), and its extras
         for d, result in zip(cfg.d_eps_values, results):
-            if isinstance(result, _POINT_ERRORS):  # recorded, not fitted
+            if isinstance(result, _dynamics.POINT_ERRORS):  # recorded, not fitted
+                reason = f"{type(result).__name__}: {result}".replace(",", ";")
+                rows.append((d, None, f"failed: {reason}"))
                 extras_list.append({})
-                rows.append((d, None,
-                             f"failed: {type(result).__name__}: {result}".replace(",", ";")))
-                continue
-            value, extras = result
-            value = float(value)
-            extras_list.append(extras)
-            values.append(value)
-            if value <= ZERO_FLOOR:
-                zeros += 1
-                rows.append((d, value, "zero"))
             else:
-                rows.append((d, value, "ok"))
-                fit_d.append(d)
-                fit_v.append(value)
+                value, extras = result
+                value = float(value)
+                rows.append((d, value, "zero" if value <= ZERO_FLOOR else "ok"))
+                extras_list.append(extras)
+        statuses = [status for _, _, status in rows]
+        values = [value for _, value, _ in rows if value is not None]
+        fit_d = [d for d, _, status in rows if status == "ok"]
+        fit_v = [value for _, value, status in rows if status == "ok"]
+        zeros = statuses.count("zero")
 
         write_table(paths["points"], ["d_eps", "value", "status"], rows)
+        record.metrics["statuses"] = statuses
         keys = sorted({k for ex in extras_list for k in ex})
         if keys:
             paths["details"] = os.path.join(run_dir, "details.csv")

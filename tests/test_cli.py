@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import string
 import tempfile
 
@@ -364,6 +365,11 @@ class TestBadInput:
         capsys.readouterr()
 
 
+def _statuses(run_dir):
+    """Each point's status, in d order, as the run's record.json holds them."""
+    return json.loads((run_dir / "record.json").read_text())["metrics"]["statuses"]
+
+
 class TestVerdicts:
     # every deflection is zero at d = 4..64 with K = 16
     MANIFOLD_INI = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
@@ -420,6 +426,9 @@ class TestVerdicts:
         assert out.endswith(" FAIL\n")
         points = next((tmp_path / "runs").glob("*-deflection/points.csv")).read_text()
         assert "\n8,nan,failed: NoEquilibriaError: " in points
+        statuses = _statuses(next((tmp_path / "runs").glob("*-deflection")))
+        assert statuses[1].startswith("failed: NoEquilibriaError: ")
+        assert statuses[:1] + statuses[2:] == ["zero"] * 4
 
     def test_manifold_with_a_failed_graph_point_counts_it(self, tmp_path, monkeypatch, capsys):
         # d = 4, the first point, fails its graph measure: its nan factor
@@ -443,6 +452,9 @@ class TestVerdicts:
         assert out == (f"VERDICT: manifold deflection=identically-zero "
                        f"contraction_max={max(factors[1:]):.4f} failed_points=1 "
                        f"graph_sup_zero=True FAIL\n")
+        statuses = _statuses(next((tmp_path / "runs").glob("*-graph_sup")))
+        assert statuses[0] == "failed: ContractionError: graph map did not contract"
+        assert statuses[1:] == ["zero"] * 4
 
     def test_hausdorff_sweep_with_a_failed_point_says_so(self, tmp_path, monkeypatch, capsys):
         # d = 8 finds no PDE equilibrium; the surviving points pass both checks
@@ -465,6 +477,9 @@ class TestVerdicts:
                             "failed_points=1 FAIL\n")
         run_dir = next((tmp_path / "runs").glob("*-hausdorff"))
         assert "\n8,nan,failed: NoEquilibriaError: " in (run_dir / "points.csv").read_text()
+        statuses = _statuses(run_dir)
+        assert statuses[1].startswith("failed: NoEquilibriaError: ")
+        assert statuses[:1] + statuses[2:] == ["ok"] * 4
 
     def test_decay_with_a_failed_point_says_so(self, tmp_path, capsys):
         # F = 3u blows up at d = 0.01 only; the margin reads the surviving points
@@ -480,6 +495,59 @@ class TestVerdicts:
         margin = min(float(row[fitted]) - float(row[theoretical]) for row in rows[1:])
         assert code == 1
         assert out == f"VERDICT: decay min_margin={margin:.4g} failed_points=1 FAIL\n"
+        statuses = _statuses(run_dir)
+        assert statuses[0].startswith("failed: BlowUpError: trajectory blew up at t=")
+        assert statuses[1:] == ["ok"] * 4
+
+    @pytest.mark.parametrize("failing", [1.0, 4.0], ids=["first", "middle"])
+    def test_resolvent_rate_with_a_failed_point_fails_its_verdict(self, tmp_path, monkeypatch,
+                                                                  capsys, failing):
+        # wherever the failed point sits, the checks read the surviving
+        # points, and the failed point fails the verdict
+        sampled = el.resolvent_gap_sampled
+
+        def fails_once(E, *args, **kwargs):
+            if E.d_eps == failing:
+                raise ValueError("no sampled gap")
+            return sampled(E, *args, **kwargs)
+
+        monkeypatch.setattr(el, "resolvent_gap_sampled", fails_once)
+        ini = "[domain]\nmodes = 32\n[sweep]\nd_eps = 1,2,4,8,16,32\n"
+        code = cli.main(["resolvent-rate", "-c", write(tmp_path / "r.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        # the surviving points fit the rate and reach the attained bound
+        assert re.fullmatch(r"VERDICT: resolvent-rate slope=-0\.4\d+ predicted=-0\.5 tol=0\.02 "
+                            r"attained_dev=\d\.\d\de[-+]\d\d failed_points=1 FAIL\n", out), out
+        run_dir = next((tmp_path / "runs").glob("*-resolvent_gap"))
+        assert f"\n{failing:g},nan,failed: ValueError: no sampled gap\n" in (
+            run_dir / "points.csv").read_text()
+        statuses = _statuses(run_dir)
+        assert statuses.count("failed: ValueError: no sampled gap") == 1
+        assert statuses.count("ok") == 5
+
+    def test_hausdorff_sweep_without_a_fit_fails_its_verdict(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # d_H is zero from d = 16 on, so only 2 points are nonzero: no rate was
+        # fitted, and that is no pass
+        distance = at.hausdorff_distance
+
+        def zero_from_16(a, b, E, basis):
+            if E.d_eps >= 16.0:
+                return at.HausdorffResult(0.0, 0.0, 0.0, 1e-3, 1e-3)
+            return distance(a, b, E, basis)
+
+        monkeypatch.setattr(at, "hausdorff_distance", zero_from_16)
+        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 4,8,16,32,64\n"
+               "[attractor]\nn_tails = 4\narc_dt = 1e-2\nsample_dt = 0.02\n")
+        code = cli.main(["hausdorff-sweep", "-c", write(tmp_path / "h.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == ("VERDICT: hausdorff-sweep slope=none bound=-0.4 nonincreasing=True "
+                       "below_resolution_past_threshold=True FAIL\n")
+        assert _statuses(next((tmp_path / "runs").glob("*-hausdorff"))) == ["ok"] * 2 + ["zero"] * 3
 
     def test_eigs_table(self, tmp_path, capsys):
         code = cli.main(["eigs", "--count", "3", "--quiet",

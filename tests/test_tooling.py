@@ -124,3 +124,28 @@ def test_every_flow_steps_in_propagate():
         outside += calls_outside(ast.parse(module.read_text()), module.stem, ())
     assert outside == []
     assert all(reason for reason in OWN_TIME_LOOPS.values())
+
+
+def test_point_errors_are_caught_in_one_funnel():
+    # the errors that fail one sweep point are spelt out as one tuple, and
+    # only dynamics.try_point catches them: every except clause that names
+    # that tuple, or spells it out, is listed by (module, function, line)
+    def spells_out(node):
+        return isinstance(node, ast.Tuple) and sorted(
+            getattr(elt, "id", "") for elt in node.elts) == ["RuntimeError", "ValueError"]
+
+    def names_point_errors(node):
+        return spells_out(node) or (
+            isinstance(node, ast.Name) and node.id.endswith("POINT_ERRORS")
+            or isinstance(node, ast.Attribute) and node.attr.endswith("POINT_ERRORS"))
+
+    definitions, catches = [], []
+    for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        definitions += [(module.stem, node.lineno) for node in ast.walk(tree) if spells_out(node)]
+        for outer in tree.body:
+            catches += [(module.stem, getattr(outer, "name", None), node.lineno)
+                        for node in ast.walk(outer) if isinstance(node, ast.ExceptHandler)
+                        and node.type is not None and names_point_errors(node.type)]
+    assert [(module, name) for module, name, _ in catches] == [("dynamics", "try_point")], catches
+    assert len(definitions) == 1, definitions
