@@ -19,11 +19,15 @@ PDE-vs-ODE deviation rather than mesh placement artifacts.
 Arcs, tails and long-time seeds run through `dynamics.propagate` with a
 stepper that carries its dt (`EtdStepper`, or the RK4 `_OdeStepper`), so a
 duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
-ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Every
-arc, ODE or PDE, is shot by `_shoot_arcs`; `attractor_pde`, given the d of
-a sweep, shoots the arcs of every d in one batch and steps the tails of
-every d in one more, each row under its own exact propagator, and a
-blow-up fails only the d whose rows blew up (`EtdStepper.failed`).
+ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Each
+equilibrium's finder decomposes its linearization once (`_spectrum`), and
+every arc, ODE or PDE, leaves along one of the unstable directions the
+equilibrium carries (`_arc_shots`, which refuses a non-hyperbolic one) and
+is shot by `_shoot_arcs`.  `unstable_manifold_ode` shoots the arcs of all
+equilibria in one batch; `attractor_pde`, given the d of a sweep, shoots
+the arcs of every d in one batch and steps the tails of every d in one
+more, each row under its own exact propagator, and a blow-up fails only
+the d whose rows blew up (`EtdStepper.failed`).
 
 `graph_iteration` keeps a time loop of its own.  Its trapezoid sum needs
 the forcing of every state of the backward flow, and that forcing is also
@@ -86,6 +90,7 @@ __all__ = [
     "HausdorffResult",
     "NoEquilibriaError",
     "EscapeError",
+    "NonHyperbolicError",
     "SpectralGapError",
     "ContractionError",
     "find_equilibria_ode",
@@ -108,6 +113,10 @@ class NoEquilibriaError(RuntimeError):
 
 class EscapeError(RuntimeError):
     """An orbit left the absorbing box; contradicts dissipativity."""
+
+
+class NonHyperbolicError(RuntimeError):
+    """An equilibrium has an eigenvalue on the imaginary axis; its unstable manifold is undefined."""
 
 
 class SpectralGapError(RuntimeError):
@@ -135,11 +144,13 @@ class EquilibriumPoint:
 
     `location` is a vector (ODE) or a SpectralField (PDE); `eigenvalues` are
     those of the flow linearization, so stability means all real parts
-    negative.
+    negative.  `directions` holds a real unit eigenvector of each unstable
+    eigenvalue, shaped like the state (a PDE one zero-padded to K+1 modes).
     """
 
     location: object
     eigenvalues: np.ndarray
+    directions: list
     residual: float
     kind: str  # "ode" | "pde"
 
@@ -159,6 +170,9 @@ class EquilibriumPoint:
         if self.kind == "ode":
             return np.asarray(self.location, dtype=float)
         return self.location.coeffs[:, 0].copy()
+
+    def state(self) -> np.ndarray:
+        return self.vector() if self.kind == "ode" else self.location.coeffs
 
 
 def absorbing_bound(F: Nonlinearity) -> float:
@@ -254,11 +268,9 @@ def find_equilibria_ode(F: Nonlinearity, box: float, grid_density: int = 11,
     roots = [(root, size) for root, size in roots if np.max(np.abs(root)) <= box + merge_tol]
     if not roots:
         raise NoEquilibriaError("no equilibrium found in the search box")
-    out = []
-    for root, size in sorted(roots, key=lambda item: tuple(item[0])):
-        eigs = np.linalg.eigvals(-np.eye(components) + F.jac(root))
-        out.append(EquilibriumPoint(location=root, eigenvalues=eigs, residual=size, kind="ode"))
-    return out
+    return [EquilibriumPoint(root, *_spectrum(-np.eye(components) + F.jac(root)),
+                             residual=size, kind="ode")
+            for root, size in sorted(roots, key=lambda item: tuple(item[0]))]
 
 
 def _clean_direction(vec: np.ndarray) -> np.ndarray:
@@ -274,8 +286,8 @@ def _clean_direction(vec: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
-    """Cleaned real eigenvectors of `matrix` whose eigenvalues lie right of the axis."""
+def _spectrum(matrix: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eigenvalues of a linearization and the cleaned real eigenvectors of its unstable ones."""
     eigvals, eigvecs = np.linalg.eig(matrix)
     directions = []
     for lam, vec in zip(eigvals, eigvecs.T):
@@ -283,7 +295,21 @@ def _unstable_directions(matrix: np.ndarray) -> list[np.ndarray]:
             if abs(lam.imag) > HYPERBOLICITY_TOL:
                 raise NotImplementedError("complex unstable pairs are not supported")
             directions.append(_clean_direction(vec.real))
-    return directions
+    return eigvals, directions
+
+
+def _arc_shots(equilibria) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Start and targets of each arc: every unstable direction, both ways, toward the others.
+
+    A non-hyperbolic equilibrium leaves the manifold union undefined.
+    """
+    neutral = [eq.vector() for eq in equilibria if not hyperbolicity_check(eq)]
+    if neutral:
+        raise NonHyperbolicError(f"non-hyperbolic equilibrium at {neutral[0]}; "
+                                 "manifold union undefined")
+    return [(eq.state() + sign * ARC_OFFSET * direction,
+             [o.state() for o in equilibria if o is not eq])
+            for eq in equilibria for direction in eq.directions for sign in (+1.0, -1.0)]
 
 
 def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop_ball: float,
@@ -349,22 +375,19 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
     return [buffer[:count] for buffer, count in zip(samples, counts)]
 
 
-def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
+def unstable_manifold_ode(equilibria: list[EquilibriumPoint], F: Nonlinearity,
                           dt: float = 1e-3, sample_dt: float = 1e-2,
                           horizon: float = ARC_HORIZON, box: float | None = None) -> np.ndarray:
-    """Shoot the 1-d unstable directions of a hyperbolic equilibrium.
+    """Shoot the 1-d unstable directions of every equilibrium, in one batch.
 
     Integrates v' = -v + F(v) from eq +- ARC_OFFSET*xi along each unstable
-    eigendirection xi, sampling every `sample_dt` until the orbit comes within
-    STOP_BALL of another equilibrium or the horizon runs out.  Orbits
-    escaping the absorbing box abort the computation.
+    eigendirection xi of each equilibrium, sampling every `sample_dt` until
+    the orbit comes within STOP_BALL of another equilibrium or the horizon
+    runs out.  Orbits escaping the absorbing box abort the computation.
     """
-    if eq.unstable_count == 0:
-        raise ValueError("equilibrium has no unstable direction")
-    if not hyperbolicity_check(eq):
-        raise ValueError("equilibrium is not hyperbolic")
-    base = eq.vector()
-    directions = _unstable_directions(-np.eye(base.size) + F.jac(base))
+    shots = _arc_shots(equilibria)
+    if not shots:
+        return np.empty((0, equilibria[0].vector().size))
     if box is None:
         box = absorbing_bound(F) + 2.0
 
@@ -372,11 +395,8 @@ def unstable_manifold_ode(eq: EquilibriumPoint, F: Nonlinearity, others=(),
         if np.linalg.norm(v) > box:
             raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
 
-    starts = [base + sign * ARC_OFFSET * direction
-              for direction in directions for sign in (+1.0, -1.0)]
-    ends = [o.vector() for o in others]
-    arcs = _shoot_arcs(_OdeStepper(F, dt), starts, sample_dt, horizon, [ends] * len(starts),
-                       STOP_BALL, inside_box)
+    arcs = _shoot_arcs(_OdeStepper(F, dt), [start for start, _ in shots], sample_dt, horizon,
+                       [ends for _, ends in shots], STOP_BALL, inside_box)
     return np.concatenate(arcs)
 
 
@@ -447,20 +467,11 @@ def attractor_ode(F: Nonlinearity, grid_density: int = 11, components: int = 1,
     """ODE attractor as the union of equilibria and unstable-manifold arcs."""
     box = absorbing_bound(F) + 1.0
     equilibria = find_equilibria_ode(F, box, grid_density, components=components)
-    for eq in equilibria:
-        if not hyperbolicity_check(eq):
-            raise ValueError(f"non-hyperbolic equilibrium at {eq.vector()}; manifold union undefined")
-    points = [eq.vector() for eq in equilibria]
-    provenance = ["equilibrium"] * len(points)
-    for eq in equilibria:
-        if eq.unstable_count == 0:
-            continue
-        arc = unstable_manifold_ode(eq, F, others=[o for o in equilibria if o is not eq],
-                                    dt=dt, sample_dt=sample_dt, box=box + 1.0)
-        points.extend(arc)
-        provenance.extend(["manifold_union"] * len(arc))
+    arcs = unstable_manifold_ode(equilibria, F, dt=dt, sample_dt=sample_dt, box=box + 1.0)
+    points = np.concatenate([[eq.vector() for eq in equilibria], arcs])
+    provenance = ["equilibrium"] * len(equilibria) + ["manifold_union"] * len(arcs)
     meta = {"F": F.name, "params": F.params, "sample_dt": sample_dt, "offset": ARC_OFFSET}
-    return AttractorCloud(np.array(points), "ode", provenance, meta, equilibria=equilibria)
+    return AttractorCloud(points, "ode", provenance, meta, equilibria=equilibria)
 
 
 def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | None = None,
@@ -547,22 +558,24 @@ def _galerkin_head(c: np.ndarray, basis: CosineBasis, E: DiffusionSpec, F: Nonli
     return head, jvals
 
 
-def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity) -> np.ndarray:
-    """Eigenvalues of the flow linearization -A + F'(u) at a state u.
+def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity) -> tuple:
+    """Eigenvalues and unstable directions of the flow linearization -A + F'(u) at a state u.
 
-    A Galerkin matrix on the leading modes is diagonalized exactly; the far
-    tail is diagonal-dominated and appended analytically as
-    -(eps_i lam_k + 1) + mean(F'_ii).
+    A Galerkin matrix on the leading modes is diagonalized exactly, its
+    unstable directions zero-padded to K+1 modes; the far tail is
+    diagonal-dominated and appended analytically as -(eps_i lam_k + 1) + mean(F'_ii).
     """
     m = min(LEADING_MODES, u.basis.mode_count + 1)
     head, jvals = _galerkin_head(u.coeffs, u.basis, E, F, m)
-    eigs = np.linalg.eigvals(head)
+    eigs, directions = _spectrum(head)
     gains = E.gains(u.basis)
     tail = []
     for i in range(u.components):
         diag_avg = float(np.mean(jvals[i, i]))
         tail.extend(-gains[i, m:] + diag_avg)
-    return np.concatenate([eigs, np.array(tail, dtype=complex)])
+    padding = ((0, 0), (0, u.basis.mode_count + 1 - m))
+    return (np.concatenate([eigs, np.array(tail, dtype=complex)]),
+            [np.pad(vec.reshape(u.components, m), padding) for vec in directions])
 
 
 def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
@@ -599,21 +612,9 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
     for root, _ in sorted(roots, key=lambda item: tuple(np.round(item[0], 12))):
         u = SpectralField(root.reshape(n, K1), basis)
         res = float(np.linalg.norm(residual(root)))
-        eigs = pde_linearization_spectrum(u, E, F)
-        out.append(EquilibriumPoint(location=u, eigenvalues=eigs, residual=res, kind="pde"))
+        out.append(EquilibriumPoint(u, *pde_linearization_spectrum(u, E, F), residual=res,
+                                    kind="pde"))
     return out
-
-
-def _pde_unstable_directions(eq: EquilibriumPoint, E: DiffusionSpec,
-                             F: Nonlinearity) -> list[np.ndarray]:
-    u = eq.location
-    m = min(LEADING_MODES, u.basis.mode_count + 1)
-    directions = []
-    for vec in _unstable_directions(_galerkin_head(u.coeffs, u.basis, E, F, m)[0]):
-        full = np.zeros_like(u.coeffs)
-        full[:, :m] = vec.reshape(u.components, m)
-        directions.append(full)
-    return directions
 
 
 def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorCloud,
@@ -644,11 +645,7 @@ def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorC
     def shots_of(Ei):
         """Ei's equilibria, and the start and the targets of each arc they shoot."""
         eqs = find_equilibria_pde(Ei, F, seeds)
-        return eqs, [(eq.location.coeffs + sign * ARC_OFFSET * direction,
-                      [o.location.coeffs for o in eqs if o is not eq])
-                     for eq in eqs if eq.unstable_count > 0 and hyperbolicity_check(eq)
-                     for direction in _pde_unstable_directions(eq, Ei, F)
-                     for sign in (+1.0, -1.0)]
+        return eqs, _arc_shots(eqs)
 
     failed, equilibria = {}, {}
     starts, owner, targets = [], [], []

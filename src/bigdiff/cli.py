@@ -5,7 +5,7 @@ Exit codes are uniform across subcommands:
     0  pass: the measured quantity met its configured tolerance
     1  quantitative failure: the run completed but the verdict failed
     2  usage or configuration error
-    3  runtime failure (blow-up, non-convergence, missing spectral gap, ...)
+    3  runtime failure (blow-up, non-convergence, non-hyperbolic equilibrium, ...)
 
 Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
 configuration (itself a valid config reproducing the run), the measured
@@ -39,6 +39,7 @@ _RUNTIME_ERRORS = (
     dyn.BlowUpError,
     at.NoEquilibriaError,
     at.EscapeError,
+    at.NonHyperbolicError,
     at.SpectralGapError,
     at.ContractionError,
     rt.FitError,

@@ -109,17 +109,55 @@ class TestHyperbolicity:
         origin = min(eqs, key=lambda e: abs(e.vector()[0]))
         assert not at.hyperbolicity_check(origin)
         assert origin.stability == "nonhyperbolic"
+        with pytest.raises(at.NonHyperbolicError, match="manifold union undefined"):
+            at.unstable_manifold_ode(eqs, dyn.tanh_pitchfork(1.0))
 
     def test_stable_node_hyperbolic(self, tanh_equilibria):
         outer = max(tanh_equilibria, key=lambda e: e.vector()[0])
         assert at.hyperbolicity_check(outer)
 
 
+class TestEquilibriumDirections:
+    # each equilibrium carries one unit eigenvector per unstable eigenvalue,
+    # checked against a linearization rebuilt here: -I + F' for the ODE, and
+    # for the PDE -gains + F'(u) applied on the grid
+    SYSTEMS = {"tanh": (TANH2, 1), "saturated_cubic": (dyn.saturated_cubic(2.0), 1),
+               "coupled_tanh": (dyn.coupled_tanh(2.0, 0.5), 2)}
+
+    @pytest.mark.parametrize("d", [None, 0.05, 1.0], ids=["ode", "pde-d0.05", "pde-d1"])
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_directions_are_the_unstable_eigenvectors(self, name, d):
+        F, n = self.SYSTEMS[name]
+        eqs = at.find_equilibria_ode(F, at.absorbing_bound(F) + 1.0, components=n)
+        if d is None:
+            def apply_J(eq, xi):
+                return -xi + F.jac(eq.vector()) @ xi
+        else:
+            basis, E = sp.build_basis(DOM, 16), sp.diffusion([d] * n)
+            eqs = at.find_equilibria_pde(E, F, [sp.constant_field(eq.vector(), basis)
+                                                for eq in eqs])
+
+            def apply_J(eq, xi):
+                jac = F.jac(basis.to_grid(eq.location.coeffs))
+                return -E.gains(basis) * xi + basis.to_spectral(
+                    np.einsum("ijx,jx->ix", jac, basis.to_grid(xi)))
+        for eq in eqs:
+            unstable = sorted(lam.real for lam in eq.eigenvalues if lam.real > 0)
+            assert len(eq.directions) == eq.unstable_count == len(unstable)
+            rates = []
+            for xi in eq.directions:
+                assert xi.shape == eq.state().shape
+                assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-14)
+                J_xi = apply_J(eq, xi)
+                rates.append(float(np.vdot(xi, J_xi)))
+                assert np.max(np.abs(J_xi - rates[-1] * xi)) < 1e-10
+            np.testing.assert_allclose(sorted(rates), unstable, rtol=0, atol=1e-10)
+        assert any(eq.directions for eq in eqs)
+
+
 class TestUnstableManifoldODE:
     def test_arcs_fill_interval(self, tanh_equilibria):
-        origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
-        others = [e for e in tanh_equilibria if e is not origin]
-        arc = at.unstable_manifold_ode(origin, TANH2, others)
+        arc = at.unstable_manifold_ode(tanh_equilibria, TANH2)
         values = np.sort(arc[:, 0])
         assert values[0] == pytest.approx(-USTAR, abs=1e-4)
         assert values[-1] == pytest.approx(USTAR, abs=1e-4)
@@ -128,24 +166,22 @@ class TestUnstableManifoldODE:
         assert np.max(gaps) < 2 * 0.533 * 1e-2
 
     def test_mirror_symmetry(self, tanh_equilibria):
-        origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
-        others = [e for e in tanh_equilibria if e is not origin]
-        arc = at.unstable_manifold_ode(origin, TANH2, others)
+        arc = at.unstable_manifold_ode(tanh_equilibria, TANH2)
         half = len(arc) // 2
         plus, minus = arc[:half, 0], arc[half:2 * half, 0]
         # the two shots may terminate one sample apart; compare the shared run
         shared = min(len(plus), len(minus)) - 2
         assert np.max(np.abs(plus[:shared] + minus[:shared])) < 1e-9
 
-    def test_stable_equilibrium_rejected(self, tanh_equilibria):
+    def test_stable_equilibrium_has_no_arcs(self, tanh_equilibria):
         outer = max(tanh_equilibria, key=lambda e: e.vector()[0])
-        with pytest.raises(ValueError, match="unstable"):
-            at.unstable_manifold_ode(outer, TANH2)
+        assert outer.directions == []
+        assert at.unstable_manifold_ode([outer], TANH2).shape == (0, 1)
 
     def test_escape_raises(self, tanh_equilibria):
         origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
         with pytest.raises(at.EscapeError):
-            at.unstable_manifold_ode(origin, TANH2, box=0.5)
+            at.unstable_manifold_ode([origin], TANH2, box=0.5)
 
 
 class TestAttractorODE:
@@ -271,7 +307,7 @@ class TestWholeSteps:
 
         monkeypatch.setattr(dyn, "_rk4_step", counting_rk4)
         origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
-        arc = at.unstable_manifold_ode(origin, TANH2, dt=1e-3, sample_dt=1e-2)
+        arc = at.unstable_manifold_ode([origin], TANH2, dt=1e-3, sample_dt=1e-2)
         assert calls[0] == 60_000
         assert len(arc) == 2 * (1 + 6_000)
 
@@ -451,7 +487,7 @@ class TestLockstepShooting:
         top = max(eqs, key=lambda e: e.vector()[0])
         stepper = dyn.EtdStepper(basis, E, TANH2, self.DT)
         starts = [origin.location.coeffs + sign * 1e-5 * direction
-                  for direction in at._pde_unstable_directions(origin, E, TANH2)
+                  for direction in origin.directions
                   for sign in (+1.0, -1.0)]
         oracle = arcs_one_at_a_time(stepper.step, starts, self.DT, 2, self.HORIZON,
                                     [top.location.coeffs], 1e-6)
@@ -478,12 +514,38 @@ class TestLockstepShooting:
         starts = [origin.vector() + sign * 1e-5 * np.array([1.0]) for sign in (+1.0, -1.0)]
         oracle = arcs_one_at_a_time(lambda v, t: dyn._rk4_step(v, self.DT, rhs), starts,
                                     self.DT, 2, self.HORIZON, [top.vector()], 1e-6, check)
-        got = at.unstable_manifold_ode(origin, TANH2, [top], dt=self.DT,
+        got = at.unstable_manifold_ode([origin, top], TANH2, dt=self.DT,
                                        sample_dt=self.SAMPLE_DT, horizon=self.HORIZON, box=box)
         assert np.array_equal(got, oracle)
         minus = next(i for i, v in enumerate(got) if i and np.array_equal(v, starts[1]))
         assert np.linalg.norm(got[minus - 1] - top.vector()) < 1e-6
         assert len(got) - minus == 1 + round(self.HORIZON / self.DT) // 2 > minus
+
+    def test_every_equilibrium_in_one_batch_matches_one_at_a_time(self):
+        # coupled_tanh(2, 0.5) has 9 equilibria, 5 of them unstable: 12 arcs run
+        # in one batch, each toward the other 8, and equal each one's arcs shot alone
+        F = dyn.coupled_tanh(2.0, 0.5)
+        eqs = at.find_equilibria_ode(F, at.absorbing_bound(F) + 1.0, components=2)
+        box = at.absorbing_bound(F) + 2.0
+
+        def rhs(u):
+            return -u + F(u)
+
+        def check(v, t):
+            if np.linalg.norm(v) > box:
+                raise at.EscapeError("escaped")
+
+        oracle = [arcs_one_at_a_time(lambda v, t: dyn._rk4_step(v, self.DT, rhs),
+                                     [eq.vector() + sign * at.ARC_OFFSET * xi
+                                      for xi in eq.directions for sign in (+1.0, -1.0)],
+                                     self.DT, 2, self.HORIZON,
+                                     [o.vector() for o in eqs if o is not eq], at.STOP_BALL, check)
+                  for eq in eqs if eq.directions]
+        assert len(eqs) == 9 and len(oracle) == 5
+        assert sum(2 * len(eq.directions) for eq in eqs) == 12
+        got = at.unstable_manifold_ode(eqs, F, dt=self.DT, sample_dt=self.SAMPLE_DT,
+                                       horizon=self.HORIZON)
+        assert np.array_equal(got, np.concatenate(oracle))
 
     def test_blow_up_fails_only_its_own_group(self, monkeypatch):
         # linear F = 7u grows mode 0 like e^{6t}: group 1 starts at 1 and blows up

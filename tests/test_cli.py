@@ -302,6 +302,19 @@ c = 40.0
         assert cli.main(["decay", "-c", cfg, "--quiet",
                          "--out-root", str(tmp_path / "runs")]) == 3
 
+    @pytest.mark.parametrize("command,ini", [
+        ("attractor", "[attractor]\nlongtime_seeds = 50\n"),
+        ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                            "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"),
+    ], ids=["attractor", "hausdorff-sweep"])
+    def test_non_hyperbolic_equilibrium_is_three(self, tmp_path, capsys, command, ini):
+        # tanh with beta = 1 has a degenerate origin: no ODE manifold union exists
+        cfg = write(tmp_path / "a.ini", ini + "[nonlinearity]\nname = tanh\nbeta = 1.0\n")
+        assert cli.main([command, "-c", cfg, "--quiet",
+                         "--out-root", str(tmp_path / "runs")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime failure: NonHyperbolicError: non-hyperbolic equilibrium at [")
+
     def test_unknown_command_is_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -480,6 +493,26 @@ class TestVerdicts:
         statuses = _statuses(run_dir)
         assert statuses[1].startswith("failed: NoEquilibriaError: ")
         assert statuses[:1] + statuses[2:] == ["ok"] * 4
+
+    def test_hausdorff_sweep_at_the_homogenization_threshold_fails_its_point(self, tmp_path,
+                                                                             capsys):
+        # at d* = 1/pi^2 the PDE origin's phi_1 mode is neutral (F'(0) - d lam_1 - 1 = 0),
+        # so that cloud has no manifold union; the point fails, and four points
+        # survive to be fitted
+        d_star = 1.0 / np.pi**2
+        ini = (f"[domain]\nmodes = 16\n[sweep]\nd_eps = {d_star!r},1,4,16,64\n"
+               "[attractor]\nn_tails = 4\narc_dt = 1e-2\nsample_dt = 0.02\n")
+        code = cli.main(["hausdorff-sweep", "-c", write(tmp_path / "h.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("VERDICT: hausdorff-sweep slope=")
+        assert out.endswith(" failed_points=1 FAIL\n")
+        run_dir = next((tmp_path / "runs").glob("*-hausdorff"))
+        failure = ("failed: NonHyperbolicError: non-hyperbolic equilibrium at [0.]; "
+                   "manifold union undefined")
+        assert f"\n{d_star!r},nan,{failure}\n" in (run_dir / "points.csv").read_text()
+        assert _statuses(run_dir) == [failure, "ok", "ok", "ok", "ok"]
 
     def test_decay_with_a_failed_point_says_so(self, tmp_path, capsys):
         # F = 3u blows up at d = 0.01 only; the margin reads the surviving points

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -166,20 +167,20 @@ class TestRunSweep:
         # d = 2 fails in its Newton solve, or its arcs start 1e9 from the origin and
         # blow up in the first step; its row reads as when d = 2 runs alone, and
         # every other row as when that d runs alone
-        solve, directions = at.find_equilibria_pde, at._pde_unstable_directions
+        solve = at.find_equilibria_pde
 
         def failing_solve(E, F, seeds):
             if E.d_eps == 2.0:
                 raise at.NoEquilibriaError("no PDE equilibrium found from the given seeds")
             return solve(E, F, seeds)
 
-        def far_directions(eq, E, F):
-            return [(1e14 if E.d_eps == 2.0 else 1.0) * v for v in directions(eq, E, F)]
+        def far_directions(E, F, seeds):
+            scale = 1e14 if E.d_eps == 2.0 else 1.0
+            return [dataclasses.replace(eq, directions=[scale * v for v in eq.directions])
+                    for eq in solve(E, F, seeds)]
 
-        if failure == "newton":
-            monkeypatch.setattr(at, "find_equilibria_pde", failing_solve)
-        else:
-            monkeypatch.setattr(at, "_pde_unstable_directions", far_directions)
+        monkeypatch.setattr(at, "find_equilibria_pde",
+                            failing_solve if failure == "newton" else far_directions)
         d_values = (1.0, 2.0, 4.0, 8.0, 16.0)
         params = PARAMS["hausdorff"]
         _, record = rt.run_sweep(rt.SweepConfig("hausdorff", d_values, params=params, seed=3),

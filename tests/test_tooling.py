@@ -149,3 +149,15 @@ def test_point_errors_are_caught_in_one_funnel():
                         and node.type is not None and names_point_errors(node.type)]
     assert [(module, name) for module, name, _ in catches] == [("dynamics", "try_point")], catches
     assert len(definitions) == 1, definitions
+
+
+def test_each_linearization_is_decomposed_in_one_place():
+    # every eigendecomposition in attractors sits in _spectrum, which each
+    # equilibrium finder calls once per equilibrium; the arc builders read
+    # the directions the equilibria carry
+    tree = ast.parse((ROOT / "src" / "bigdiff" / "attractors.py").read_text())
+    sites = [(getattr(outer, "name", None), node.func.attr, node.lineno)
+             for outer in tree.body for node in ast.walk(outer)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in {"eig", "eigvals", "eigh", "eigvalsh"}]
+    assert [(name, call) for name, call, _ in sites] == [("_spectrum", "eig")], sites
