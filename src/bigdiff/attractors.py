@@ -35,8 +35,8 @@ the next RK4 step's k1, so each step evaluates the forcing four times.
 Through `propagate`, an RK4 step knows nothing of the sum and would need a
 fifth evaluation, a quarter more of the work that dominates a `manifold`
 run: a cProfile'd `perfbench` `manifold` execution (seed 11, 2-core x86-64
-host) spent 1.20 of 2.76 s in `graph_iteration`, 1.09 s of it in 9,360
-forcing evaluations.
+host) spent 0.94 of 2.11 s in `graph_iteration`, 0.81 s of it in 9,360
+forcing evaluations, 0.38 s of those in the grid blend.
 
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
@@ -57,7 +57,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -539,23 +538,21 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     return AttractorCloud(points, "ode", ["long_time_sampling"] * len(points), meta)
 
 
-def _galerkin_head(c: np.ndarray, basis: CosineBasis, E: DiffusionSpec, F: Nonlinearity,
-                   m: int) -> tuple[np.ndarray, np.ndarray]:
+def _galerkin_head(jvals: np.ndarray, basis: CosineBasis, E: DiffusionSpec,
+                   m: int) -> np.ndarray:
     """Galerkin matrix of -A + F'(u) on the leading m modes of each component.
 
-    `c` holds the coefficients of u; returns (head, jvals), with jvals = F'(u)
-    on the grid.
+    `jvals` holds F'(u) on the grid, shaped (n, n, grid points).
     """
-    n = c.shape[0]
+    n = jvals.shape[0]
     phi = basis.synthesis_matrix()[:m]
-    jvals = F.jac(basis.to_grid(c))
     head = np.zeros((n * m, n * m))
     for i in range(n):
         for j in range(n):
             block = (phi * jvals[i, j][None, :]) @ phi.T / basis.quad_points
             head[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
     head -= np.diag(E.gains(basis)[:, :m].ravel())
-    return head, jvals
+    return head
 
 
 def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlinearity) -> tuple:
@@ -564,17 +561,19 @@ def pde_linearization_spectrum(u: SpectralField, E: DiffusionSpec, F: Nonlineari
     A Galerkin matrix on the leading modes is diagonalized exactly, its
     unstable directions zero-padded to K+1 modes; the far tail is
     diagonal-dominated and appended analytically as -(eps_i lam_k + 1) + mean(F'_ii).
+    The head holds LEADING_MODES modes per component, or more where a tail
+    value would be unstable, so that every unstable eigenvalue has a direction.
     """
-    m = min(LEADING_MODES, u.basis.mode_count + 1)
-    head, jvals = _galerkin_head(u.coeffs, u.basis, E, F, m)
-    eigs, directions = _spectrum(head)
+    jvals = F.jac(u.basis.to_grid(u.coeffs))
     gains = E.gains(u.basis)
-    tail = []
-    for i in range(u.components):
-        diag_avg = float(np.mean(jvals[i, i]))
-        tail.extend(-gains[i, m:] + diag_avg)
+    diag_avg = np.array([np.mean(jvals[i, i]) for i in range(u.components)])
+    tail = diag_avg[:, None] - gains  # (n, K+1), the analytic value of every mode
+    unstable = np.flatnonzero(np.any(tail > HYPERBOLICITY_TOL, axis=0))
+    m = min(max(LEADING_MODES, unstable[-1] + 1 if unstable.size else 0),
+            u.basis.mode_count + 1)
+    eigs, directions = _spectrum(_galerkin_head(jvals, u.basis, E, m))
     padding = ((0, 0), (0, u.basis.mode_count + 1 - m))
-    return (np.concatenate([eigs, np.array(tail, dtype=complex)]),
+    return (np.concatenate([eigs, tail[:, m:].ravel().astype(complex)]),
             [np.pad(vec.reshape(u.components, m), padding) for vec in directions])
 
 
@@ -602,7 +601,8 @@ def find_equilibria_pde(E: DiffusionSpec, F: Nonlinearity,
         return inv_gains * residual(flat)
 
     def jacobian_pc(flat):
-        return inv_gains[:, None] * -_galerkin_head(flat.reshape(n, K1), basis, E, F, K1)[0]
+        jvals = F.jac(basis.to_grid(flat.reshape(n, K1)))
+        return inv_gains[:, None] * -_galerkin_head(jvals, basis, E, K1)
 
     roots = _newton_roots(residual_pc, jacobian_pc, [seed.coeffs.ravel() for seed in seeds],
                           NEWTON_TOL, MERGE_TOL, max_iter=60)
@@ -808,6 +808,27 @@ class GraphEstimate:
     iterations: int
 
 
+def _grid_blend(node: np.ndarray, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of `table` on the grid `node` x ... x `node` at the rows of `x`.
+
+    `table` has shape (len(node),) * n + (columns,) and each row of `x` (shape
+    (queries, n)) lies in the grid's hull.  A query's cell starts at the last
+    node at or below it; a query on the top node falls in the last cell.  The
+    2**n corners are summed in the order, and their weights multiplied in the
+    order, of scipy's `RegularGridInterpolator` linear method, so every value
+    equals what it returns, bit for bit.
+    """
+    cell = np.minimum(np.searchsorted(node, x, side="right") - 1, len(node) - 2)
+    y = (x - node[cell]) / (node[cell + 1] - node[cell])
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=x.shape[1]):
+        weight = 1.0
+        for axis, upper in enumerate(corner):
+            weight = weight * (y[:, axis] if upper else 1 - y[:, axis])
+        out = out + table[tuple((cell + corner).T)] * weight[:, None]
+    return out
+
+
 def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
                     iters: int = 8, dt: float = 1e-3, mu: float | None = None,
                     initial: np.ndarray | None = None, box: float | None = None,
@@ -817,7 +838,8 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     Each sweep integrates the base flow v' = v - S(v, w(v)) backward from
     every grid node over the horizon 10/gap and accumulates the mean-free
     forcing Q(v, w(v)) against the exact decaying propagator (composite
-    trapezoid in time); the graph values w are grid-interpolated.  Requires
+    trapezoid in time); the graph values w are blended linearly between the
+    nodes of the uniform grid (`_grid_blend`).  Requires
     the spectral gap d*lam_1 + 1 - mu > Lip(F); aborts if the iteration fails
     to contract, and stops early once a sweep changes the graph by less than
     1e-14.  Backward-flow states leaving the grid hull are clamped to it for
@@ -835,8 +857,9 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     horizon = 10.0 / gap
     if box is None:
         box = 1.2 * (absorbing_bound(F) + 0.5)
-    axes = (np.linspace(-box, box, grid_points),) * n
-    v_grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)  # (m, n)
+    node = np.linspace(-box, box, grid_points)
+    v_grid = np.stack([m.ravel() for m in np.meshgrid(*(node,) * n, indexing="ij")],
+                      axis=-1)  # (m, n)
     m = v_grid.shape[0]
     K1 = basis.mode_count + 1
     gains = E.gains(basis)
@@ -853,13 +876,11 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
     prev_diff = None
 
     for sweep in range(iters):
-        interp = RegularGridInterpolator(
-            axes, s.reshape((grid_points,) * n + (n * K1,)),
-            method="linear", bounds_error=False, fill_value=None)
+        table = s.reshape((grid_points,) * n + (n * K1,))
 
         def forcing(v):
             # coefficients of F(v + w(v)): mode 0 is S, the others Q
-            c = interp(np.clip(v, -box, box)).reshape(-1, n, K1)
+            c = _grid_blend(node, table, np.clip(v, -box, box)).reshape(-1, n, K1)
             c[:, :, 0] = v
             return _galerkin_F(F, c, basis)
 

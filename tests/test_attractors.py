@@ -355,6 +355,15 @@ class TestEquilibriaPDE:
         assert by_v[0.0].stability == "unstable(1)"
         assert by_v[round(USTAR, 3)].stability == "stable"
 
+    def test_every_unstable_tail_mode_has_a_direction(self):
+        # at d = 1e-5 all 65 modes of the K = 64 origin are unstable, more
+        # than the LEADING_MODES head decomposes by default
+        basis = sp.build_basis(DOM, 64)
+        (origin,) = at.find_equilibria_pde(sp.diffusion([1e-5]), TANH2,
+                                           [sp.constant_field([0.0], basis)])
+        assert origin.unstable_count == 65 > at.LEADING_MODES
+        assert len(origin.directions) == origin.unstable_count
+
 
 @pytest.fixture(scope="module")
 def pde_cloud_fast(tanh_cloud):
@@ -900,6 +909,44 @@ class TestGraphIteration:
         assert est.contraction_factors
         assert all(f < 1.0 for f in est.contraction_factors)
         assert est.sup_norm < 0.1  # contracted well below the seed
+
+    @pytest.mark.parametrize("grid_points", [2, 5, 21])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blend_is_scipy_linear_interpolation(self, n, grid_points):
+        # the graph map's blend equals RegularGridInterpolator bit for bit on
+        # every query the map makes: clipped to the box, between nodes, on
+        # nodes and on both edges
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(10 * n + grid_points)
+        box = 2.5
+        node = np.linspace(-box, box, grid_points)
+        table = rng.standard_normal((grid_points,) * n + (3 * n,))
+        oracle = RegularGridInterpolator((node,) * n, table, method="linear",
+                                         bounds_error=False, fill_value=None)
+        x = rng.uniform(-2 * box, 2 * box, (4000, n))
+        special = np.concatenate([node, [-box, box, -2 * box, 2 * box]])
+        mask = rng.random(x.shape) < 0.5
+        x[mask] = rng.choice(special, mask.sum())
+        x = np.clip(x, -box, box)
+        assert np.isin(x, node).all(axis=1).any() and np.isin(x, [-box, box]).any()
+        assert at._grid_blend(node, table, x).tobytes() == oracle(x).tobytes()
+
+    def test_two_components(self):
+        # coupled_tanh acts pointwise, so with equal diffusion the constants
+        # are invariant and the graph over them vanishes; a seeded 2-d graph
+        # contracts towards it
+        F, basis, m = dyn.coupled_tanh(), sp.build_basis(DOM, 8), 5
+        E = sp.diffusion([8.0, 8.0])
+        est = at.graph_iteration(E, F, basis, grid_points=m, iters=3)
+        assert est.v_grid.shape == (m * m, 2)
+        assert est.sup_norm < 1e-13
+        seeded = np.zeros((m * m, 2, 9))
+        seeded[:, 0, 1], seeded[:, 1, 2] = 0.1, -0.05
+        est = at.graph_iteration(E, F, basis, grid_points=m, iters=3, initial=seeded)
+        assert np.max(np.abs(est.w_coeffs[:, :, 0])) == 0.0
+        assert len(est.contraction_factors) == 2
+        assert all(f < 1.0 for f in est.contraction_factors)
 
     def test_mean_free_invariant(self):
         basis = sp.build_basis(DOM, 8)

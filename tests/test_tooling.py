@@ -1,6 +1,10 @@
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -161,3 +165,21 @@ def test_each_linearization_is_decomposed_in_one_place():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in {"eig", "eigvals", "eigh", "eigvalsh"}]
     assert [(name, call) for name, call, _ in sites] == [("_spectrum", "eig")], sites
+
+
+def test_cli_and_graph_map_leave_scipy_interpolate_unloaded():
+    # every study pays for its imports at start-up; scipy.interpolate alone
+    # costs a large share of it, and nothing in src/ needs it
+    script = textwrap.dedent("""
+        import sys
+        import bigdiff.cli
+        from bigdiff import attractors, dynamics, spectral
+        basis = spectral.build_basis(spectral.DomainSpec(), 8)
+        attractors.graph_iteration(spectral.diffusion([16.0]), dynamics.tanh_pitchfork(2.0),
+                                   basis, iters=1, grid_points=5)
+        assert "scipy.interpolate" not in sys.modules, "scipy.interpolate was imported"
+    """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
