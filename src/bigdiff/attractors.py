@@ -44,10 +44,13 @@ nearest-neighbor spacing) so every distance statement can be read against
 the sampling accuracy.
 
 Every nearest-neighbor maximum (resolution, Hausdorff) goes through
-`_farthest_nearest`: an exact k-d tree query screens all rows, then the
-few rows tied with the largest tree distance are settled with `cdist`
-against the whole reference set, so each result is bit-identical to a
-brute-force `cdist` over all pairs.
+`_farthest_nearest`: a sort-and-sweep screen in numpy bounds each row's
+nearest distance, then the few rows tied with the largest screened
+distance are settled against the whole reference set, summing squares in
+scipy `cdist`'s order, so each result is bit-identical to a brute-force
+`cdist` over all pairs.  The clouds are arcs, equilibria and a few tails,
+close to one-dimensional, so a row's window on the sorted coordinate
+holds a handful of rows.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from numpy.random import default_rng
 
 from .dynamics import (
     POINT_ERRORS,
@@ -505,7 +507,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
             parts.append(np.zeros(1))
         v = np.concatenate(parts)[None, :].copy()
     else:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         direction = rng.standard_normal((components, n_seeds))
         direction /= np.sqrt(np.sum(direction**2, axis=0))
         radius = box * 10.0 ** rng.uniform(-decades, 0.0, size=n_seeds)
@@ -666,7 +668,7 @@ def attractor_pde(Es, F: Nonlinearity, basis: CosineBasis, ode_cloud: AttractorC
         failed.update(stepper.failed)
 
     alive = [i for i in range(len(Es)) if i not in failed]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n, K1 = Es[0].components, basis.mode_count + 1
     tails = np.zeros((n_tails, n, K1))
     kmax = min(8, basis.mode_count)
@@ -715,31 +717,103 @@ class HausdorffResult:
     resolution_b: float
 
 
-# the cdist settle of _farthest_nearest computes at most this many distances at once
+# the most numbers _farthest_nearest holds in one array: a settle block of
+# query rows times all of ref, or a screen chunk of pairs times the dimension
 SETTLE_BLOCK = 2**22
+
+
+def _cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All Euclidean distances between the rows of `a` and of `b`.
+
+    The squares are summed one coordinate at a time, in the order and so
+    with the rounding of scipy's `cdist`, so every entry equals `cdist`'s.
+    """
+    acc = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for j in range(1, a.shape[1]):
+        acc += (a[:, None, j] - b[None, :, j]) ** 2
+    return np.sqrt(acc)
+
+
+def _pair_sq(query: np.ndarray, ref: np.ndarray, row: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs (query[row], ref[slot])."""
+    gaps = query[row] - ref[slot]
+    return np.einsum("ij,ij->i", gaps, gaps)
+
+
+def _window_min(query: np.ndarray, ref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per query row, the least squared distance to the rows lo..hi-1 of `ref`.
+
+    A row with an empty window reads inf.  The pairs are laid out flat, row
+    after row, in chunks of whole rows holding at most SETTLE_BLOCK numbers
+    (at least one row, however wide its window).
+    """
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    best = np.full(len(query), np.inf)
+    budget = max(1, SETTLE_BLOCK // query.shape[1])
+    r0 = 0
+    while r0 < len(query):
+        done = ends[r0] - counts[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        taken = counts[r0:r1]
+        offsets = ends[r0:r1] - taken - done
+        row = np.repeat(np.arange(r0, r1), taken)
+        slot = np.repeat(lo[r0:r1] - offsets, taken) + np.arange(ends[r1 - 1] - done)
+        sq = _pair_sq(query, ref, row, slot)
+        some = taken > 0
+        best[r0:r1][some] = np.minimum.reduceat(sq, offsets[some])
+        r0 = r1
+    return best
 
 
 def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = False) -> float:
     """max over rows of `query` of the distance to the nearest row of `ref`.
 
     With `skip_self`, `query` is `ref` and each row's own pair is excluded.
-    An exact k-d tree query screens every row; only rows within a relative
-    1e-9 of the largest tree distance (the tree may round differently in
-    the last bits) are recomputed with `cdist` against all of `ref`, so the
-    result equals a brute-force `cdist` maximum bit for bit.  Rows tied at
-    the maximum (every row of a cloud of equally spaced points) are settled
-    in blocks of at most SETTLE_BLOCK distances.
+    A sort-and-sweep screen (Friedman, Baskett & Shustek, IEEE Trans.
+    Computers C-24, 1975) bounds every row's nearest distance: `ref` is
+    sorted on its coordinate of largest spread, the sorted neighbour on
+    each side of a row gives an upper bound, and every row of `ref` whose
+    coordinate lies within that bound, widened by a relative 1e-9, is a
+    candidate.  Rounding drops no nearer row, even where squares underflow:
+    a row outside the window has a wider gap in the sorted coordinate, and
+    a computed sum of squares is at least each of its rounded terms, so it
+    reads no nearer than the neighbour that set the bound.  Only rows
+    within a relative 1e-9 of the largest screened distance are recomputed
+    with `_cdist` against all of `ref`, so the result equals a brute-force
+    `cdist` maximum bit for bit.  Rows tied at the maximum (every row of a
+    cloud of equally spaced points) are settled in blocks of at most
+    SETTLE_BLOCK distances.
     """
-    dist, _ = cKDTree(ref).query(query, k=2 if skip_self else 1)
-    nearest = dist[:, -1] if skip_self else dist
+    n = len(ref)
+    axis = int(np.argmax(np.ptp(ref, axis=0)))
+    order = np.argsort(ref[:, axis])
+    keys, sorted_ref = ref[order, axis], ref[order]
+    x = query[:, axis]
+    if skip_self:  # a row's neighbours are the slots either side of its own
+        below = np.empty(n, dtype=np.intp)
+        below[order] = np.arange(n)
+        above = below + 1
+    else:
+        below = above = np.searchsorted(keys, x)
+    near_lo, near_hi = np.maximum(below - 1, 0), np.minimum(above + 1, n)
+    sq = np.minimum(_window_min(query, sorted_ref, near_lo, below),
+                    _window_min(query, sorted_ref, above, near_hi))
+    width = np.sqrt(sq) * (1.0 + 1e-9)
+    lo = np.searchsorted(keys, x - width, side="left")
+    hi = np.searchsorted(keys, x + width, side="right")
+    # of each window, only the rows beyond the neighbours are new
+    sq = np.minimum(sq, _window_min(query, sorted_ref, lo, np.clip(near_lo, lo, hi)))
+    sq = np.minimum(sq, _window_min(query, sorted_ref, np.clip(near_hi, lo, hi), hi))
+    nearest = np.sqrt(sq)
     top = float(nearest.max())
     if top == 0.0:
         return 0.0
     rows = np.flatnonzero(nearest >= top * (1.0 - 1e-9))
-    size = max(1, SETTLE_BLOCK // len(ref))
+    size = max(1, SETTLE_BLOCK // n)
     best = 0.0
     for block in np.split(rows, range(size, rows.size, size)):
-        d = cdist(query[block], ref)
+        d = _cdist(query[block], ref)
         if skip_self:
             d[np.arange(block.size), block] = np.inf
         best = max(best, float(d.min(axis=1).max()))

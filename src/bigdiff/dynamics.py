@@ -39,6 +39,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .spectral import CosineBasis, DiffusionSpec, SpectralField, mean_free_energy
 
@@ -214,7 +215,7 @@ def validate_nonlinearity(F: Nonlinearity, components: int, rng=None) -> None:
 
     Raises ValueError on the first violated predicate.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = default_rng(0) if rng is None else rng
     samples, fd_step = 64, 1e-6
     wide = rng.uniform(-50.0, 50.0, size=(components, samples))
     values = F(wide)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .spectral import (
     CosineBasis,
@@ -73,7 +74,7 @@ def resolvent_gap_sampled(E: DiffusionSpec, basis: CosineBasis, trials: int,
     n = E.components
     dim = n * (basis.mode_count + 1)
     if samples is None:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         mat = rng.standard_normal((dim, trials))
     else:
         mat = np.stack([f.coeffs.ravel() for f in samples], axis=1)

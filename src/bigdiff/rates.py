@@ -31,10 +31,12 @@ import datetime as _dt
 import inspect
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from . import __version__
 from .spectral import (DomainSpec, build_basis, constant_field, diffusion, mean_free_energy,
@@ -351,7 +353,8 @@ class RunRecord:
     """Everything needed to reproduce and audit one run.
 
     `metrics` holds what the run measured, the same for the same config and
-    seed; `timings` holds how long a sweep's stages took, in seconds.
+    seed; `timings` holds how long a sweep's stages took, in seconds, and
+    `environment` the Python and numpy versions and the CPU count it ran with.
     """
 
     quantity: str
@@ -364,6 +367,7 @@ class RunRecord:
     paths: dict
     metrics: dict
     timings: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
 
 def persist_run(record: RunRecord, path) -> None:
@@ -397,7 +401,8 @@ def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
     (KeyboardInterrupt included), with `finished` stamped.  `config` defaults
     to the run directory's resolved.ini (the CLI writes one into every run
     directory); `paths` holds the run directory and the record, and the body
-    adds its own files.
+    adds its own files.  `environment` is stamped once, beside `timings` and
+    outside `metrics`.
     """
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     run_dir = os.path.abspath(os.path.join(str(out_root), f"{stamp}-{quantity}"))
@@ -407,7 +412,9 @@ def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
         config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
     record = RunRecord(quantity=quantity, config=config, version=__version__, seed=seed,
                        started=_utc_now(), finished="", status="running",
-                       paths={"run_dir": run_dir, "record": path}, metrics={})
+                       paths={"run_dir": run_dir, "record": path}, metrics={},
+                       environment={"python": platform.python_version(), "numpy": np.__version__,
+                                    "cpu_count": os.cpu_count()})
     persist_run(record, path)
     status = "incomplete"
     try:
@@ -466,7 +473,7 @@ def run_sweep(cfg: SweepConfig, out_root):
         ctx = prepare(cfg.seed, **cfg.params)
         prepared = time.perf_counter()
         point_seeds = [int(s.generate_state(1)[0]) for s in
-                       np.random.SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
+                       SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
         results = measure(cfg.d_eps_values, ctx, point_seeds)
         measured = time.perf_counter()
         record.timings.update({"prepare": prepared - begun, "measure": measured - prepared})

@@ -742,6 +742,12 @@ class TestFarthestNearest:
     @given(sets=_point_sets())
     @example(sets=(np.array([[0.5]]), np.array([[0.5]])))
     @example(sets=(np.array([[1.0, 2.0, 3.0]]), np.array([[0.0, 0.0, 0.0]])))
+    # 8.04e-188**2 underflows to 0, so cdist puts such a row at distance 0;
+    # a screen window of width sqrt(0) must still find it
+    @example(sets=(np.array([[0.0]]), np.array([[8.03677933e-188]])))
+    @example(sets=(np.array([[8.03677933e-188]]), np.array([[1.0], [0.0]])))
+    @example(sets=(np.array([[0.0, 0.0], [10.0, 0.5]]),
+                   np.array([[8.03677933e-188, 0.0], [0.0, 1.0], [10.0, 0.0]])))
     @settings(max_examples=150, deadline=None)
     def test_equals_brute_force(self, sets):
         query, ref = sets
@@ -752,12 +758,13 @@ class TestFarthestNearest:
     def test_screen_sends_few_rows_to_cdist(self, tanh_cloud, monkeypatch):
         longtime = at.attractor_ode_longtime(TANH2, n_seeds=60, box=3.0, t_burn=4.0, t_end=8.0)
         rows = []
+        settle = at._cdist
 
         def counting_cdist(a, b):
             rows.append(a.shape[0])
-            return cdist(a, b)
+            return settle(a, b)
 
-        monkeypatch.setattr(at, "cdist", counting_cdist)
+        monkeypatch.setattr(at, "_cdist", counting_cdist)
         # a fresh copy, whose resolution no earlier test has computed
         manifold = at.AttractorCloud(tanh_cloud.points, "ode", tanh_cloud.provenance)
         assert len(manifold) > 2000 and len(longtime) > 2000
@@ -765,6 +772,52 @@ class TestFarthestNearest:
         at.hausdorff_distance(manifold, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
         # two resolutions (the manifold's is not computed again) and two one-sided maxima
         assert len(rows) == 4 and max(rows) <= 4
+
+    def test_points_on_a_circle(self):
+        # sorted on x, a point of the sparse upper arc has only points of the
+        # dense lower arc for neighbours, 2 away in y; its nearest point is
+        # found only by the wide second pass
+        rng = np.random.default_rng(8)
+        t = np.r_[np.sort(rng.uniform(0.0, np.pi, 40)),
+                  np.sort(rng.uniform(np.pi, 2 * np.pi, 2000))]
+        circle = np.c_[np.cos(t), np.sin(t)]
+        query = circle[:40] * 1.001
+        assert at._farthest_nearest(query, circle) == brute_farthest_nearest(query, circle)
+        assert (at._farthest_nearest(circle, circle, skip_self=True)
+                == brute_farthest_nearest(circle, circle, skip_self=True))
+
+    def test_isotropic_cloud_keeps_pair_arrays_within_the_block(self, monkeypatch):
+        # in 33 dimensions a window spans most of ref, so the screen turns
+        # into blocked brute force; no array may outgrow SETTLE_BLOCK numbers,
+        # which here holds one row against all of ref and little more
+        rng = np.random.default_rng(4)
+        query, ref = rng.standard_normal((150, 33)), rng.standard_normal((200, 33))
+        monkeypatch.setattr(at, "SETTLE_BLOCK", 2**13)
+        sizes = []
+        pair_sq, settle = at._pair_sq, at._cdist
+
+        def counting_pair_sq(q, r, row, slot):
+            sizes.append(row.size * q.shape[1])
+            return pair_sq(q, r, row, slot)
+
+        def counting_cdist(a, b):
+            sizes.append(a.shape[0] * b.shape[0])
+            return settle(a, b)
+
+        monkeypatch.setattr(at, "_pair_sq", counting_pair_sq)
+        monkeypatch.setattr(at, "_cdist", counting_cdist)
+        assert at._farthest_nearest(query, ref) == brute_farthest_nearest(query, ref)
+        assert (at._farthest_nearest(ref, ref, skip_self=True)
+                == brute_farthest_nearest(ref, ref, skip_self=True))
+        assert len(sizes) > 100 and max(sizes) <= 2**13
+
+    @pytest.mark.parametrize("skip_self", [False, True])
+    def test_one_row_ref(self, skip_self):
+        ref = np.array([[0.5, -1.0]])
+        query = ref if skip_self else np.array([[0.0, 0.0], [3.5, 3.0], [0.5, -1.0]])
+        result = at._farthest_nearest(query, ref, skip_self=skip_self)
+        assert result == brute_farthest_nearest(query, ref, skip_self=skip_self)
+        assert result == (np.inf if skip_self else 5.0)
 
     def test_resolution_is_computed_once_per_cloud(self, tanh_cloud, monkeypatch):
         calls = []
@@ -790,12 +843,13 @@ class TestFarthestNearest:
         oracle_self = float(np.r_[gaps[0], np.minimum(gaps[:-1], gaps[1:]), gaps[-1]].max())
         oracle_mid = float(np.minimum(mid - grid[below], grid[below + 1] - mid).max())
         rows = []
+        settle = at._cdist
 
         def counting_cdist(a, b):
             rows.append(a.shape[0])
-            return cdist(a, b)
+            return settle(a, b)
 
-        monkeypatch.setattr(at, "cdist", counting_cdist)
+        monkeypatch.setattr(at, "_cdist", counting_cdist)
         block = at.SETTLE_BLOCK // grid.size
         assert at._farthest_nearest(grid[:, None], grid[:, None], skip_self=True) == oracle_self
         assert sum(rows) == grid.size and max(rows) == block

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -338,6 +340,15 @@ class TestOpenRun:
         after = rt.load_run(record.paths["record"])
         assert after.status == "incomplete" and after.finished
         assert after.config == {"resolved_ini": f"{record.paths['run_dir']}/resolved.ini"}
+
+    def test_record_names_its_environment(self, tmp_path):
+        with rt.open_run(tmp_path, "probe", 3) as record:
+            pass
+        with open(record.paths["record"]) as fh:
+            raw = json.load(fh)
+        assert raw["environment"] == {"python": platform.python_version(),
+                                      "numpy": np.__version__, "cpu_count": os.cpu_count()}
+        assert "environment" not in raw["metrics"]
 
 
 class TestRunRecordPersistence:

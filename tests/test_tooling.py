@@ -167,17 +167,22 @@ def test_each_linearization_is_decomposed_in_one_place():
     assert [(name, call) for name, call, _ in sites] == [("_spectrum", "eig")], sites
 
 
-def test_cli_and_graph_map_leave_scipy_interpolate_unloaded():
-    # every study pays for its imports at start-up; scipy.interpolate alone
-    # costs a large share of it, and nothing in src/ needs it
+def test_cli_graph_map_and_geometry_load_no_scipy():
+    # every study pays for its imports at start-up, and scipy's spatial and
+    # interpolate packages cost most of it; nothing in src/ needs scipy
     script = textwrap.dedent("""
         import sys
         import bigdiff.cli
         from bigdiff import attractors, dynamics, spectral
         basis = spectral.build_basis(spectral.DomainSpec(), 8)
-        attractors.graph_iteration(spectral.diffusion([16.0]), dynamics.tanh_pitchfork(2.0),
-                                   basis, iters=1, grid_points=5)
-        assert "scipy.interpolate" not in sys.modules, "scipy.interpolate was imported"
+        E, F = spectral.diffusion([16.0]), dynamics.tanh_pitchfork(2.0)
+        attractors.graph_iteration(E, F, basis, iters=1, grid_points=5)
+        cloud = attractors.attractor_ode(F, grid_density=5, sample_dt=0.5)
+        (pde,) = attractors.attractor_pde([E], F, basis, cloud, n_tails=2, t_trans=1.0, seed=1)
+        cloud.resolution()
+        attractors.hausdorff_distance(cloud, pde, E, basis)
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, f"scipy modules were imported: {loaded}"
     """)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
