@@ -44,13 +44,12 @@ nearest-neighbor spacing) so every distance statement can be read against
 the sampling accuracy.
 
 Every nearest-neighbor maximum (resolution, Hausdorff) goes through
-`_farthest_nearest`: a sort-and-sweep screen in numpy bounds each row's
-nearest distance, then the few rows tied with the largest screened
-distance are settled against the whole reference set, summing squares in
-scipy `cdist`'s order, so each result is bit-identical to a brute-force
-`cdist` over all pairs.  The clouds are arcs, equilibria and a few tails,
-close to one-dimensional, so a row's window on the sorted coordinate
-holds a handful of rows.
+`_farthest_nearest`: a sort-and-sweep screen in numpy finds each row's
+nearest distance among the few rows of its window, summing the squares of
+each pair once, in scipy `cdist`'s order, so each result is bit-identical
+to a brute-force `cdist` over all pairs.  The clouds are arcs, equilibria
+and a few tails, close to one-dimensional, so a row's window on the sorted
+coordinate holds a handful of rows.
 """
 
 from __future__ import annotations
@@ -319,9 +318,9 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
 
     `propagate` steps the rows with `stepper` in the whole steps of its dt
     that cover `horizon`.  Every `sample_dt` each active row is passed to
-    `check(row, t)`, sampled, and retired once it lies within `stop_ball` of
-    one of its own targets (`targets[i]`, a list of states, for row i); the
-    others run until the horizon.  The rows of a d that blew up
+    `check(row, t)`, sampled, and retired once its squared gap to one of
+    its own targets (`targets[i]`, a list of states, for row i) is below
+    `stop_ball**2`; the others run until the horizon.  The rows of a d that blew up
     (`EtdStepper.failed`) retire at the next sample.
 
     `samples[i]` holds row i's samples, led by its start state, exactly as
@@ -344,7 +343,7 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
     for i, own in enumerate(targets):
         if own:
             ends[i, :len(own)] = np.reshape(own, (len(own), -1))
-    near_limit = (2.0 * stop_ball) ** 2
+    stop_sq = stop_ball**2
     active = np.arange(rows)
 
     def sample(batch, t):
@@ -354,22 +353,15 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
                 check(row, t)
             samples[r][taken] = row
         taken += 1
-        # a screen far wider than the rounding of either norm sends only the
-        # rows near a target to the exact per-target test
         gaps = batch.reshape(len(batch), 1, -1) - ends
-        near = np.einsum("ijk,ijk->ij", gaps, gaps) < near_limit
-        if not stepper.failed and not near.any():
-            return None
-        running = np.ones(len(active), dtype=bool)
+        done = (np.einsum("ijk,ijk->ij", gaps, gaps) < stop_sq).any(axis=1)
         if stepper.failed:
-            running = ~np.isin(stepper.owner[active], list(stepper.failed))
-        for i in np.flatnonzero(near.any(axis=1) & running):
-            running[i] = not any(np.linalg.norm(batch[i] - tgt) < stop_ball
-                                 for tgt in targets[active[i]])
-        if not running.all():
-            counts[active[~running]] = taken
-            active, ends = active[running], ends[running]
-        return running
+            done |= np.isin(stepper.owner[active], list(stepper.failed))
+        if not done.any():
+            return None
+        counts[active[done]] = taken
+        active, ends = active[~done], ends[~done]
+        return ~done
 
     propagate(stepper, starts, steps, stride, sample)
     counts[active] = taken
@@ -717,40 +709,37 @@ class HausdorffResult:
     resolution_b: float
 
 
-# the most numbers _farthest_nearest holds in one array: a settle block of
-# query rows times all of ref, or a screen chunk of pairs times the dimension
-SETTLE_BLOCK = 2**22
-
-
-def _cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All Euclidean distances between the rows of `a` and of `b`.
-
-    The squares are summed one coordinate at a time, in the order and so
-    with the rounding of scipy's `cdist`, so every entry equals `cdist`'s.
-    """
-    acc = (a[:, None, 0] - b[None, :, 0]) ** 2
-    for j in range(1, a.shape[1]):
-        acc += (a[:, None, j] - b[None, :, j]) ** 2
-    return np.sqrt(acc)
+# the most numbers _farthest_nearest holds in one array: a chunk of pairs
+# times the dimension
+PAIR_BLOCK = 2**22
 
 
 def _pair_sq(query: np.ndarray, ref: np.ndarray, row: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Squared distances of the pairs (query[row], ref[slot])."""
+    """Squared distances of the pairs (query[row], ref[slot]).
+
+    The squares are summed one coordinate at a time, in the order and so
+    with the rounding of scipy's `cdist`, so each square root equals the
+    `cdist` entry of its pair.
+    """
     gaps = query[row] - ref[slot]
-    return np.einsum("ij,ij->i", gaps, gaps)
+    np.square(gaps, out=gaps)
+    sq = gaps[:, 0].copy()
+    for j in range(1, gaps.shape[1]):
+        sq += gaps[:, j]
+    return sq
 
 
 def _window_min(query: np.ndarray, ref: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per query row, the least squared distance to the rows lo..hi-1 of `ref`.
 
     A row with an empty window reads inf.  The pairs are laid out flat, row
-    after row, in chunks of whole rows holding at most SETTLE_BLOCK numbers
+    after row, in chunks of whole rows holding at most PAIR_BLOCK numbers
     (at least one row, however wide its window).
     """
     counts = hi - lo
     ends = np.cumsum(counts)
     best = np.full(len(query), np.inf)
-    budget = max(1, SETTLE_BLOCK // query.shape[1])
+    budget = max(1, PAIR_BLOCK // query.shape[1])
     r0 = 0
     while r0 < len(query):
         done = ends[r0] - counts[r0]
@@ -771,19 +760,16 @@ def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = Fals
 
     With `skip_self`, `query` is `ref` and each row's own pair is excluded.
     A sort-and-sweep screen (Friedman, Baskett & Shustek, IEEE Trans.
-    Computers C-24, 1975) bounds every row's nearest distance: `ref` is
+    Computers C-24, 1975) finds every row's nearest distance: `ref` is
     sorted on its coordinate of largest spread, the sorted neighbour on
     each side of a row gives an upper bound, and every row of `ref` whose
     coordinate lies within that bound, widened by a relative 1e-9, is a
     candidate.  Rounding drops no nearer row, even where squares underflow:
     a row outside the window has a wider gap in the sorted coordinate, and
     a computed sum of squares is at least each of its rounded terms, so it
-    reads no nearer than the neighbour that set the bound.  Only rows
-    within a relative 1e-9 of the largest screened distance are recomputed
-    with `_cdist` against all of `ref`, so the result equals a brute-force
-    `cdist` maximum bit for bit.  Rows tied at the maximum (every row of a
-    cloud of equally spaced points) are settled in blocks of at most
-    SETTLE_BLOCK distances.
+    reads no nearer than the neighbour that set the bound.  `_pair_sq`
+    sums each pair's squares in `cdist`'s order, so every row's minimum,
+    and the result, equals a brute-force `cdist` maximum bit for bit.
     """
     n = len(ref)
     axis = int(np.argmax(np.ptp(ref, axis=0)))
@@ -805,19 +791,7 @@ def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = Fals
     # of each window, only the rows beyond the neighbours are new
     sq = np.minimum(sq, _window_min(query, sorted_ref, lo, np.clip(near_lo, lo, hi)))
     sq = np.minimum(sq, _window_min(query, sorted_ref, np.clip(near_hi, lo, hi), hi))
-    nearest = np.sqrt(sq)
-    top = float(nearest.max())
-    if top == 0.0:
-        return 0.0
-    rows = np.flatnonzero(nearest >= top * (1.0 - 1e-9))
-    size = max(1, SETTLE_BLOCK // n)
-    best = 0.0
-    for block in np.split(rows, range(size, rows.size, size)):
-        d = _cdist(query[block], ref)
-        if skip_self:
-            d[np.arange(block.size), block] = np.inf
-        best = max(best, float(d.min(axis=1).max()))
-    return best
+    return float(np.sqrt(sq.max()))
 
 
 def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,

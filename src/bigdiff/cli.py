@@ -187,8 +187,9 @@ def cmd_example_optimal(args) -> int:
         spread = max(products) - min(products)
         slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
         record.metrics.update(worst_error=worst_err, spread=spread, exponent=float(slope))
-    _say(args, f"seminorm^2 at eps=1: {reports[0].seminorm_sq:.7f} "
-               f"(exact 1/(8 pi^2) = {1 / (8 * np.pi**2):.7f})")
+    first = reports[0]
+    _say(args, f"seminorm^2 at eps={first.eps:g}: {first.seminorm_sq:.7f} "
+               f"(exact 1/(8 pi^2 eps) = {1 / (8 * np.pi**2 * first.eps):.7f})")
     print(f"scaling exponent {slope:.3f}")
     passed = (worst_err <= 1e-12
               and spread <= cfg.get("tolerances", "seminorm_const")

@@ -755,23 +755,43 @@ class TestFarthestNearest:
         assert (at._farthest_nearest(ref, ref, skip_self=True)
                 == brute_farthest_nearest(ref, ref, skip_self=True))
 
-    def test_screen_sends_few_rows_to_cdist(self, tanh_cloud, monkeypatch):
+    @pytest.mark.parametrize("dim", [*range(1, 20), 33, 64, 65, 66, 67, 130])
+    def test_pair_sq_sums_in_cdist_order(self, dim):
+        rng = np.random.default_rng(dim)
+        row, slot = (ix.ravel() for ix in np.indices((30, 30)))
+        for scale in (1e-160, 1e-3, 1.0, 1e150):
+            q, r = rng.standard_normal((2, 30, dim)) * scale
+            got = np.sqrt(at._pair_sq(q, r, row, slot))
+            assert np.array_equal(got, cdist(q, r)[row, slot])
+
+    @staticmethod
+    def count_pairs(monkeypatch):
+        """(query rows, pairs `_pair_sq` evaluated) of each `_farthest_nearest` call."""
+        calls = []
+        pair_sq, farthest_nearest = at._pair_sq, at._farthest_nearest
+
+        def counting_pair_sq(q, r, row, slot):
+            calls[-1][1] += row.size
+            return pair_sq(q, r, row, slot)
+
+        def counting(query, ref, skip_self=False):
+            calls.append([len(query), 0])
+            return farthest_nearest(query, ref, skip_self)
+
+        monkeypatch.setattr(at, "_pair_sq", counting_pair_sq)
+        monkeypatch.setattr(at, "_farthest_nearest", counting)
+        return calls
+
+    def test_screen_evaluates_few_pairs_per_row(self, tanh_cloud, monkeypatch):
         longtime = at.attractor_ode_longtime(TANH2, n_seeds=60, box=3.0, t_burn=4.0, t_end=8.0)
-        rows = []
-        settle = at._cdist
-
-        def counting_cdist(a, b):
-            rows.append(a.shape[0])
-            return settle(a, b)
-
-        monkeypatch.setattr(at, "_cdist", counting_cdist)
+        calls = self.count_pairs(monkeypatch)
         # a fresh copy, whose resolution no earlier test has computed
         manifold = at.AttractorCloud(tanh_cloud.points, "ode", tanh_cloud.provenance)
         assert len(manifold) > 2000 and len(longtime) > 2000
         manifold.resolution()
         at.hausdorff_distance(manifold, longtime, sp.diffusion([1.0]), sp.build_basis(DOM, 8))
         # two resolutions (the manifold's is not computed again) and two one-sided maxima
-        assert len(rows) == 4 and max(rows) <= 4
+        assert len(calls) == 4 and all(pairs <= 3 * rows for rows, pairs in calls)
 
     def test_points_on_a_circle(self):
         # sorted on x, a point of the sparse upper arc has only points of the
@@ -788,24 +808,19 @@ class TestFarthestNearest:
 
     def test_isotropic_cloud_keeps_pair_arrays_within_the_block(self, monkeypatch):
         # in 33 dimensions a window spans most of ref, so the screen turns
-        # into blocked brute force; no array may outgrow SETTLE_BLOCK numbers,
-        # which here holds one row against all of ref and little more
+        # into blocked brute force; no pair array may outgrow PAIR_BLOCK
+        # numbers, which here holds one row against all of ref and little more
         rng = np.random.default_rng(4)
         query, ref = rng.standard_normal((150, 33)), rng.standard_normal((200, 33))
-        monkeypatch.setattr(at, "SETTLE_BLOCK", 2**13)
+        monkeypatch.setattr(at, "PAIR_BLOCK", 2**13)
         sizes = []
-        pair_sq, settle = at._pair_sq, at._cdist
+        pair_sq = at._pair_sq
 
         def counting_pair_sq(q, r, row, slot):
             sizes.append(row.size * q.shape[1])
             return pair_sq(q, r, row, slot)
 
-        def counting_cdist(a, b):
-            sizes.append(a.shape[0] * b.shape[0])
-            return settle(a, b)
-
         monkeypatch.setattr(at, "_pair_sq", counting_pair_sq)
-        monkeypatch.setattr(at, "_cdist", counting_cdist)
         assert at._farthest_nearest(query, ref) == brute_farthest_nearest(query, ref)
         assert (at._farthest_nearest(ref, ref, skip_self=True)
                 == brute_farthest_nearest(ref, ref, skip_self=True))
@@ -833,29 +848,20 @@ class TestFarthestNearest:
         assert calls == [len(cloud)]
         assert cloud.resolution() == first and calls == [len(cloud)]
 
-    def test_equally_spaced_cloud_settles_in_bounded_blocks(self, monkeypatch):
-        # every row of a uniform grid ties at the maximum and goes to cdist;
-        # 1-d distances are exact |a - b|, so neighbour gaps are the oracle
+    def test_equally_spaced_cloud_screens_few_pairs_per_row(self, monkeypatch):
+        # every row of a uniform grid ties at the maximum, and each is still
+        # screened against its sorted neighbours alone; 1-d distances are
+        # exact |a - b|, so neighbour gaps are the oracle
         grid = np.linspace(0.0, 1.0, 20001)
         mid = grid[:-1] + 0.5 * np.diff(grid)
         gaps = np.diff(grid)
         below = np.clip(np.searchsorted(grid, mid) - 1, 0, grid.size - 1)
         oracle_self = float(np.r_[gaps[0], np.minimum(gaps[:-1], gaps[1:]), gaps[-1]].max())
         oracle_mid = float(np.minimum(mid - grid[below], grid[below + 1] - mid).max())
-        rows = []
-        settle = at._cdist
-
-        def counting_cdist(a, b):
-            rows.append(a.shape[0])
-            return settle(a, b)
-
-        monkeypatch.setattr(at, "_cdist", counting_cdist)
-        block = at.SETTLE_BLOCK // grid.size
+        calls = self.count_pairs(monkeypatch)
         assert at._farthest_nearest(grid[:, None], grid[:, None], skip_self=True) == oracle_self
-        assert sum(rows) == grid.size and max(rows) == block
-        rows.clear()
         assert at._farthest_nearest(mid[:, None], grid[:, None]) == oracle_mid
-        assert sum(rows) == mid.size and max(rows) == block
+        assert len(calls) == 2 and all(pairs <= 3 * rows for rows, pairs in calls)
 
     def test_duplicate_cloud_resolution_is_its_floor(self):
         cloud = at.AttractorCloud(np.full((50, 2), 0.25), "ode", ["x"] * 50,

@@ -600,6 +600,14 @@ class TestVerdicts:
         assert "0.0126651" in out
         assert "scaling exponent -1.000" in out
 
+    def test_example_optimal_labels_its_first_eps(self, tmp_path, capsys):
+        # the reported seminorm is the first eps given, read against 1/(8 pi^2 eps)
+        code = cli.main(["example-optimal", "--eps", "4,16", "--out-root", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert code == 0
+        exact = f"{1 / (8 * np.pi**2 * 4):.7f}"
+        assert f"seminorm^2 at eps=4: {exact} (exact 1/(8 pi^2 eps) = {exact})" in out
+
     def test_attractor_single_point(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.ini", "[nonlinearity]\nname = tanh\nbeta = 0.5\n")
         code = cli.main(["attractor", "-c", cfg, "--quiet",
