@@ -795,11 +795,13 @@ def _farthest_nearest(query: np.ndarray, ref: np.ndarray, skip_self: bool = Fals
 
 
 def hausdorff_distance(cloud_a: AttractorCloud, cloud_b: AttractorCloud,
-                       E: DiffusionSpec, basis: CosineBasis) -> HausdorffResult:
+                       E: DiffusionSpec | None = None,
+                       basis: CosineBasis | None = None) -> HausdorffResult:
     """Both one-sided deviations and their max, in the energy norm.
 
-    ODE clouds are lifted to constant fields first (constants have a pure
-    L2 norm, so ODE-to-ODE distances reduce to Euclidean ones).
+    Against a PDE cloud, `E` and `basis` lift an ODE cloud to constant fields
+    (constants have a pure L2 norm).  Two ODE clouds need neither: their
+    distance is the Euclidean one.
     """
     emb_a = cloud_a.embedded(E, basis)
     emb_b = cloud_b.embedded(E, basis)

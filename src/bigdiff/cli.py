@@ -4,7 +4,7 @@ Exit codes are uniform across subcommands:
 
     0  pass: the measured quantity met its configured tolerance
     1  quantitative failure: the run completed but the verdict failed
-    2  usage or configuration error
+    2  usage or configuration error (a negative --seed included)
     3  runtime failure (blow-up, non-convergence, non-hyperbolic equilibrium, ...)
 
 Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
@@ -14,8 +14,12 @@ runs inside `rates.open_run`, which alone sets the record's status; once the
 run is closed, the study stamps its verdict into the record.  A sweep
 verdict reads the points that survived, with the status `rates.run_sweep`
 gave each, and any failed point fails it (`failed_points=N`).  Verdict
-lines are machine-greppable with the fixed prefix "VERDICT:".  The
-environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
+lines are machine-greppable with the fixed prefix "VERDICT:", and `report`
+exits 0 only when every run it summarizes holds a PASS verdict.  The
+`attractor` study derives its long-time sampling from F and its equilibria
+(`_auto_burn`), with no config key: seeds in the box |v| <= bound(F) + 1, a
+burn-in until transients contract below the dedup cell, then 16 time units.
+The environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
 --out-root flag overrides both.
 """
 
@@ -33,7 +37,6 @@ from . import dynamics as dyn
 from . import elliptic as el
 from . import rates as rt
 from .config import Config, ConfigError, load_config
-from .spectral import diffusion
 
 _RUNTIME_ERRORS = (
     dyn.BlowUpError,
@@ -199,7 +202,7 @@ def cmd_example_optimal(args) -> int:
     return _verdict("example-optimal", detail, passed, record)
 
 
-def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_end):
+def _auto_burn(equilibria, box: float, cell: float) -> float:
     """Burn until transients contract below the dedup cell at the slowest stable rate."""
     stable_rates = []
     for eq in equilibria:
@@ -208,13 +211,7 @@ def _auto_burn(equilibria, box: float, cell: float, configured_burn, configured_
             stable_rates.append(min(negative))
     rate = min(stable_rates) if stable_rates else 1.0
     # a box already inside the dedup cell needs no burn-in
-    t_burn = (configured_burn if configured_burn is not None
-              else max(0.0, float(np.log(2 * box / cell) / rate)))
-    if configured_end is not None and configured_end <= t_burn:
-        raise ConfigError(f"[attractor] t_end = {configured_end:g} must exceed the burn-in "
-                          f"t_burn = {t_burn:.6g}")
-    t_end = configured_end if configured_end is not None else t_burn + 16.0
-    return t_burn, t_end
+    return max(0.0, float(np.log(2 * box / cell) / rate))
 
 
 def cmd_attractor(args) -> int:
@@ -223,9 +220,7 @@ def cmd_attractor(args) -> int:
         run_dir = _write_resolved(cfg, record)
         F = cfg.nonlinearity()
         n = cfg.get("domain", "components")
-        box = cfg.get("attractor", "longtime_box")
-        if box is None:
-            box = at.absorbing_bound(F) + 1.0
+        box = at.absorbing_bound(F) + 1.0
         manifold = at.attractor_ode(F, components=n,
                                     dt=cfg.get("attractor", "arc_dt"),
                                     sample_dt=cfg.get("attractor", "sample_dt"))
@@ -234,9 +229,8 @@ def cmd_attractor(args) -> int:
         for eq in equilibria:
             loc = " ".join(f"{x:.8g}" for x in eq.vector())
             print(f"{loc},{eq.stability},{eq.residual:.2e}")
-        t_burn, t_end = _auto_burn(equilibria, box, cfg.get("attractor", "dedup_cell"),
-                                   cfg.get("attractor", "t_burn"),
-                                   cfg.get("attractor", "t_end"))
+        t_burn = _auto_burn(equilibria, box, cfg.get("attractor", "dedup_cell"))
+        t_end = t_burn + 16.0
         longtime = at.attractor_ode_longtime(
             F, n_seeds=cfg.get("attractor", "longtime_seeds"), box=box, components=n,
             t_burn=t_burn, t_end=t_end,
@@ -246,9 +240,7 @@ def cmd_attractor(args) -> int:
             seed=cfg.get("run", "seed"))
         at.save_cloud(manifold, os.path.join(run_dir, "manifold_cloud.csv"))
         at.save_cloud(longtime, os.path.join(run_dir, "longtime_cloud.csv"))
-        basis = cfg.basis(modes=8)
-        E = diffusion([1.0] * n)
-        res = at.hausdorff_distance(manifold, longtime, E, basis)
+        res = at.hausdorff_distance(manifold, longtime)
         resolution = max(res.resolution_a, res.resolution_b)
         record.metrics.update(d_H=res.sym, a_to_b=res.a_to_b, b_to_a=res.b_to_a,
                               resolution=resolution, n_equilibria=len(equilibria),
@@ -342,17 +334,21 @@ def cmd_report(args) -> int:
         fitted_txt = f"{slope:.6g}" if isinstance(slope, float) else "-"
         predicted_txt = f"{predicted:.6g}" if isinstance(predicted, float) else "-"
         print(f"{quantity},{fitted_txt},{predicted_txt},{verdict},{status}")
-    return 0 if all(r[3] != "FAIL" for r in rows) else 1
+    # a run without a verdict (an incomplete one, say) passes nothing
+    return 0 if all(r[3] == "PASS" for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _eps_list(text: str) -> list[float]:
@@ -366,7 +362,8 @@ def _eps_list(text: str) -> list[float]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", default=None, help="INI config file")
-    parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="override [run] seed (>= 0)")
     parser.add_argument("--quiet", action="store_true", help="only print VERDICT lines")
     parser.add_argument("--out-root", default=None,
                         help="override the output root (also: BIGDIFF_OUT_ROOT)")
@@ -392,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_txt)
         _add_common(p)
         p.set_defaults(handler=handler)
-    sub.choices["eigs"].add_argument("--count", type=_positive_int, default=8,
+    sub.choices["eigs"].add_argument("--count", type=_int_at_least(1), default=8,
                                      help="number of eigenvalues to print")
     sub.choices["example-optimal"].add_argument("--eps", type=_eps_list, default="1,4,16,64",
                                                 help="comma list of eps values")

@@ -1,8 +1,9 @@
 """Flat INI configuration with strict key checking and full defaults.
 
-Every key has a documented default (see DEFAULTS and the README table) and
-is read by at least one command; a config file only overrides what it names.
-Unknown sections or keys are rejected so typos cannot silently fall back to
+Every key has one concrete default (see DEFAULTS and the README table),
+whose type is the key's type, and is read by at least one command; a config
+file only overrides what it names.  Unknown sections or keys, a `[DEFAULT]`
+section included, are rejected so typos cannot silently fall back to
 defaults.  Values are coerced by the type of their default; empty values
 mean "use the default", and every number must be finite.  The resolved
 configuration can be written back out and re-parsed to reproduce a run
@@ -37,7 +38,6 @@ DEFAULTS = {
     },
     "diffusion": {
         "eps": (1.0,),          # diagonal diffusion coefficients
-        "m0": None,             # lower bound; empty -> min(eps)
     },
     "sweep": {
         "d_eps": _SWEEP_DEFAULT,  # geometric sweep values for rate studies
@@ -59,9 +59,6 @@ DEFAULTS = {
         "sample_dt": 0.01,      # arc and breadcrumb sampling interval
         "arc_dt": 5e-4,
         "longtime_seeds": 2000,
-        "longtime_box": None,   # empty -> bound(F) + 1
-        "t_burn": None,         # empty -> auto from the slowest stable rate
-        "t_end": None,          # empty -> t_burn + 16
         "dedup_cell": 1.25e-3,
         "deflection_t_trans": 10.0,
     },
@@ -84,21 +81,13 @@ DEFAULTS = {
     },
 }
 
-# keys whose default is None still need a concrete type for coercion
-_OPTIONAL_TYPES = {
-    ("diffusion", "m0"): float,
-    ("attractor", "longtime_box"): float,
-    ("attractor", "t_burn"): float,
-    ("attractor", "t_end"): float,
-}
-
 
 def _coerce(section: str, key: str, raw: str):
     raw = raw.strip()
     default = DEFAULTS[section][key]
     if raw == "":
         return copy.deepcopy(default)
-    kind = type(default) if default is not None else _OPTIONAL_TYPES[(section, key)]
+    kind = type(default)
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -130,9 +119,8 @@ class Config:
 
     # -- derived objects ----------------------------------------------------
 
-    def basis(self, modes: int | None = None) -> CosineBasis:
-        modes = self.get("domain", "modes") if modes is None else modes
-        return build_basis(DomainSpec(), modes)
+    def basis(self) -> CosineBasis:
+        return build_basis(DomainSpec(), self.get("domain", "modes"))
 
     def diffusion_spec(self) -> DiffusionSpec:
         eps = self.get("diffusion", "eps")
@@ -141,7 +129,7 @@ class Config:
             eps = eps * n
         if len(eps) != n:
             raise ConfigError(f"[diffusion] eps has {len(eps)} entries for {n} components")
-        return diffusion(eps, self.get("diffusion", "m0"))
+        return diffusion(eps)
 
     def nonlinearity(self) -> Nonlinearity:
         name = self.get("nonlinearity", "name")
@@ -167,9 +155,7 @@ class Config:
         for section, entries in self.data.items():
             lines.append(f"[{section}]")
             for key, value in entries.items():
-                if value is None:
-                    text = ""
-                elif isinstance(value, bool):
+                if isinstance(value, bool):
                     text = "true" if value else "false"
                 elif isinstance(value, tuple):
                     text = ",".join(f"{x:.17g}" for x in value)
@@ -195,8 +181,9 @@ def load_config(path=None) -> Config:
     cfg = default_config()
     if path is None:
         return cfg
+    # no header can name the default section, so a [DEFAULT] section is an unknown one
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="\n")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -217,34 +204,26 @@ def load_config(path=None) -> Config:
     return cfg
 
 
-# scalar ranges; an unset (None) value is not checked
+# scalar ranges
 _AT_LEAST = {("domain", "components"): 1, ("domain", "modes"): 2, ("attractor", "n_tails"): 0,
-             ("attractor", "longtime_seeds"): 1, ("attractor", "t_burn"): 0,
-             ("attractor", "t_trans"): 0, ("attractor", "deflection_t_trans"): 0,
-             ("manifold", "grid_points"): 2, ("manifold", "iterations"): 1}
+             ("attractor", "longtime_seeds"): 1, ("attractor", "t_trans"): 0,
+             ("attractor", "deflection_t_trans"): 0, ("manifold", "grid_points"): 2,
+             ("manifold", "iterations"): 1, ("run", "seed"): 0}
 _POSITIVE = [("attractor", "arc_dt"), ("attractor", "sample_dt"), ("attractor", "dedup_cell"),
-             ("attractor", "longtime_box"), ("semigroup", "m_horizon")]
+             ("semigroup", "m_horizon")]
 
 
 def _validate(cfg: Config) -> None:
     for (section, key), low in _AT_LEAST.items():
-        value = cfg.get(section, key)
-        if value is not None and value < low:
+        if cfg.get(section, key) < low:
             raise ConfigError(f"[{section}] {key} must be >= {low}")
     for section, key in _POSITIVE:
-        value = cfg.get(section, key)
-        if value is not None and not value > 0:
+        if not cfg.get(section, key) > 0:
             raise ConfigError(f"[{section}] {key} must be positive")
     eps = cfg.get("diffusion", "eps")
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("[diffusion] eps needs at least one entry, all positive")
-    m0 = cfg.get("diffusion", "m0")
-    if m0 is not None and not 0 < m0 <= min(eps):
-        raise ConfigError("[diffusion] m0 must satisfy 0 < m0 <= min(eps)")
     try:
         check_d_eps(cfg.get("sweep", "d_eps"))
     except ValueError as err:
         raise ConfigError(f"[sweep] d_eps: {err}") from None
-    t_burn, t_end = cfg.get("attractor", "t_burn"), cfg.get("attractor", "t_end")
-    if t_burn is not None and t_end is not None and not t_end > t_burn:
-        raise ConfigError("[attractor] t_end must exceed t_burn")

@@ -658,6 +658,24 @@ class TestHausdorff:
                 for k in range(3):
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
+    def test_ode_clouds_need_no_lift(self):
+        # lifted to constant fields, two ODE clouds are only padded with zeros
+        basis = sp.build_basis(DOM, 8)
+        E = sp.diffusion([1.0, 1.0])
+        rng = np.random.default_rng(5)
+        a, b = (at.AttractorCloud(rng.normal(size=(m, 2)), "ode", ["x"] * m) for m in (30, 40))
+        lifted, plain = at.hausdorff_distance(a, b, E, basis), at.hausdorff_distance(a, b)
+        assert (plain.a_to_b, plain.b_to_a) == (lifted.a_to_b, lifted.b_to_a)
+
+    def test_ode_against_pde_needs_a_lift(self):
+        basis = sp.build_basis(DOM, 8)
+        E = sp.diffusion([1.0])
+        ode = at.AttractorCloud(np.zeros((2, 1)), "ode", ["x"] * 2)
+        pde = at.AttractorCloud(np.zeros((2, 1, 9)), "pde", ["x"] * 2, basis=basis, diffusion=E)
+        with pytest.raises(ValueError, match="common space"):
+            at.hausdorff_distance(ode, pde)
+        assert at.hausdorff_distance(ode, pde, E, basis).sym == 0.0
+
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             at.AttractorCloud(np.zeros((0, 1)), "ode", [])

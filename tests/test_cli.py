@@ -16,8 +16,7 @@ from bigdiff import cli
 from bigdiff import dynamics as dyn
 from bigdiff import elliptic as el
 from bigdiff import rates as rt
-from bigdiff.config import (_OPTIONAL_TYPES, Config, ConfigError, DEFAULTS, default_config,
-                            load_config)
+from bigdiff.config import Config, ConfigError, DEFAULTS, default_config, load_config
 
 
 def write(path, text):
@@ -66,8 +65,8 @@ class TestConfig:
             load_config(write(tmp_path / "a.ini", "[sweep]\nd_eps = 1,2,2,4\n"))
 
     def test_empty_value_means_default(self, tmp_path):
-        cfg = load_config(write(tmp_path / "a.ini", "[diffusion]\nm0 =\n"))
-        assert cfg.get("diffusion", "m0") is None
+        cfg = load_config(write(tmp_path / "a.ini", "[domain]\nmodes =\n"))
+        assert cfg.get("domain", "modes") == 128
 
     def test_bool_parsing(self, tmp_path):
         cfg = load_config(write(tmp_path / "a.ini", "[run]\nquiet = true\n"))
@@ -99,6 +98,18 @@ class TestConfig:
             load_config("/nonexistent/path.ini")
 
 
+class TestStrictConfig:
+    # configparser reads a [DEFAULT] section into every other section
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nmodes = 8\n",
+        "[DEFAULT]\nseed = 5\n[run]\nquiet = true\n",
+        "[DEFAULT]\nseed = 5\n[domain]\nmodes = 8\n",
+    ], ids=["alone", "beside_run", "beside_domain"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(write(tmp_path / "a.ini", text))
+
+
 # the text a config value may hold: printable ASCII, no comment or line marks
 _TEXT = st.text(alphabet=sorted(set(string.printable) - set(string.whitespace) - set("#;")) + [" "],
                 min_size=1, max_size=12).map(str.strip).filter(bool)
@@ -110,7 +121,6 @@ _BY_TYPE = {bool: st.booleans(), int: st.integers(-10**6, 10**6), float: _FINITE
 _VALID = {
     ("domain", "components"): st.integers(1, 8),
     ("domain", "modes"): st.integers(2, 512),
-    ("diffusion", "m0"): st.none() | st.floats(1e-9, 1e-6),  # at most every drawn eps
     ("sweep", "d_eps"): st.lists(_POSITIVE, min_size=4, max_size=9, unique=True)
                           .map(sorted).map(tuple),
     ("attractor", "arc_dt"): _POSITIVE,
@@ -118,29 +128,17 @@ _VALID = {
     ("attractor", "dedup_cell"): _POSITIVE,
     ("attractor", "n_tails"): st.integers(0, 10**6),
     ("attractor", "longtime_seeds"): st.integers(1, 10**6),
-    ("attractor", "longtime_box"): st.none() | _POSITIVE,
-    # every drawn t_end lies above every drawn t_burn
-    ("attractor", "t_burn"): st.none() | st.floats(0.0, 1e3),
-    ("attractor", "t_end"): st.none() | st.floats(1e3, 1e6, exclude_min=True),
     ("attractor", "t_trans"): st.floats(0.0, 1e6),
     ("attractor", "deflection_t_trans"): st.floats(0.0, 1e6),
     ("manifold", "grid_points"): st.integers(2, 10**6),
     ("manifold", "iterations"): st.integers(1, 10**6),
     ("semigroup", "m_horizon"): _POSITIVE,
+    ("run", "seed"): st.integers(0, 10**6),
 }
 
-
-def _value(section, key):
-    if (section, key) in _VALID:
-        return _VALID[section, key]
-    default = DEFAULTS[section][key]
-    if default is None:
-        return st.none() | _BY_TYPE[_OPTIONAL_TYPES[section, key]]
-    return _BY_TYPE[type(default)]
-
-
 _DATA = st.fixed_dictionaries({
-    section: st.fixed_dictionaries({key: _value(section, key) for key in keys})
+    section: st.fixed_dictionaries({key: _VALID.get((section, key), _BY_TYPE[type(default)])
+                                    for key, default in keys.items()})
     for section, keys in DEFAULTS.items()})
 
 
@@ -330,8 +328,6 @@ class TestBadInput:
     @pytest.mark.parametrize("command,ini,flags", [
         ("resolvent-rate", "[sweep]\nd_eps = 0,1,2,4\n", []),
         ("eigs", "[domain]\nmodes = 8\nquad_points = 17\n", []),
-        ("eigs", "[diffusion]\nm0 = 0\n", []),
-        ("eigs", "[diffusion]\neps = 1\nm0 = 2\n", []),
         ("eigs", "", ["--count", "0"]),
         ("example-optimal", "", ["--eps", "0,1,2"]),
         ("example-optimal", "", ["--eps", "a,b"]),
@@ -346,11 +342,6 @@ class TestBadInput:
         ("attractor", "[attractor]\nlongtime_seeds = 0\n", []),
         ("manifold", "[manifold]\ngrid_points = 1\n", []),
         ("manifold", "[manifold]\niterations = 0\n", []),
-        ("attractor", "[attractor]\nlongtime_box = 0\n", []),
-        ("attractor", "[attractor]\nt_burn = -1\n", []),
-        ("attractor", "[attractor]\nt_burn = 5\nt_end = 4\n", []),
-        # the automatic burn-in of tanh(beta = 0.5) is log(2 * 1.5 / 1.25e-3) / 0.5 = 15.6
-        ("attractor", "[nonlinearity]\nname = tanh\nbeta = 0.5\n[attractor]\nt_end = 4\n", []),
         ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
                             "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
                             "t_trans = -1\n", []),
@@ -366,11 +357,14 @@ class TestBadInput:
                             "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
                             "w_amplitude = nan\n", []),
         ("resolvent-rate", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,inf\n", []),
-    ], ids=["d_eps", "quad_points", "m0_zero", "m0_above_eps", "count", "eps_zero",
-            "eps_text", "eps_single", "arc_dt", "m_horizon", "dedup_cell", "sample_dt",
-            "n_tails", "longtime_seeds", "grid_points", "iterations", "longtime_box",
-            "t_burn", "t_end", "t_end_below_auto_burn", "t_trans", "deflection_t_trans",
-            "seed_amplitude_nan", "w_amplitude_nan", "d_eps_inf"])
+        # a negative seed once reached SeedSequence and crashed with a traceback
+        ("resolvent-rate", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,8\n", ["--seed", "-1"]),
+        ("decay", "[domain]\nmodes = 8\n[sweep]\nd_eps = 1,2,4,8\n[nonlinearity]\nname = zero\n"
+                  "[run]\nseed = -3\n", []),
+    ], ids=["d_eps", "quad_points", "count", "eps_zero", "eps_text", "eps_single", "arc_dt",
+            "m_horizon", "dedup_cell", "sample_dt", "n_tails", "longtime_seeds", "grid_points",
+            "iterations", "t_trans", "deflection_t_trans", "seed_amplitude_nan",
+            "w_amplitude_nan", "d_eps_inf", "seed_flag_negative", "seed_negative"])
     def test_exits_two(self, tmp_path, capsys, command, ini, flags):
         config = ["-c", write(tmp_path / "a.ini", ini)] if ini else []
         assert cli.main([command, *config, *flags, "--quiet",
@@ -629,7 +623,7 @@ class TestVerdicts:
 
     def test_box_inside_the_dedup_cell_burns_nothing(self, tmp_path, capsys):
         # log(2 box / cell) < 0 here: transients already lie below the cell
-        ini = _TINY["attractor"] + "longtime_box = 0.0005\n"
+        ini = _TINY["attractor"] + "dedup_cell = 10\n"
         cli.main(["attractor", "-c", write(tmp_path / "a.ini", ini),
                   "--out-root", str(tmp_path / "runs")])
         assert "t_burn=0 t_end=16\n" in capsys.readouterr().out
@@ -734,6 +728,18 @@ class TestReport:
         assert cli.main(["report", good, bad]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_run_without_a_verdict_exits_one(self, tmp_path, capsys):
+        # F = 3u blows up at d = 0.01, 0.02 and 0.03: two points are too few to
+        # fit, so the run ends incomplete, with no verdict
+        ini = ("[domain]\nmodes = 16\n[sweep]\nd_eps = 0.01,0.02,0.03,1,2\n"
+               "[nonlinearity]\nname = linear\nc = 3.0\n")
+        assert cli.main(["decay", "-c", write(tmp_path / "d.ini", ini), "--quiet",
+                         "--out-root", str(tmp_path / "runs")]) == 3
+        run = str(next((tmp_path / "runs").iterdir()))
+        capsys.readouterr()
+        assert cli.main(["report", run]) == 1
+        assert "w_decay_rate,-,-,NONE,incomplete\n" in capsys.readouterr().out
 
     def test_missing_directory_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nothing")]) == 2

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 
+from bigdiff.config import default_config, load_config
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # public names that only tests call, each kept as an independent reference
@@ -188,3 +190,11 @@ def test_cli_graph_map_and_geometry_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_config_block_is_the_default_config(tmp_path):
+    # the README's config block documents every key at its default, and no other key
+    (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert load_config(path).data == default_config().data
