@@ -317,11 +317,12 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
     """Shoot every row of `starts` in lockstep until it stops; return each row's samples.
 
     `propagate` steps the rows with `stepper` in the whole steps of its dt
-    that cover `horizon`.  Every `sample_dt` each active row is passed to
-    `check(row, t)`, sampled, and retired once its squared gap to one of
-    its own targets (`targets[i]`, a list of states, for row i) is below
-    `stop_ball**2`; the others run until the horizon.  The rows of a d that blew up
-    (`EtdStepper.failed`) retire at the next sample.
+    that cover `horizon`.  Every `sample_dt` the batch of active rows is
+    passed to `check(batch, t)`, each row is sampled, and a row retires once
+    its squared gap to one of its own targets (`targets[i]`, a list of
+    states, for row i) is below `stop_ball**2`; the others run until the
+    horizon.  The rows of a d that blew up (`EtdStepper.failed`) retire at
+    the next sample.
 
     `samples[i]` holds row i's samples, led by its start state, exactly as
     shooting the row alone would produce them.
@@ -348,9 +349,9 @@ def _shoot_arcs(stepper, starts, sample_dt: float, horizon: float, targets, stop
 
     def sample(batch, t):
         nonlocal active, ends, taken
+        if check is not None:
+            check(batch, t)
         for r, row in zip(active, batch):
-            if check is not None:
-                check(row, t)
             samples[r][taken] = row
         taken += 1
         gaps = batch.reshape(len(batch), 1, -1) - ends
@@ -384,8 +385,8 @@ def unstable_manifold_ode(equilibria: list[EquilibriumPoint], F: Nonlinearity,
     if box is None:
         box = absorbing_bound(F) + 2.0
 
-    def inside_box(v, t):
-        if np.linalg.norm(v) > box:
+    def inside_box(batch, t):
+        if (np.linalg.norm(batch, axis=1) > box).any():
             raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
 
     arcs = _shoot_arcs(_OdeStepper(F, dt), [start for start, _ in shots], sample_dt, horizon,

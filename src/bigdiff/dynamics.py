@@ -505,25 +505,49 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
 
 
 def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.ndarray:
-    """One classic RK4 step of v' = rhs(v), elementwise over any batch; `k1` may supply rhs(v)."""
+    """One classic RK4 step of v' = rhs(v), elementwise over any batch; `k1` may supply rhs(v).
+
+    Bit for bit the textbook v + (h/6) (k1 + 2 k2 + 2 k3 + k4), in the fewest
+    array operations: each stage argument is formed in one new array, and
+    the weighted sum accumulates in place in k2, in the textbook's order.
+    `rhs` must return a new array, which the step may overwrite; `v` and a
+    supplied `k1` are never written.
+    """
+    half = 0.5 * h
     k1 = rhs(v) if k1 is None else k1
-    k2 = rhs(v + 0.5 * h * k1)
-    k3 = rhs(v + 0.5 * h * k2)
-    k4 = rhs(v + h * k3)
-    return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    x = half * k1
+    x += v
+    k2 = rhs(x)
+    x = half * k2
+    x += v
+    k3 = rhs(x)
+    x = h * k3
+    x += v
+    k4 = rhs(x)
+    k2 *= 2
+    k2 += k1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += v
+    return k2
 
 
 class _OdeStepper:
     """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first).
 
-    Its rows share everything, so it serves any subset of them.
+    Its rows share everything, so it serves any subset of them.  `rhs` is
+    `F.fn(u) - u`, bit-equal to -u + F(u) (IEEE a - b is a + (-b)) without
+    the negation or `Nonlinearity.__call__`'s conversion; the rows are
+    already float arrays.
     """
 
     def __init__(self, F: Nonlinearity, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self.rhs = lambda u: -u + F(u)
+        self.rhs = lambda u: F.fn(u) - u
         self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
 
     def step(self, batch, t):

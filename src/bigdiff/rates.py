@@ -354,7 +354,8 @@ class RunRecord:
 
     `metrics` holds what the run measured, the same for the same config and
     seed; `timings` holds how long a sweep's stages took, in seconds, and
-    `environment` the Python and numpy versions and the CPU count it ran with.
+    `environment` the Python and numpy versions, the CPU count and the BLAS
+    numpy was built with (`blas`, its name and version, or None).
     """
 
     quantity: str
@@ -388,6 +389,12 @@ def load_run(path) -> RunRecord:
         raise RecordError(f"run record {path} has unexpected fields: {err}") from err
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS in numpy's build configuration, or None if it names none."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    return None if blas is None else {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
@@ -414,7 +421,7 @@ def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
                        started=_utc_now(), finished="", status="running",
                        paths={"run_dir": run_dir, "record": path}, metrics={},
                        environment={"python": platform.python_version(), "numpy": np.__version__,
-                                    "cpu_count": os.cpu_count()})
+                                    "cpu_count": os.cpu_count(), "blas": _blas()})
     persist_run(record, path)
     status = "incomplete"
     try:

@@ -346,9 +346,17 @@ class TestOpenRun:
             pass
         with open(record.paths["record"]) as fh:
             raw = json.load(fh)
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert raw["environment"] == {"python": platform.python_version(),
-                                      "numpy": np.__version__, "cpu_count": os.cpu_count()}
+                                      "numpy": np.__version__, "cpu_count": os.cpu_count(),
+                                      "blas": {"name": blas["name"], "version": blas["version"]}}
         assert "environment" not in raw["metrics"]
+
+    def test_environment_without_a_named_blas(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {}})
+        with rt.open_run(tmp_path, "probe", 3) as record:
+            pass
+        assert record.environment["blas"] is None
 
 
 class TestRunRecordPersistence:
