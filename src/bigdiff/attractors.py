@@ -16,18 +16,20 @@ Arc sampling between the ODE and PDE clouds is synchronized (same offsets,
 same sampling times), so cloud-to-cloud Hausdorff distances measure the
 PDE-vs-ODE deviation rather than mesh placement artifacts.
 
-Arcs, tails and long-time seeds run through `dynamics.propagate` with a
-stepper that carries its dt (`EtdStepper`, or the RK4 `_OdeStepper`), so a
-duration T takes ceil(T/dt - 1e-9) whole steps (60,000 for an arc to
-ARC_HORIZON at dt = 1e-3) and the long-time cloud includes t_burn.  Each
-equilibrium's finder decomposes its linearization once (`_spectrum`), and
-every arc, ODE or PDE, leaves along one of the unstable directions the
-equilibrium carries (`_arc_shots`, which refuses a non-hyperbolic one) and
-is shot by `_shoot_arcs`.  `unstable_manifold_ode` shoots the arcs of all
-equilibria in one batch; `attractor_pde`, given the d of a sweep, shoots
-the arcs of every d in one batch and steps the tails of every d in one
-more, each row under its own exact propagator, and a blow-up fails only
-the d whose rows blew up (`EtdStepper.failed`).
+Arcs, tails and long-time seeds, ODE and PDE, are stepped by one
+integrator, ETD2RK: `EtdStepper` for the PDE and `OdeEtdStepper`, its mode
+0, for the limit ODE.  They run through `dynamics.propagate` with a stepper
+that carries its dt, so a duration T takes ceil(T/dt - 1e-9) whole steps
+(60,000 for an arc to ARC_HORIZON at dt = 1e-3, 120,000 at dt = 5e-4) and
+the long-time cloud includes t_burn.  Each equilibrium's finder decomposes
+its linearization once (`_spectrum`), and every arc, ODE or PDE, leaves
+along one of the unstable directions the equilibrium carries
+(`_arc_shots`, which refuses a non-hyperbolic one) and is shot by
+`_shoot_arcs`.  `unstable_manifold_ode` shoots the arcs of all equilibria
+in one batch; `attractor_pde`, given the d of a sweep, shoots the arcs of
+every d in one batch and steps the tails of every d in one more, each row
+under its own exact propagator, and a blow-up fails only the d whose rows
+blew up (`EtdStepper.failed`).
 
 `graph_iteration` keeps a time loop of its own.  Its trapezoid sum needs
 the forcing of every state of the backward flow, and that forcing is also
@@ -65,8 +67,8 @@ from .dynamics import (
     POINT_ERRORS,
     EtdStepper,
     Nonlinearity,
+    OdeEtdStepper,
     _galerkin_F,
-    _OdeStepper,
     _rk4_step,
     _step_count,
     compute_M_and_mu,
@@ -374,10 +376,11 @@ def unstable_manifold_ode(equilibria: list[EquilibriumPoint], F: Nonlinearity,
                           horizon: float = ARC_HORIZON, box: float | None = None) -> np.ndarray:
     """Shoot the 1-d unstable directions of every equilibrium, in one batch.
 
-    Integrates v' = -v + F(v) from eq +- ARC_OFFSET*xi along each unstable
-    eigendirection xi of each equilibrium, sampling every `sample_dt` until
-    the orbit comes within STOP_BALL of another equilibrium or the horizon
-    runs out.  Orbits escaping the absorbing box abort the computation.
+    Integrates v' = -v + F(v) with ETD2RK (`OdeEtdStepper`) in whole steps
+    of `dt` from eq +- ARC_OFFSET*xi along each unstable eigendirection xi
+    of each equilibrium, sampling every `sample_dt` until the orbit comes
+    within STOP_BALL of another equilibrium or the horizon runs out.  Orbits
+    escaping the absorbing box abort the computation.
     """
     shots = _arc_shots(equilibria)
     if not shots:
@@ -389,7 +392,7 @@ def unstable_manifold_ode(equilibria: list[EquilibriumPoint], F: Nonlinearity,
         if (np.linalg.norm(batch, axis=1) > box).any():
             raise EscapeError(f"manifold orbit escaped |v| <= {box} at t={t:.3g}")
 
-    arcs = _shoot_arcs(_OdeStepper(F, dt), [start for start, _ in shots], sample_dt, horizon,
+    arcs = _shoot_arcs(OdeEtdStepper(F, dt), [start for start, _ in shots], sample_dt, horizon,
                        [ends for _, ends in shots], STOP_BALL, inside_box)
     return np.concatenate(arcs)
 
@@ -474,9 +477,10 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
                            dedup_cell: float = 1.25e-3, seed: int = 0) -> AttractorCloud:
     """Long-time sampling: post-burn-in orbit segments of many seeds.
 
-    Orbits are integrated in lockstep; states for t in [t_burn, t_end], both
-    ends included, are sampled every `sample_dt` and deduplicated on cells
-    of size `dedup_cell` (first occupant wins, in sample then row order).
+    Orbits are integrated in lockstep with ETD2RK (`OdeEtdStepper`); states
+    for t in [t_burn, t_end], both ends included, are sampled every
+    `sample_dt` and deduplicated on cells of size `dedup_cell` (first
+    occupant wins, in sample then row order).
     The dedup streams: each sample is checked against a sorted array of the
     cells seen so far and only the rows in new cells are kept, so memory
     grows with the cloud, not with seeds x samples, and no grid over the box
@@ -508,7 +512,8 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
     stride = max(1, round(sample_dt / dt))
     burn = _step_count(t_burn, dt)
     step_index = itertools.count(stride, stride)
-    key_type = np.dtype((np.void, 8 * components))  # one row's int64 cells as one key
+    # one row's int64 cells as one key; int64 itself sorts faster than a void key
+    key_type = np.int64 if components == 1 else np.dtype((np.void, 8 * components))
     seen = np.empty(0, key_type)  # sorted
     kept = []
 
@@ -524,7 +529,7 @@ def attractor_ode_longtime(F: Nonlinearity, n_seeds: int = 2000, box: float | No
         kept.append(batch[np.sort(first[new])])
         seen = np.insert(seen, pos[new], keys[new])
 
-    propagate(_OdeStepper(F, dt), v.T, _step_count(t_end, dt), stride, sample)
+    propagate(OdeEtdStepper(F, dt), v.T, _step_count(t_end, dt), stride, sample)
     points = np.concatenate(kept, axis=0)
     meta = {"F": F.name, "params": F.params, "n_seeds": n_seeds, "t_burn": t_burn,
             "t_end": t_end, "dedup_cell": dedup_cell,

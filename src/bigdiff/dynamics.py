@@ -18,12 +18,16 @@ ETD2RK of Cox & Matthews) removes stiffness entirely; stiffness grows with
 d, which is the very regime under study.  phi-function weights switch to
 series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
 
+The limit ODE is mode 0 of the PDE, so the same ETD2RK steps it
+(`OdeEtdStepper`); classic RK4 (`_rk4_step`) steps only the reference
+trajectory, an oracle of the tests, and `attractors.graph_iteration`.
+
 Every sampled flow (`evolve_pde`, the RK4 reference trajectory, manifold
 arcs, perturbed tails, long-time ODE seeds, the decay sweep) runs through
 `propagate`, one lockstep loop that takes a given number of whole steps of
-a batch.  A stepper carries its own dt (`EtdStepper`, the RK4
-`_OdeStepper`); a duration T takes the ceil(T/dt - 1e-9) whole steps of dt
-that cover it (`_step_count`).  The linear part is diagonal, so the rows of
+a batch.  A stepper carries its own dt (`EtdStepper`, `OdeEtdStepper`, the
+RK4 `_OdeStepper`); a duration T takes the ceil(T/dt - 1e-9) whole steps of
+dt that cover it (`_step_count`).  The linear part is diagonal, so the rows of
 one ETD batch may each carry their own exact propagator and dt (one per
 swept d) while they share one batched evaluation of F.  Rows that share dt
 share the running time, rows with their own dt each keep their own, and
@@ -61,6 +65,7 @@ __all__ = [
     "compute_M_and_mu",
     "mu_from_M",
     "EtdStepper",
+    "OdeEtdStepper",
     "propagate",
     "evolve_pde",
     "evolve_ode",
@@ -443,6 +448,35 @@ class EtdStepper:
         return c
 
 
+class OdeEtdStepper:
+    """ETD2RK step(batch, t) of v' + v = F(v) for rows of states (F takes components first).
+
+    The limit ODE is mode 0 of the PDE, whose gain eps lam_0 + 1 is exactly
+    1, so the weights exp(-dt), dt phi1(-dt) and dt phi2(-dt) are the mode-0
+    entries of `EtdStepper`'s `exp_full`, `w1` and `w2`, and a step is
+    `EtdStepper.step` on that one mode, in its order of operations: two
+    evaluations of F.  Its rows share everything, so it serves any subset of
+    them.
+    """
+
+    def __init__(self, F: Nonlinearity, dt: float):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self.dt = dt
+        self.fn = F.fn
+        z = np.array([-dt])
+        self.exp, self.w1, self.w2 = np.exp(z)[0], dt * _phi1(z)[0], dt * _phi2(z)[0]
+        self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
+
+    def step(self, batch, t):
+        n0 = self.fn(batch.T).T
+        a = self.exp * batch + self.w1 * n0
+        return a + self.w2 * (self.fn(a.T).T - n0)
+
+    def rows(self, keep):
+        return self
+
+
 def _step_count(T: float, dt: float) -> int:
     """The whole steps of `dt` that cover a duration T (none for T <= 0)."""
     return max(0, int(np.ceil(T / dt - 1e-9)))
@@ -537,10 +571,10 @@ def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.
 class _OdeStepper:
     """RK4 step(batch, t) of v' = -v + F(v) for rows of states (F takes components first).
 
-    Its rows share everything, so it serves any subset of them.  `rhs` is
-    `F.fn(u) - u`, bit-equal to -u + F(u) (IEEE a - b is a + (-b)) without
-    the negation or `Nonlinearity.__call__`'s conversion; the rows are
-    already float arrays.
+    It steps only the RK4 reference trajectory.  Its rows share everything,
+    so it serves any subset of them.  `rhs` is `F.fn(u) - u`, bit-equal to
+    -u + F(u) (IEEE a - b is a + (-b)) without the negation or
+    `Nonlinearity.__call__`'s conversion; the rows are already float arrays.
     """
 
     def __init__(self, F: Nonlinearity, dt: float):

@@ -240,14 +240,16 @@ def _prepare_deflection(seed, *, modes, components, nonlinearity, n_tails, w_amp
     """The PDE cloud settings that the deflection and hausdorff sweeps share."""
     n = int(components)
     F = _dynamics.nonlinearity_from_spec(**nonlinearity)
-    sample_dt = float(sample_dt)
+    sample_dt, arc_dt = float(sample_dt), float(arc_dt)
     return {"basis": build_basis(_DOM, int(modes)), "n": n, "F": F,
-            "ode_cloud": _attractors.attractor_ode(F, components=n, sample_dt=sample_dt),
+            # the ODE cloud steps at the dt of the PDE clouds it is measured against
+            "ode_cloud": _attractors.attractor_ode(F, components=n, dt=arc_dt,
+                                                   sample_dt=sample_dt),
             "n_tails": int(n_tails),
             "w_amplitude": float(w_amplitude),
             "t_trans": float(t_trans),
             "sample_dt": sample_dt,
-            "arc_dt": float(arc_dt),
+            "arc_dt": arc_dt,
             # one shared perturbation draw for the whole sweep: per-point
             # draws would modulate the coupling constant and break the
             # monotone decay of d_H across d

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -29,6 +30,21 @@ def bisect_root(fn, lo, hi, iters=200):
 
 USTAR = bisect_root(lambda u: 2 * np.tanh(u) - u, 1.0, 3.0)
 TANH2 = dyn.tanh_pitchfork(2.0)
+
+
+@functools.cache
+def mode0_weights(dt):
+    """The PDE stepper's weights of mode 0, where the gain eps lam_0 + 1 is 1."""
+    pde = dyn.EtdStepper(sp.build_basis(DOM, 4), sp.diffusion([1.0]), TANH2, dt)
+    return pde.exp_full[0, 0], pde.w1[0, 0], pde.w2[0, 0]
+
+
+def etd_mode0_step(v, dt, F):
+    """Oracle: one ETD2RK step of v' + v = F(v), the PDE stepper's formula on mode 0."""
+    e, w1, w2 = mode0_weights(dt)
+    n0 = F(v)
+    a = e * v + w1 * n0
+    return a + w2 * (F(a) - n0)
 
 
 def invariance_drift(cloud, F, T, n_probe, seed, dt=1e-3):
@@ -255,12 +271,12 @@ class TestLongtimeDedup:
         monkeypatch.setattr(at, "propagate", recording)
         cloud = at.attractor_ode_longtime(F, t_burn=t_burn, t_end=t_end, dt=dt,
                                           sample_dt=sample_dt, **kwargs)
-        # oracle: keep every post-burn-in sample of whole RK4 steps, then one
-        # np.unique over all of them
+        # oracle: keep every post-burn-in sample of whole ETD2RK steps, then
+        # one np.unique over all of them
         stride, burn = round(sample_dt / dt), dyn._step_count(t_burn, dt)
         v, samples = seeds[0].T, []
         for k in range(1, dyn._step_count(t_end, dt) + 1):
-            v = dyn._rk4_step(v, dt, lambda u: -u + F(u))
+            v = etd_mode0_step(v, dt, F)
             if k % stride == 0 and k >= burn:
                 samples.append(v.T)
         points = np.concatenate(samples)
@@ -299,13 +315,13 @@ class TestWholeSteps:
     def test_arc_to_the_horizon_takes_whole_steps(self, tanh_equilibria, monkeypatch):
         # with no equilibrium to stop at, both arcs run to ARC_HORIZON = 60
         calls = [0]
-        rk4 = dyn._rk4_step
+        step = dyn.OdeEtdStepper.step
 
-        def counting_rk4(*args):
+        def counting_step(*args):
             calls[0] += 1
-            return rk4(*args)
+            return step(*args)
 
-        monkeypatch.setattr(dyn, "_rk4_step", counting_rk4)
+        monkeypatch.setattr(dyn.OdeEtdStepper, "step", counting_step)
         origin = min(tanh_equilibria, key=lambda e: abs(e.vector()[0]))
         arc = at.unstable_manifold_ode([origin], TANH2, dt=1e-3, sample_dt=1e-2)
         assert calls[0] == 60_000
@@ -513,15 +529,12 @@ class TestLockstepShooting:
         top = max(tanh_equilibria, key=lambda e: e.vector()[0])
         box = 4.0
 
-        def rhs(u):
-            return -u + TANH2(u)
-
         def check(v, t):
             if np.linalg.norm(v) > box:
                 raise at.EscapeError("escaped")
 
         starts = [origin.vector() + sign * 1e-5 * np.array([1.0]) for sign in (+1.0, -1.0)]
-        oracle = arcs_one_at_a_time(lambda v, t: dyn._rk4_step(v, self.DT, rhs), starts,
+        oracle = arcs_one_at_a_time(lambda v, t: etd_mode0_step(v, self.DT, TANH2), starts,
                                     self.DT, 2, self.HORIZON, [top.vector()], 1e-6, check)
         got = at.unstable_manifold_ode([origin, top], TANH2, dt=self.DT,
                                        sample_dt=self.SAMPLE_DT, horizon=self.HORIZON, box=box)
@@ -537,14 +550,11 @@ class TestLockstepShooting:
         eqs = at.find_equilibria_ode(F, at.absorbing_bound(F) + 1.0, components=2)
         box = at.absorbing_bound(F) + 2.0
 
-        def rhs(u):
-            return -u + F(u)
-
         def check(v, t):
             if np.linalg.norm(v) > box:
                 raise at.EscapeError("escaped")
 
-        oracle = [arcs_one_at_a_time(lambda v, t: dyn._rk4_step(v, self.DT, rhs),
+        oracle = [arcs_one_at_a_time(lambda v, t: etd_mode0_step(v, self.DT, F),
                                      [eq.vector() + sign * at.ARC_OFFSET * xi
                                       for xi in eq.directions for sign in (+1.0, -1.0)],
                                      self.DT, 2, self.HORIZON,
@@ -679,6 +689,23 @@ class TestHausdorff:
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             at.AttractorCloud(np.zeros((0, 1)), "ode", [])
+
+
+class TestOneIntegrator:
+    # the ODE cloud steps with the PDE's own ETD2RK on mode 0, so with no tails
+    # the PDE clouds of criterion 7's d (all past the threshold at K = 32) meet
+    # it to rounding, with no integrator gap left in either direction
+    SWEEP7 = tuple(2.0 ** np.arange(7))
+
+    def test_pde_clouds_without_tails_are_the_ode_cloud(self):
+        basis = sp.build_basis(DOM, 32)
+        ode = at.attractor_ode(TANH2, dt=5e-4, sample_dt=1e-2)
+        Es = [sp.diffusion([d]) for d in self.SWEEP7]
+        clouds = at.attractor_pde(Es, TANH2, basis, ode, n_tails=0, dt=5e-4, sample_dt=1e-2)
+        for E, cloud in zip(Es, clouds):
+            res = at.hausdorff_distance(cloud, ode, E, basis)
+            assert len(cloud) == len(ode)
+            assert res.a_to_b <= 1e-13 and res.b_to_a <= 1e-13
 
 
 def _ode_clouds(count):

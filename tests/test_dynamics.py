@@ -466,7 +466,7 @@ class TestEtdStepperProperties:
 class TestPropagate:
     @settings(max_examples=60, deadline=None)
     @given(case=stepper_cases(),
-           kind=st.sampled_from(["rk4", "etd", "etd_per_row", "etd_own_dt"]),
+           kind=st.sampled_from(["rk4", "ode_etd", "etd", "etd_per_row", "etd_own_dt"]),
            steps=st.integers(0, 24), stride=st.integers(1, 4),
            retire=st.lists(st.none() | st.integers(1, 8), min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1))
@@ -480,9 +480,9 @@ class TestPropagate:
         # rows (EtdStepper.rows) and their running times when rows retire
         basis, E, F, dt = case
         rng = np.random.default_rng(seed)
-        if kind == "rk4":
+        if kind in ("rk4", "ode_etd"):
             def stepper_of(rows):
-                return at._OdeStepper(F, dt)
+                return (dyn._OdeStepper if kind == "rk4" else dyn.OdeEtdStepper)(F, dt)
 
             starts = rng.standard_normal((len(retire), E.components))
         else:
@@ -598,6 +598,37 @@ class TestRk4Step:
         got = dyn._rk4_step(v, 0.1, dyn._OdeStepper(F, 0.1).rhs, k1 if supply_k1 else None)
         assert v.tobytes() == v_before.tobytes() and k1.tobytes() == k1_before.tobytes()
         assert not np.shares_memory(got, v) and not np.shares_memory(got, k1)
+
+
+class TestOdeEtdStepper:
+    @pytest.mark.parametrize("dt", [1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("eps", [[1.0], [0.25], [64.0], [1.0, 2.0]])
+    def test_weights_are_the_pde_steppers_mode0_weights(self, dt, eps):
+        # the gain of mode 0 is eps lam_0 + 1 = 1 for every E, so the ODE's
+        # weights are the PDE's, bit for bit, on both sides of the phi series
+        # switch at |z| = 1e-4
+        E = sp.diffusion(eps)
+        F = dyn.coupled_tanh() if len(eps) == 2 else dyn.tanh_pitchfork(2.0)
+        pde = dyn.EtdStepper(sp.build_basis(DOM, 8), E, F, dt)
+        ode = dyn.OdeEtdStepper(F, dt)
+        for mine, theirs in ((ode.exp, pde.exp_full), (ode.w1, pde.w1), (ode.w2, pde.w2)):
+            assert np.array_equal(np.full(len(eps), mine), theirs[:, 0])
+
+    def test_second_order_against_the_rk4_reference(self):
+        # halving dt quarters the gap to a fine RK4 reference trajectory
+        F = dyn.tanh_pitchfork(2.0)
+        _, ref = dyn.evolve_ode(np.array([0.3]), F, T=2.0, dt=1e-4, stride=10**9)
+        gaps = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            final, _ = dyn.propagate(dyn.OdeEtdStepper(F, dt), np.array([[0.3]]),
+                                     dyn._step_count(2.0, dt))
+            gaps.append(abs(final[0, 0] - ref[-1, 0]))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_rejects_a_nonpositive_dt(self):
+        with pytest.raises(ValueError):
+            dyn.OdeEtdStepper(dyn.tanh_pitchfork(2.0), 0.0)
 
 
 class TestEvolveODE:
