@@ -31,14 +31,15 @@ every d in one batch and steps the tails of every d in one more, each row
 under its own exact propagator, and a blow-up fails only the d whose rows
 blew up (`EtdStepper.failed`).
 
-`graph_iteration` keeps a time loop of its own.  Its trapezoid sum needs
-the forcing of every state of the backward flow, and that forcing is also
-the next RK4 step's k1, so each step evaluates the forcing four times.
-Through `propagate`, an RK4 step knows nothing of the sum and would need a
-fifth evaluation, a quarter more of the work that dominates a `manifold`
-run: a cProfile'd `perfbench` `manifold` execution (seed 11, 2-core x86-64
-host) spent 0.94 of 2.11 s in `graph_iteration`, 0.81 s of it in 9,360
-forcing evaluations, 0.38 s of those in the grid blend.
+`graph_iteration` keeps a time loop of its own.  It steps the limit flow
+backward by the same ETD2RK, at step -dt, and its trapezoid sum needs the
+forcing of every state it passes.  That forcing is also the first stage of
+the step from the state, so each step evaluates the forcing twice.  Through
+`propagate`, a step knows nothing of the sum and would need a third
+evaluation, half again the work that dominates a `manifold` run: a
+cProfile'd `perfbench` `manifold` execution (seed 11, 2-core x86-64 host)
+spent 0.56 of 1.25 s in `graph_iteration`, 0.46 s of it in 4,688 forcing
+evaluations, 0.22 s of those in the grid blend.
 
 Distances are Hausdorff distances in the energy norm; ODE points are lifted
 to constant fields first.  All clouds carry a declared resolution (their max
@@ -68,8 +69,8 @@ from .dynamics import (
     EtdStepper,
     Nonlinearity,
     OdeEtdStepper,
+    _etd_weights,
     _galerkin_F,
-    _rk4_step,
     _step_count,
     compute_M_and_mu,
     evolve_pde,  # noqa: F401 -- perfbench traces calls through attractors.evolve_pde
@@ -891,11 +892,12 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
                     grid_points: int = 41) -> GraphEstimate:
     """Fixed-point iteration of the manifold graph map on a grid of base points.
 
-    Each sweep integrates the base flow v' = v - S(v, w(v)) backward from
-    every grid node over the horizon 10/gap and accumulates the mean-free
-    forcing Q(v, w(v)) against the exact decaying propagator (composite
-    trapezoid in time); the graph values w are blended linearly between the
-    nodes of the uniform grid (`_grid_blend`).  Requires
+    Each sweep steps the limit flow v' + v = S(v, w(v)) backward in time
+    from every grid node over the horizon 10/gap, by ETD2RK at step -dt,
+    and accumulates the mean-free forcing Q(v, w(v)) against the exact
+    decaying propagator (composite trapezoid in time); the graph values w
+    are blended linearly between the nodes of the uniform grid
+    (`_grid_blend`).  Requires
     the spectral gap d*lam_1 + 1 - mu > Lip(F); aborts if the iteration fails
     to contract, and stops early once a sweep changes the graph by less than
     1e-14.  Backward-flow states leaving the grid hull are clamped to it for
@@ -927,6 +929,8 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
 
     steps = _step_count(horizon, dt)
     step_decay = np.exp(-gains * dt)
+    # the limit flow's ETD2RK weights (gain 1) at step -dt: exp(dt), -dt phi1(dt), -dt phi2(dt)
+    e, w1, w2 = (w[0] for w in _etd_weights(-dt, np.ones(1)))
     clamped = 0
     factors: list[float] = []
     prev_diff = None
@@ -940,20 +944,19 @@ def graph_iteration(E: DiffusionSpec, F: Nonlinearity, basis: CosineBasis,
             c[:, :, 0] = v
             return _galerkin_F(F, c, basis)
 
-        def backward_rhs(v):
-            return v - forcing(v)[:, :, 0]
-
         v = v_grid.copy()
         decay = np.ones((n, K1))
         accum = np.zeros((m, n, K1))
         for j in range(steps + 1):
             if j:
-                # the last state's forcing, already evaluated, is the step's k1
-                v = _rk4_step(v, dt, backward_rhs, k1)
+                # ETD2RK of v' + v = S(v, w(v)) at step -dt; S at the last
+                # state, already evaluated for the sum, is its first stage
+                a = e * v + w1 * s0
+                v = a + w2 * (forcing(a)[:, :, 0] - s0)
                 decay = decay * step_decay
             clamped += int(np.count_nonzero(np.any(np.abs(v) > box, axis=1)))
             q = forcing(v)
-            k1 = v - q[:, :, 0]
+            s0 = q[:, :, 0].copy()
             q[:, :, 0] = 0.0
             weight = 0.5 * dt if j in (0, steps) else dt
             accum = accum + weight * decay[None] * q

@@ -19,8 +19,9 @@ d, which is the very regime under study.  phi-function weights switch to
 series below |z| = 1e-4 to avoid cancellation in (e^z - 1)/z.
 
 The limit ODE is mode 0 of the PDE, so the same ETD2RK steps it
-(`OdeEtdStepper`); classic RK4 (`_rk4_step`) steps only the reference
-trajectory, an oracle of the tests, and `attractors.graph_iteration`.
+(`OdeEtdStepper`, and `attractors.graph_iteration` backward in time), every
+stepper taking its weights from `_etd_weights`; classic RK4 (`_rk4_step`)
+steps only the reference trajectory, an oracle of the tests.
 
 Every sampled flow (`evolve_pde`, the RK4 reference trajectory, manifold
 arcs, perturbed tails, long-time ODE seeds, the decay sweep) runs through
@@ -353,6 +354,12 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _etd_weights(h, gains):
+    """The ETD2RK weights exp(-h g), h phi1(-h g) and h phi2(-h g) of a step h at gains g."""
+    z = -h * gains
+    return np.exp(z), h * _phi1(z), h * _phi2(z)
+
+
 def _galerkin_F(F: Nonlinearity, c: np.ndarray, basis: CosineBasis) -> np.ndarray:
     """Cosine coefficients of F(u) for the coefficients `c` of u.
 
@@ -404,9 +411,7 @@ class EtdStepper:
         else:
             gains = E.gains(basis)
         self.dt = dt if dt.ndim else float(dt)
-        h = dt[..., None, None]
-        z = -h * gains
-        self.exp_full, self.w1, self.w2 = np.exp(z), h * _phi1(z), h * _phi2(z)
+        self.exp_full, self.w1, self.w2 = _etd_weights(dt[..., None, None], gains)
 
     def rows(self, keep) -> "EtdStepper":
         """The stepper of the rows that `keep` (a mask or indices) selects.
@@ -464,8 +469,7 @@ class OdeEtdStepper:
             raise ValueError("dt must be positive")
         self.dt = dt
         self.fn = F.fn
-        z = np.array([-dt])
-        self.exp, self.w1, self.w2 = np.exp(z)[0], dt * _phi1(z)[0], dt * _phi2(z)[0]
+        self.exp, self.w1, self.w2 = (w[0] for w in _etd_weights(dt, np.ones(1)))
         self.failed = {}  # no row fails: an orbit that leaves its box raises EscapeError
 
     def step(self, batch, t):
@@ -538,34 +542,13 @@ def evolve_pde(u0: SpectralField, E: DiffusionSpec, F: Nonlinearity, T: float,
                       w_xhalf=mean_free_energy(coeffs, E.gains(u0.basis)))
 
 
-def _rk4_step(v: np.ndarray, h: float, rhs, k1: np.ndarray | None = None) -> np.ndarray:
-    """One classic RK4 step of v' = rhs(v), elementwise over any batch; `k1` may supply rhs(v).
-
-    Bit for bit the textbook v + (h/6) (k1 + 2 k2 + 2 k3 + k4), in the fewest
-    array operations: each stage argument is formed in one new array, and
-    the weighted sum accumulates in place in k2, in the textbook's order.
-    `rhs` must return a new array, which the step may overwrite; `v` and a
-    supplied `k1` are never written.
-    """
-    half = 0.5 * h
-    k1 = rhs(v) if k1 is None else k1
-    x = half * k1
-    x += v
-    k2 = rhs(x)
-    x = half * k2
-    x += v
-    k3 = rhs(x)
-    x = h * k3
-    x += v
-    k4 = rhs(x)
-    k2 *= 2
-    k2 += k1
-    k3 *= 2
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += v
-    return k2
+def _rk4_step(v: np.ndarray, h: float, rhs) -> np.ndarray:
+    """One classic RK4 step of v' = rhs(v), elementwise over any batch."""
+    k1 = rhs(v)
+    k2 = rhs(v + 0.5 * h * k1)
+    k3 = rhs(v + 0.5 * h * k2)
+    k4 = rhs(v + h * k3)
+    return v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class _OdeStepper:

@@ -965,22 +965,22 @@ class TestGraphIteration:
         assert est.iterations == 1
 
     def test_each_clamped_state_counted_once(self):
-        # with F = 0 the backward flow is v' = v: every node grows by the same
-        # RK4 factor per step, so the clamped states follow from the grid alone
+        # with F = 0 the backward flow is v' = v, for which ETD2RK is exact:
+        # every node grows by exp(dt) per step, so the clamped states follow
+        # from the grid alone
         basis = sp.build_basis(DOM, 8)
         dt, box = 1e-3, 2.0
         est = at.graph_iteration(sp.diffusion([2.0]), dyn.zero_nonlinearity(), basis,
                                  grid_points=11, mu=0.0, box=box, dt=dt)
         assert est.iterations == 1
-        growth = 1 + dt + dt**2 / 2 + dt**3 / 6 + dt**4 / 24
-        states = np.abs(est.v_grid) * growth ** np.arange(int(np.ceil(est.horizon / dt)) + 1)
+        states = np.abs(est.v_grid) * np.exp(dt) ** np.arange(int(np.ceil(est.horizon / dt)) + 1)
         expected = int(np.count_nonzero(states > box))
         assert expected > 0
         assert est.clamped == expected
 
     def test_one_forcing_evaluation_per_state(self):
-        # 4 per RK4 step plus 1 per state for the trapezoid, whose value at a
-        # state is also the k1 of the step from it
+        # 2 per ETD2RK step: one at each state, which the trapezoid sum and
+        # the step from that state share, and one at the step's midstage
         calls = [0]
 
         def fn(u):
@@ -995,7 +995,48 @@ class TestGraphIteration:
                                  iters=3, dt=dt, grid_points=5, initial=seeded)
         steps = int(np.ceil(est.horizon / dt))
         assert est.iterations == 3 and steps > 10
-        assert calls[0] == est.iterations * (4 * steps + 1)
+        assert calls[0] == est.iterations * (2 * steps + 1)
+
+    def test_second_order_in_dt(self):
+        # the ETD2RK backward flow and the trapezoid sum are both second
+        # order: halving dt quarters the graph's gap to a fine-dt reference
+        basis, E, m = sp.build_basis(DOM, 16), sp.diffusion([4.0]), 11
+        seeded = np.zeros((m, 1, 17))
+        seeded[:, 0, 1] = 0.1
+
+        def graph(dt):
+            return at.graph_iteration(E, TANH2, basis, grid_points=m, iters=2, dt=dt,
+                                      initial=seeded).w_coeffs
+
+        ref = graph(1.25e-4)
+        gaps = [np.max(np.abs(graph(dt) - ref)) for dt in (4e-3, 2e-3, 1e-3)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_backward_flow_is_second_order(self):
+        # the graph's gap above is the trapezoid sum's; the flow's own order
+        # shows at its end: with a zero graph F sees the constant v of each
+        # node, so its last input is where the backward flow ended. mu is
+        # chosen to make the horizon 10/25 = 0.4, a whole number of each dt
+        basis, E = sp.build_basis(DOM, 8), sp.diffusion([4.0])
+
+        def end(dt):
+            seen = []
+
+            def fn(u):
+                seen.append(u.copy())
+                return TANH2.fn(u)
+
+            F = dyn.Nonlinearity("recorded_tanh", {}, fn, TANH2.jac, 2.0, 2.0)
+            est = at.graph_iteration(E, F, basis, grid_points=5, iters=1, dt=dt,
+                                     mu=E.second_eigenvalue(basis) - 27.0)
+            assert est.horizon == pytest.approx(0.4)
+            return seen[-1][0, :, 0]
+
+        ref = end(1.25e-4)
+        gaps = [np.max(np.abs(end(dt) - ref)) for dt in (4e-3, 2e-3, 1e-3)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
     def test_linear_desk_variant_zero_graph(self):
         basis = sp.build_basis(DOM, 8)

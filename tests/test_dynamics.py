@@ -541,12 +541,12 @@ class TestPropagate:
         assert shared.rows(np.array([True, False])) is shared
 
 
-def textbook_rk4(v, h, F, k1=None):
+def textbook_rk4(v, h, F):
     """Oracle: the classic RK4 formula, one new array per operation."""
     def rhs(u):
         return -u + F(u)
 
-    k1 = rhs(v) if k1 is None else k1
+    k1 = rhs(v)
     k2 = rhs(v + 0.5 * h * k1)
     k3 = rhs(v + 0.5 * h * k2)
     k4 = rhs(v + h * k3)
@@ -554,50 +554,48 @@ def textbook_rk4(v, h, F, k1=None):
 
 
 def rk4_inputs(rng, n, specials):
-    """(n, rows) states and a k1 of 1-64 rows, a share of whose entries are `specials`."""
-    rows = int(rng.integers(1, 65))
-    v, k1 = rng.normal(0.0, 2.0, (2, n, rows))
-    for a in (v, k1):
-        hit = rng.random(a.shape) < 0.2
-        a[hit] = rng.choice(specials, size=int(hit.sum()))
-    return v, k1
+    """(n, rows) states of 1-64 rows, a share of whose entries are `specials`."""
+    v = rng.normal(0.0, 2.0, (n, int(rng.integers(1, 65))))
+    hit = rng.random(v.shape) < 0.2
+    v[hit] = rng.choice(specials, size=int(hit.sum()))
+    return v
 
 
 class TestRk4Step:
     FACTORIES = sorted(dyn.NONLINEARITIES)
+    # the step always evaluates its own k1; the "own-k1" ids name that case
+    OWN_K1 = pytest.mark.parametrize("k1", ["own"], ids=["own-k1"])
 
     @pytest.mark.parametrize("specials", [[0.0, -0.0], [0.0, -0.0, np.inf, -np.inf, np.nan]],
                              ids=["signed-zeros", "nonfinite"])
-    @pytest.mark.parametrize("supply_k1", [False, True], ids=["own-k1", "supplied-k1"])
+    @OWN_K1
     @pytest.mark.parametrize("name", FACTORIES)
-    def test_is_the_textbook_formula_bit_for_bit(self, name, supply_k1, specials):
+    def test_is_the_textbook_formula_bit_for_bit(self, name, k1, specials):
         # a NaN's payload may follow operand order, so NaNs compare as NaNs;
         # every other entry, +-inf and signed zeros included, bit for bit
         F = dyn.nonlinearity_from_spec(name)
         n = 2 if name == "coupled_tanh" else 1
-        rng = np.random.default_rng([41, self.FACTORIES.index(name), supply_k1, len(specials)])
+        rng = np.random.default_rng([41, self.FACTORIES.index(name), len(specials)])
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(20):
-                v, k1 = rk4_inputs(rng, n, specials)
+                v = rk4_inputs(rng, n, specials)
                 h = float(rng.uniform(1e-4, 0.5))
                 stepper = dyn._OdeStepper(F, h)
-                k1 = k1 if supply_k1 else None
-                got = dyn._rk4_step(v, h, stepper.rhs, k1)
-                want = textbook_rk4(v, h, F, k1)
+                got = dyn._rk4_step(v, h, stepper.rhs)
+                want = textbook_rk4(v, h, F)
                 nan = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nan)
                 assert got[~nan].tobytes() == want[~nan].tobytes()
-                if k1 is None:
-                    assert stepper.step(v.T, 0.0).T.tobytes() == got.tobytes()
+                assert stepper.step(v.T, 0.0).T.tobytes() == got.tobytes()
 
-    @pytest.mark.parametrize("supply_k1", [False, True], ids=["own-k1", "supplied-k1"])
-    def test_leaves_v_and_a_supplied_k1_unchanged(self, supply_k1):
+    @OWN_K1
+    def test_leaves_v_and_a_supplied_k1_unchanged(self, k1):
         F = dyn.coupled_tanh()
-        v, k1 = np.random.default_rng(47).normal(0.0, 2.0, (2, 2, 30))
-        v_before, k1_before = v.copy(), k1.copy()
-        got = dyn._rk4_step(v, 0.1, dyn._OdeStepper(F, 0.1).rhs, k1 if supply_k1 else None)
-        assert v.tobytes() == v_before.tobytes() and k1.tobytes() == k1_before.tobytes()
-        assert not np.shares_memory(got, v) and not np.shares_memory(got, k1)
+        v = np.random.default_rng(47).normal(0.0, 2.0, (2, 30))
+        v_before = v.copy()
+        got = dyn._rk4_step(v, 0.1, dyn._OdeStepper(F, 0.1).rhs)
+        assert v.tobytes() == v_before.tobytes()
+        assert not np.shares_memory(got, v)
 
 
 class TestOdeEtdStepper:
