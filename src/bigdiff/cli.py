@@ -10,22 +10,23 @@ Exit codes are uniform across subcommands:
 Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
 configuration (itself a valid config reproducing the run), the measured
 points, fits, plain two-column plot data, and a JSON run record.  Each study
-runs inside `rates.open_run`, which alone sets the record's status; once the
-run is closed, the study stamps its verdict into the record.  A sweep
-verdict reads the points that survived, with the status `rates.run_sweep`
-gave each, and any failed point fails it (`failed_points=N`).  Verdict
-lines are machine-greppable with the fixed prefix "VERDICT:", and `report`
-exits 0 only when every run it summarizes holds a PASS verdict.  The
-`attractor` study derives its long-time sampling from F and its equilibria
-(`_auto_burn`), with no config key: seeds in the box |v| <= bound(F) + 1, a
-burn-in until transients contract below the dedup cell, then 16 time units.
-The environment variable BIGDIFF_OUT_ROOT overrides [run] out_root; the
---out-root flag overrides both.
+runs inside `_run`, which writes resolved.ini first and whose `rates.open_run`
+alone sets the record's status; the study stamps its verdict before the run
+closes, so a complete record carries one.  A sweep verdict reads the points
+that survived, with the status `rates.run_sweep` gave each, and any failed
+point fails it (`failed_points=N`).  Verdict lines are machine-greppable
+with the fixed prefix "VERDICT:", and `report` exits 0 only when every run
+it summarizes holds a PASS verdict.  The `attractor` study derives its
+long-time sampling from F and its equilibria (`_auto_burn`), with no config
+key: seeds in the box |v| <= bound(F) + 1, a burn-in until transients
+contract below the dedup cell, then 16 time units.  The environment
+variable BIGDIFF_OUT_ROOT overrides [run] out_root; --out-root overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -56,12 +57,10 @@ def _say(args, *message) -> None:
 
 
 def _verdict(name: str, detail: str, passed: bool, *records: rt.RunRecord) -> int:
-    """Store the verdict in each run record, print the VERDICT: line, return the exit code."""
+    """Set the verdict of each open run record, print the VERDICT: line, return the exit code."""
     verdict = "PASS" if passed else "FAIL"
     for record in records:
-        record.metrics["verdict"] = verdict
-        record.metrics["verdict_detail"] = detail
-        rt.persist_run(record, record.paths["record"])
+        record.metrics.update(verdict=verdict, verdict_detail=detail)
     print(f"VERDICT: {name} {detail} {verdict}")
     return 0 if passed else 1
 
@@ -78,34 +77,33 @@ def _load(args) -> Config:
     return cfg
 
 
-def _write_resolved(cfg: Config, record: rt.RunRecord) -> str:
-    """Write resolved.ini beside the run's record; return the run directory."""
-    run_dir = record.paths["run_dir"]
-    cfg.write(os.path.join(run_dir, "resolved.ini"))
-    return run_dir
+@contextlib.contextmanager
+def _run(cfg: Config, name: str):
+    """Open the run `name` under the configured out root; write its resolved.ini first."""
+    with rt.open_run(cfg.get("run", "out_root"), name, cfg.get("run", "seed")) as record:
+        cfg.write(os.path.join(record.paths["run_dir"], "resolved.ini"))
+        yield record
 
 
-def _sweep(cfg: Config, quantity: str, **params):
-    """Sweep `quantity` over [sweep] d_eps with the configured seed, modes and components.
+def _sweep(cfg: Config, record: rt.RunRecord, **params):
+    """Sweep `record.quantity` into the open run `record`: [sweep] d_eps, seed, modes, components.
 
-    Runs under the configured out root and writes resolved.ini beside the
-    record.  Returns (fit, record, rows, failed): the details.csv row of each
-    point that survived, as a dict with its `status` ("ok" or "zero", as
-    `rt.run_sweep` decided it), and the number of points that failed.
+    Returns (fit, rows, failed): the details.csv row of each point that
+    survived, as a dict with its `status` ("ok" or "zero", as `rt.run_sweep`
+    decided it), and the number of points that failed.
     """
     sweep_cfg = rt.SweepConfig(
-        quantity, cfg.get("sweep", "d_eps"),
+        record.quantity, cfg.get("sweep", "d_eps"),
         params={"modes": cfg.get("domain", "modes"),
                 "components": cfg.get("domain", "components"), **params},
         seed=cfg.get("run", "seed"))
-    fit, record = rt.run_sweep(sweep_cfg, out_root=cfg.get("run", "out_root"))
-    _write_resolved(cfg, record)
+    fit = rt.run_sweep(sweep_cfg, record)
     with open(record.paths["details"]) as fh:
         header = fh.readline().rstrip("\n").split(",")
         rows = [dict(zip(header, map(float, line.split(","))), status=status)
                 for line, status in zip(fh, record.metrics["statuses"])]
     surviving = [row for row in rows if row["status"] in ("ok", "zero")]
-    return fit, record, surviving, len(rows) - len(surviving)
+    return fit, surviving, len(rows) - len(surviving)
 
 
 def _with_failed(detail: str, failed: int) -> str:
@@ -119,69 +117,68 @@ def _with_failed(detail: str, failed: int) -> str:
 
 def cmd_resolvent_rate(args) -> int:
     cfg = _load(args)
-    fit, record, rows, failed = _sweep(cfg, "resolvent_gap", trials=64)
-    tol = cfg.get("tolerances", "slope")
-    attained = max(abs(row["attained_product"] - 1.0) for row in rows)
-    # no fit when fewer than 4 points lie above the zero floor: no rate was measured
-    slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
-    slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
-    attained_ok = attained <= cfg.get("tolerances", "attained")
-    _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
-    _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
-    detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
-    return _verdict("resolvent-rate", _with_failed(detail, failed),
-                    slope_ok and attained_ok and not failed, record)
+    with _run(cfg, "resolvent_gap") as record:
+        fit, rows, failed = _sweep(cfg, record, trials=64)
+        tol = cfg.get("tolerances", "slope")
+        attained = max(abs(row["attained_product"] - 1.0) for row in rows)
+        # no fit when fewer than 4 points lie above the zero floor: no rate was measured
+        slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
+        slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
+        attained_ok = attained <= cfg.get("tolerances", "attained")
+        _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
+        _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
+        detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
+        return _verdict("resolvent-rate", _with_failed(detail, failed),
+                        slope_ok and attained_ok and not failed, record)
 
 
 def cmd_decay(args) -> int:
     cfg = _load(args)
     spec = cfg.nonlinearity_spec()
-    _, record, rows, failed = _sweep(cfg, "w_decay_rate", nonlinearity=spec,
-                                     m_horizon=cfg.get("semigroup", "m_horizon"))
-    one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in rows)
-    margin = min(r["fitted_rate"] - r["theoretical_rate"] for r in rows)
-    detail = f"min_margin={margin:.4g}"
-    if spec["name"] == "zero":
-        rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in rows)
-        linear_ok = rel <= cfg.get("tolerances", "decay_rel")
-        detail += f" linear_rel_err={rel:.2e}"
-    else:
-        linear_ok = True
-    for row in rows:
-        _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
-                   f"theoretical {row['theoretical_rate']:.4f}")
-    return _verdict("decay", _with_failed(detail, failed),
-                    one_sided_ok and linear_ok and not failed, record)
+    with _run(cfg, "w_decay_rate") as record:
+        _, rows, failed = _sweep(cfg, record, nonlinearity=spec,
+                                 m_horizon=cfg.get("semigroup", "m_horizon"))
+        one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in rows)
+        margin = min(r["fitted_rate"] - r["theoretical_rate"] for r in rows)
+        detail = f"min_margin={margin:.4g}"
+        if spec["name"] == "zero":
+            rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in rows)
+            linear_ok = rel <= cfg.get("tolerances", "decay_rel")
+            detail += f" linear_rel_err={rel:.2e}"
+        else:
+            linear_ok = True
+        for row in rows:
+            _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
+                       f"theoretical {row['theoretical_rate']:.4f}")
+        return _verdict("decay", _with_failed(detail, failed),
+                        one_sided_ok and linear_ok and not failed, record)
 
 
 def cmd_eigs(args) -> int:
     cfg = _load(args)
     basis = cfg.basis()
     E = cfg.diffusion_spec()
-    with rt.open_run(cfg.get("run", "out_root"), "eigs", cfg.get("run", "seed")) as record:
-        run_dir = _write_resolved(cfg, record)
+    with _run(cfg, "eigs") as record:
         count = min(args.count, E.components * (basis.mode_count + 1))
         table = el.eigenvalue_table(E, basis, count)
-        print(rt.write_table(os.path.join(run_dir, "eigenvalues.csv"), ["j", "eigenvalue"],
-                             enumerate(table, start=1)), end="")
+        print(rt.write_table(os.path.join(record.paths["run_dir"], "eigenvalues.csv"),
+                             ["j", "eigenvalue"], enumerate(table, start=1)), end="")
         lam2 = E.second_eigenvalue(basis)
         gains = E.gains(basis)
         above = np.sort(gains[gains > 1.0])
         identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
         record.metrics["table"] = [float(x) for x in table]
-    detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
-    return _verdict("eigs", detail, identity_ok, record)
+        detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
+        return _verdict("eigs", detail, identity_ok, record)
 
 
 def cmd_example_optimal(args) -> int:
     cfg = _load(args)
     eps_values = args.eps
     basis = cfg.basis()
-    with rt.open_run(cfg.get("run", "out_root"), "example-optimal",
-                     cfg.get("run", "seed")) as record:
-        run_dir = _write_resolved(cfg, record)
+    with _run(cfg, "example-optimal") as record:
         reports = [el.optimal_example_check(e, basis) for e in eps_values]
-        rt.write_table(os.path.join(run_dir, "example.csv"),
+        rt.write_table(os.path.join(record.paths["run_dir"], "example.csv"),
                        ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
                        [[rep.eps, rep.closed_form_error, rep.seminorm_sq,
                          rep.seminorm_sq * rep.eps] for rep in reports])
@@ -190,16 +187,16 @@ def cmd_example_optimal(args) -> int:
         spread = max(products) - min(products)
         slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
         record.metrics.update(worst_error=worst_err, spread=spread, exponent=float(slope))
-    first = reports[0]
-    _say(args, f"seminorm^2 at eps={first.eps:g}: {first.seminorm_sq:.7f} "
-               f"(exact 1/(8 pi^2 eps) = {1 / (8 * np.pi**2 * first.eps):.7f})")
-    print(f"scaling exponent {slope:.3f}")
-    passed = (worst_err <= 1e-12
-              and spread <= cfg.get("tolerances", "seminorm_const")
-              and abs(slope + 1.0) < 1e-6)
-    detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
-              f"exponent={slope:.3f}")
-    return _verdict("example-optimal", detail, passed, record)
+        first = reports[0]
+        _say(args, f"seminorm^2 at eps={first.eps:g}: {first.seminorm_sq:.7f} "
+                   f"(exact 1/(8 pi^2 eps) = {1 / (8 * np.pi**2 * first.eps):.7f})")
+        print(f"scaling exponent {slope:.3f}")
+        passed = (worst_err <= 1e-12
+                  and spread <= cfg.get("tolerances", "seminorm_const")
+                  and abs(slope + 1.0) < 1e-6)
+        detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
+                  f"exponent={slope:.3f}")
+        return _verdict("example-optimal", detail, passed, record)
 
 
 def _auto_burn(equilibria, box: float, cell: float) -> float:
@@ -216,8 +213,8 @@ def _auto_burn(equilibria, box: float, cell: float) -> float:
 
 def cmd_attractor(args) -> int:
     cfg = _load(args)
-    with rt.open_run(cfg.get("run", "out_root"), "attractor", cfg.get("run", "seed")) as record:
-        run_dir = _write_resolved(cfg, record)
+    with _run(cfg, "attractor") as record:
+        run_dir = record.paths["run_dir"]
         F = cfg.nonlinearity()
         n = cfg.get("domain", "components")
         box = at.absorbing_bound(F) + 1.0
@@ -246,12 +243,13 @@ def cmd_attractor(args) -> int:
                               resolution=resolution, n_equilibria=len(equilibria),
                               manifold_points=len(manifold), longtime_points=len(longtime),
                               longtime_samples=longtime.meta["samples"])
-    _say(args, f"manifold cloud: {len(manifold)} points, longtime cloud: {len(longtime)} points")
-    _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
-    passed = res.sym <= 2 * resolution
-    detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
-              f"resolution={resolution:.4g}")
-    return _verdict("attractor", detail, passed, record)
+        _say(args, f"manifold cloud: {len(manifold)} points, "
+                   f"longtime cloud: {len(longtime)} points")
+        _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
+        passed = res.sym <= 2 * resolution
+        detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
+                  f"resolution={resolution:.4g}")
+        return _verdict("attractor", detail, passed, record)
 
 
 def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
@@ -266,55 +264,61 @@ def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
 
 def cmd_hausdorff_sweep(args) -> int:
     cfg = _load(args)
-    fit, record, rows, failed = _sweep(cfg, "hausdorff", **_cloud_params(cfg, "t_trans"),
-                                       m_horizon=cfg.get("semigroup", "m_horizon"))
-    values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in rows])
-    nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
-    threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
-                       for row, v in zip(rows, values))
-    bound = cfg.get("tolerances", "hausdorff_slope")
-    if fit is not None:
-        slope_ok, slope_txt = fit.slope <= bound, f"{fit.slope:.4f}"
-    elif any(row["status"] == "ok" for row in rows):
-        slope_ok, slope_txt = False, "none"  # fewer than 4 nonzero points: no rate was fitted
-    else:
-        slope_ok, slope_txt = True, "zero"  # identically zero at cloud resolution
-    for row, v in zip(rows, values):
-        _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
-    detail = (f"slope={slope_txt} bound={bound:g} nonincreasing={nonincreasing} "
-              f"below_resolution_past_threshold={threshold_ok}")
-    return _verdict("hausdorff-sweep", _with_failed(detail, failed),
-                    nonincreasing and slope_ok and threshold_ok and not failed, record)
+    params = _cloud_params(cfg, "t_trans")
+    with _run(cfg, "hausdorff") as record:
+        fit, rows, failed = _sweep(cfg, record, **params,
+                                   m_horizon=cfg.get("semigroup", "m_horizon"))
+        values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in rows])
+        nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
+        threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
+                           for row, v in zip(rows, values))
+        bound = cfg.get("tolerances", "hausdorff_slope")
+        if fit is not None:
+            slope_ok, slope_txt = fit.slope <= bound, f"{fit.slope:.4f}"
+        elif any(row["status"] == "ok" for row in rows):
+            slope_ok, slope_txt = False, "none"  # fewer than 4 nonzero points: no rate was fitted
+        else:
+            slope_ok, slope_txt = True, "zero"  # identically zero at cloud resolution
+        for row, v in zip(rows, values):
+            _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
+        detail = (f"slope={slope_txt} bound={bound:g} nonincreasing={nonincreasing} "
+                  f"below_resolution_past_threshold={threshold_ok}")
+        return _verdict("hausdorff-sweep", _with_failed(detail, failed),
+                        nonincreasing and slope_ok and threshold_ok and not failed, record)
 
 
 def cmd_manifold(args) -> int:
     cfg = _load(args)
-    _, defl_record, defl_rows, defl_failed = _sweep(cfg, "deflection",
-                                                    **_cloud_params(cfg, "deflection_t_trans"))
-    _, graph_record, graph_rows, graph_failed = _sweep(
-        cfg, "graph_sup", nonlinearity=cfg.nonlinearity_spec(),
-        grid_points=cfg.get("manifold", "grid_points"),
-        iters=cfg.get("manifold", "iterations"),
-        seed_amplitude=cfg.get("manifold", "seed_amplitude"),
-        m_horizon=cfg.get("semigroup", "m_horizon"))
-    if all(row["status"] == "zero" for row in defl_rows):
-        defl_ok, defl_txt = True, "identically-zero"
-        _say(args, "deflection identically zero at solver tolerance; bound trivially satisfied")
-    else:
-        scaled = [row["deflection"] * np.sqrt(row["d_eps"]) for row in defl_rows
-                  if row["status"] == "ok"]
-        band = max(scaled) / min(scaled)
-        defl_ok, defl_txt = band <= 2.0, f"band_ratio={band:.3f}"
-    factors = [row["contraction_factor"] for row in graph_rows]
-    graph_ok = all(f < 1.0 for f in factors)
-    sup_ok = all(row["status"] == "zero" for row in graph_rows)
-    for row, f in zip(graph_rows, factors):
-        _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
-    detail = (f"deflection={_with_failed(defl_txt, defl_failed)} "
-              f"contraction_max={_with_failed(f'{max(factors):.4f}', graph_failed)} "
-              f"graph_sup_zero={sup_ok}")
-    passed = defl_ok and graph_ok and sup_ok and not (defl_failed or graph_failed)
-    return _verdict("manifold", detail, passed, defl_record, graph_record)
+    params = _cloud_params(cfg, "deflection_t_trans")
+    # graph_sup opens once the deflection sweep returned; a failure leaves both incomplete
+    with _run(cfg, "deflection") as defl_record:
+        _, defl_rows, defl_failed = _sweep(cfg, defl_record, **params)
+        with _run(cfg, "graph_sup") as graph_record:
+            _, graph_rows, graph_failed = _sweep(
+                cfg, graph_record, nonlinearity=params["nonlinearity"],
+                grid_points=cfg.get("manifold", "grid_points"),
+                iters=cfg.get("manifold", "iterations"),
+                seed_amplitude=cfg.get("manifold", "seed_amplitude"),
+                m_horizon=cfg.get("semigroup", "m_horizon"))
+            if all(row["status"] == "zero" for row in defl_rows):
+                defl_ok, defl_txt = True, "identically-zero"
+                _say(args, "deflection identically zero at solver tolerance; "
+                           "bound trivially satisfied")
+            else:
+                scaled = [row["deflection"] * np.sqrt(row["d_eps"]) for row in defl_rows
+                          if row["status"] == "ok"]
+                band = max(scaled) / min(scaled)
+                defl_ok, defl_txt = band <= 2.0, f"band_ratio={band:.3f}"
+            factors = [row["contraction_factor"] for row in graph_rows]
+            graph_ok = all(f < 1.0 for f in factors)
+            sup_ok = all(row["status"] == "zero" for row in graph_rows)
+            for row, f in zip(graph_rows, factors):
+                _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
+            detail = (f"deflection={_with_failed(defl_txt, defl_failed)} "
+                      f"contraction_max={_with_failed(f'{max(factors):.4f}', graph_failed)} "
+                      f"graph_sup_zero={sup_ok}")
+            passed = defl_ok and graph_ok and sup_ok and not (defl_failed or graph_failed)
+            return _verdict("manifold", detail, passed, defl_record, graph_record)
 
 
 def cmd_report(args) -> int:

@@ -7,10 +7,10 @@ failed it.  The decay rate steps every d as one ETD batch, and the
 hausdorff and deflection sweeps build the PDE clouds of every d in one
 batch (`attractors.attractor_pde`); resolvent_gap and graph_sup measure one
 d at a time through `per_point`.  It fits ordinary least squares on
-(log d, log value) and persists a run directory containing the raw points,
-the fit, plain two-column plot data, and a JSON run record.
-`open_run` is the one run lifecycle, of the sweeps here and of the CLI's
-other studies.  Identical config + seed reproduces every CSV byte for byte
+(log d, log value) and fills an open run directory with the raw points,
+the fit, plain two-column plot data, and the JSON run record's metrics.
+`open_run` is the one run lifecycle: the CLI opens every study's run, and
+`run_sweep` fills it.  Identical config + seed reproduces every CSV byte for byte
 (per-point seeds are spawned from the master seed by index, and a row of a
 batch steps bit for bit as it would alone, so no point depends on the
 others).
@@ -355,9 +355,9 @@ class RunRecord:
     """Everything needed to reproduce and audit one run.
 
     `metrics` holds what the run measured, the same for the same config and
-    seed; `timings` holds how long a sweep's stages took, in seconds, and
-    `environment` the Python and numpy versions, the CPU count and the BLAS
-    numpy was built with (`blas`, its name and version, or None).
+    seed; `timings` the seconds the run was open (`total`) and a sweep's
+    stages took, and `environment` the Python and numpy versions, the CPU
+    count and the BLAS numpy was built with (`blas`: name, version, or None).
     """
 
     quantity: str
@@ -402,23 +402,22 @@ def _utc_now() -> str:
 
 
 @contextlib.contextmanager
-def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
+def open_run(out_root, quantity: str, seed: int):
     """Create the run directory <out_root>/<UTC stamp>-<quantity>/ and yield its RunRecord.
 
     The record is persisted as <run_dir>/record.json with status "running" at
-    once, and again on exit: "complete", or "incomplete" if the body raised
-    (KeyboardInterrupt included), with `finished` stamped.  `config` defaults
-    to the run directory's resolved.ini (the CLI writes one into every run
-    directory); `paths` holds the run directory and the record, and the body
-    adds its own files.  `environment` is stamped once, beside `timings` and
-    outside `metrics`.
+    once, and once more on exit, with all the body put in it: "complete", or
+    "incomplete" if the body raised (KeyboardInterrupt included), with
+    `finished` and `timings["total"]` stamped.  `config` names the run's
+    resolved.ini until `run_sweep` replaces it, `paths` the run directory and
+    record (the body adds its files); `environment` sits outside `metrics`.
     """
+    start = time.perf_counter()
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     run_dir = os.path.abspath(os.path.join(str(out_root), f"{stamp}-{quantity}"))
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, "record.json")
-    if config is None:
-        config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
+    config = {"resolved_ini": os.path.join(run_dir, "resolved.ini")}
     record = RunRecord(quantity=quantity, config=config, version=__version__, seed=seed,
                        started=_utc_now(), finished="", status="running",
                        paths={"run_dir": run_dir, "record": path}, metrics={},
@@ -431,6 +430,7 @@ def open_run(out_root, quantity: str, seed: int, config: dict | None = None):
         status = "complete"
     finally:
         record.status, record.finished = status, _utc_now()
+        record.timings["total"] = time.perf_counter() - start
         persist_run(record, path)
 
 
@@ -455,92 +455,86 @@ _RUN_FILES = {"points": "points.csv", "fit": "fit.csv", "plot": "plot.dat",
               "plot_loglog": "plot_loglog.dat", "config": "config.json"}
 
 
-def run_sweep(cfg: SweepConfig, out_root):
-    """Measure the configured quantity at every d, fit, and persist a run.
+def run_sweep(cfg: SweepConfig, record: RunRecord):
+    """Measure the configured quantity at every d, fit, and fill the open run `record`.
 
-    Returns (RateFit | None, RunRecord); the fit is None when every surviving
-    measurement is zero at tolerance (note says so) and a FitError is raised
-    when fewer than 4 points survive outright failures; points.csv and
-    details.csv are written before that check, so a failed sweep keeps each
-    point's `failed: ...` reason.  `record.timings` gives the seconds spent in
-    prepare, in measure, in persist (the fit and the run tables, stamped once
-    they are written) and in total.
+    Writes config.json (also `record.config`), the run tables and the metrics,
+    and returns the RateFit, or None when every surviving measurement is zero
+    at tolerance (note says so); a FitError is raised when fewer than 4 points
+    survive outright failures.  points.csv and details.csv are written before
+    that check, so a failed sweep keeps each point's `failed: ...` reason.
+    `record.timings` gives the seconds spent in prepare, in measure and in
+    persist (the fit and the run tables, stamped once they are written).
     """
     predicted, prepare, measure = QUANTITIES[cfg.quantity]
-    config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
-              "params": cfg.params, "seed": cfg.seed}
-    with open_run(out_root, cfg.quantity, cfg.seed, config=config) as record:
-        start = time.perf_counter()
-        paths = record.paths
-        run_dir = paths["run_dir"]
-        paths.update({key: os.path.join(run_dir, name) for key, name in _RUN_FILES.items()})
-        with open(paths["config"], "w") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    record.config = {"quantity": cfg.quantity, "d_eps_values": list(cfg.d_eps_values),
+                     "params": cfg.params, "seed": cfg.seed}
+    paths = record.paths
+    run_dir = paths["run_dir"]
+    paths.update({key: os.path.join(run_dir, name) for key, name in _RUN_FILES.items()})
+    with open(paths["config"], "w") as fh:
+        json.dump(record.config, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-        begun = time.perf_counter()
-        ctx = prepare(cfg.seed, **cfg.params)
-        prepared = time.perf_counter()
-        point_seeds = [int(s.generate_state(1)[0]) for s in
-                       SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
-        results = measure(cfg.d_eps_values, ctx, point_seeds)
-        measured = time.perf_counter()
-        record.timings.update({"prepare": prepared - begun, "measure": measured - prepared})
-        rows, extras_list = [], []  # each point's (d, value, status), and its extras
-        for d, result in zip(cfg.d_eps_values, results):
-            if isinstance(result, _dynamics.POINT_ERRORS):  # recorded, not fitted
-                reason = f"{type(result).__name__}: {result}".replace(",", ";")
-                rows.append((d, None, f"failed: {reason}"))
-                extras_list.append({})
-            else:
-                value, extras = result
-                value = float(value)
-                rows.append((d, value, "zero" if value <= ZERO_FLOOR else "ok"))
-                extras_list.append(extras)
-        statuses = [status for _, _, status in rows]
-        values = [value for _, value, _ in rows if value is not None]
-        fit_d = [d for d, _, status in rows if status == "ok"]
-        fit_v = [value for _, value, status in rows if status == "ok"]
-        zeros = statuses.count("zero")
-
-        write_table(paths["points"], ["d_eps", "value", "status"], rows)
-        record.metrics["statuses"] = statuses
-        keys = sorted({k for ex in extras_list for k in ex})
-        if keys:
-            paths["details"] = os.path.join(run_dir, "details.csv")
-            write_table(paths["details"], ["d_eps", *keys],
-                        [[d, *map(ex.get, keys)] for d, ex in zip(cfg.d_eps_values, extras_list)])
-        surviving = len(fit_d) + zeros
-        if surviving < 4:
-            raise FitError(f"only {surviving} measurements survived; need at least 4")
-        if not fit_d:
-            fit = None
-            note = "identically zero; bound trivially satisfied"
-        elif len(fit_d) >= 4:
-            fit = loglog_fit(fit_d, fit_v, predicted_slope=predicted)
-            note = ""
+    begun = time.perf_counter()
+    ctx = prepare(cfg.seed, **cfg.params)
+    prepared = time.perf_counter()
+    point_seeds = [int(s.generate_state(1)[0]) for s in
+                   SeedSequence(cfg.seed).spawn(len(cfg.d_eps_values))]
+    results = measure(cfg.d_eps_values, ctx, point_seeds)
+    measured = time.perf_counter()
+    record.timings.update({"prepare": prepared - begun, "measure": measured - prepared})
+    rows, extras_list = [], []  # each point's (d, value, status), and its extras
+    for d, result in zip(cfg.d_eps_values, results):
+        if isinstance(result, _dynamics.POINT_ERRORS):  # recorded, not fitted
+            reason = f"{type(result).__name__}: {result}".replace(",", ";")
+            rows.append((d, None, f"failed: {reason}"))
+            extras_list.append({})
         else:
-            fit = None
-            note = f"only {len(fit_d)} nonzero points; {zeros} zero at tolerance"
+            value, extras = result
+            value = float(value)
+            rows.append((d, value, "zero" if value <= ZERO_FLOOR else "ok"))
+            extras_list.append(extras)
+    statuses = [status for _, _, status in rows]
+    values = [value for _, value, _ in rows if value is not None]
+    fit_d = [d for d, _, status in rows if status == "ok"]
+    fit_v = [value for _, value, status in rows if status == "ok"]
+    zeros = statuses.count("zero")
 
-        write_table(paths["fit"], ["slope", "intercept", "r_squared", "predicted_slope"],
-                    [[fit.slope, fit.intercept, fit.r_squared, fit.predicted_slope]
-                     if fit else [None] * 4])
-        write_table(paths["plot"], None, zip(fit_d, fit_v), sep=" ")
-        write_table(paths["plot_loglog"], None,
-                    [(np.log10(d), np.log10(v)) for d, v in zip(fit_d, fit_v)], sep=" ")
-        done = time.perf_counter()
-        record.timings.update({"persist": done - measured, "total": done - start})
-        record.metrics.update({
-            "n_points": len(cfg.d_eps_values),
-            "n_ok": len(fit_d),
-            "n_zero": zeros,
-            "n_failed": len(cfg.d_eps_values) - surviving,
-            "note": note,
-            "values": values,
-            "slope": fit.slope if fit else None,
-            "intercept": fit.intercept if fit else None,
-            "r_squared": fit.r_squared if fit else None,
-            "predicted_slope": predicted if fit else None,
-        })
-    return fit, record
+    write_table(paths["points"], ["d_eps", "value", "status"], rows)
+    record.metrics["statuses"] = statuses
+    keys = sorted({k for ex in extras_list for k in ex})
+    if keys:
+        paths["details"] = os.path.join(run_dir, "details.csv")
+        write_table(paths["details"], ["d_eps", *keys],
+                    [[d, *map(ex.get, keys)] for d, ex in zip(cfg.d_eps_values, extras_list)])
+    surviving = len(fit_d) + zeros
+    if surviving < 4:
+        raise FitError(f"only {surviving} measurements survived; need at least 4")
+    if not fit_d:
+        fit, note = None, "identically zero; bound trivially satisfied"
+    elif len(fit_d) >= 4:
+        fit, note = loglog_fit(fit_d, fit_v, predicted_slope=predicted), ""
+    else:
+        fit, note = None, f"only {len(fit_d)} nonzero points; {zeros} zero at tolerance"
+
+    write_table(paths["fit"], ["slope", "intercept", "r_squared", "predicted_slope"],
+                [[fit.slope, fit.intercept, fit.r_squared, fit.predicted_slope]
+                 if fit else [None] * 4])
+    write_table(paths["plot"], None, zip(fit_d, fit_v), sep=" ")
+    write_table(paths["plot_loglog"], None,
+                [(np.log10(d), np.log10(v)) for d, v in zip(fit_d, fit_v)], sep=" ")
+    record.timings["persist"] = time.perf_counter() - measured
+    record.metrics.update({
+        "n_points": len(cfg.d_eps_values),
+        "n_ok": len(fit_d),
+        "n_zero": zeros,
+        "n_failed": len(cfg.d_eps_values) - surviving,
+        "note": note,
+        "values": values,
+        "slope": fit.slope if fit else None,
+        "intercept": fit.intercept if fit else None,
+        "r_squared": fit.r_squared if fit else None,
+        "predicted_slope": predicted if fit else None,
+    })
+    return fit

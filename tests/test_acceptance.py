@@ -51,12 +51,12 @@ def bisect_root(fn, lo, hi, iters=200):
 USTAR = bisect_root(lambda u: 2 * np.tanh(u) - u, 1.0, 3.0)
 
 
-def test_criterion_1_resolvent_rate(tmp_path):
+def test_criterion_1_resolvent_rate(tmp_path, sweep):
     with criterion(1, "resolvent rate"):
         cfg = rt.SweepConfig("resolvent_gap", SWEEP9,
                              params={"modes": 128, "components": 1, "trials": 64},
                              seed=11)
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         # slope within +-0.02 of the predicted -1/2
         assert abs(fit.slope + 0.5) <= 0.02
         # the measured values are the closed form (d lam1 + 1)^{-1/2}; the
@@ -87,7 +87,7 @@ def test_criterion_2_optimal_example():
         assert products[0] == pytest.approx(0.0126651, abs=1e-7)
 
 
-def test_criterion_3_homogenization_decay(tmp_path):
+def test_criterion_3_homogenization_decay(tmp_path, sweep):
     with criterion(3, "homogenization decay"):
         lam1 = np.pi**2
         # F = 0, u0 = 1 + 0.5 phi_1: fitted rate equals d lam1 + 1 to 0.1%
@@ -95,7 +95,7 @@ def test_criterion_3_homogenization_decay(tmp_path):
                               params={"modes": 16, "components": 1,
                                       "nonlinearity": {"name": "zero"}, "m_horizon": 10.0},
                               seed=3)
-        _, record0 = rt.run_sweep(cfg0, out_root=tmp_path)
+        _, record0 = sweep(cfg0, out_root=tmp_path)
         rows0 = _details(record0)
         for row in rows0:
             assert abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] <= 1e-3
@@ -106,7 +106,7 @@ def test_criterion_3_homogenization_decay(tmp_path):
                                       "nonlinearity": {"name": "tanh", "beta": 2.0},
                                       "m_horizon": 10.0},
                               seed=3)
-        _, record1 = rt.run_sweep(cfg1, out_root=tmp_path)
+        _, record1 = sweep(cfg1, out_root=tmp_path)
         for row in _details(record1):
             assert row["fitted_rate"] >= row["theoretical_rate"]
             assert row["theoretical_rate"] == pytest.approx(row["lam2"] - row["mu"], rel=1e-12)
@@ -174,7 +174,7 @@ def test_criterion_6_attractor_structure(tanh_structure):
         assert res.sym <= 2 * resolution
 
 
-def test_criterion_7_attractor_convergence(tmp_path):
+def test_criterion_7_attractor_convergence(tmp_path, sweep):
     with criterion(7, "attractor convergence"):
         cfg = rt.SweepConfig("hausdorff", SWEEP7,
                              params={"modes": 32, "components": 1,
@@ -183,7 +183,7 @@ def test_criterion_7_attractor_convergence(tmp_path):
                                      "t_trans": 1.0, "sample_dt": 1e-2,
                                      "arc_dt": 5e-4, "m_horizon": 10.0},
                              seed=21)
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         rows = _details(record)
         values = np.array([max(r["a_to_b"], r["b_to_a"]) for r in rows])
         assert np.all(np.diff(values) <= 1e-12)  # nonincreasing
@@ -196,7 +196,7 @@ def test_criterion_7_attractor_convergence(tmp_path):
             assert max(row["a_to_b"], row["b_to_a"]) <= row["resolution"]
 
 
-def test_criterion_8_manifold_deflection(tmp_path):
+def test_criterion_8_manifold_deflection(tmp_path, sweep):
     with criterion(8, "manifold deflection"):
         # deflection at long transients: identically zero at solver tolerance,
         # so deflection * sqrt(d) trivially satisfies any constant band
@@ -207,7 +207,7 @@ def test_criterion_8_manifold_deflection(tmp_path):
                                           "t_trans": 10.0, "sample_dt": 1e-2,
                                           "arc_dt": 1e-3},
                                   seed=8)
-        fit, record = rt.run_sweep(cfg_defl, out_root=tmp_path)
+        fit, record = sweep(cfg_defl, out_root=tmp_path)
         values = np.array([r["deflection"] for r in _details(record)])
         assert np.all(values <= 1e-10)
         assert fit is None
@@ -231,13 +231,13 @@ def test_criterion_8_manifold_deflection(tmp_path):
         assert est0.sup_norm <= 1e-14
 
 
-def test_criterion_9_infrastructure(tmp_path):
+def test_criterion_9_infrastructure(tmp_path, sweep):
     with criterion(9, "infrastructure"):
         # bit-for-bit reproducibility of every CSV under identical config+seed
         cfg = rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0, 16.0),
                              params={"modes": 64, "components": 1, "trials": 48}, seed=99)
-        _, rec1 = rt.run_sweep(cfg, out_root=tmp_path / "a")
-        _, rec2 = rt.run_sweep(cfg, out_root=tmp_path / "b")
+        _, rec1 = sweep(cfg, out_root=tmp_path / "a")
+        _, rec2 = sweep(cfg, out_root=tmp_path / "b")
         for key in ("points", "fit", "plot", "plot_loglog", "config", "details"):
             assert open(rec1.paths[key], "rb").read() == open(rec2.paths[key], "rb").read()
         cfg_h = rt.SweepConfig("hausdorff", (1.0, 2.0, 4.0, 8.0),
@@ -247,8 +247,8 @@ def test_criterion_9_infrastructure(tmp_path):
                                        "t_trans": 1.0, "sample_dt": 1e-2,
                                        "arc_dt": 1e-3, "m_horizon": 10.0},
                                seed=5)
-        _, rech1 = rt.run_sweep(cfg_h, out_root=tmp_path / "c")
-        _, rech2 = rt.run_sweep(cfg_h, out_root=tmp_path / "d")
+        _, rech1 = sweep(cfg_h, out_root=tmp_path / "c")
+        _, rech2 = sweep(cfg_h, out_root=tmp_path / "d")
         for key in ("points", "fit", "plot", "plot_loglog", "details"):
             assert open(rech1.paths[key], "rb").read() == open(rech2.paths[key], "rb").read()
 

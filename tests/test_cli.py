@@ -215,11 +215,11 @@ class TestSweepParams:
         passed, read = {}, {}
         run_sweep = rt.run_sweep
 
-        def spy(cfg, out_root):
+        def spy(cfg, record):
             parameters = inspect.signature(rt.QUANTITIES[cfg.quantity][1]).parameters.values()
             read[cfg.quantity] = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
             passed[cfg.quantity] = set(cfg.params)
-            return run_sweep(cfg, out_root)
+            return run_sweep(cfg, record)
 
         monkeypatch.setattr(rt, "run_sweep", spy)
         for name in ("resolvent-rate", "decay", "hausdorff-sweep", "manifold"):
@@ -463,6 +463,26 @@ class TestVerdicts:
         assert statuses[0] == "failed: ContractionError: graph map did not contract"
         assert statuses[1:] == ["zero"] * 4
 
+    def test_manifold_whose_graph_sweep_fails_leaves_no_complete_record(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        # every graph_sup point fails, so the study ends without a verdict, and
+        # the deflection run it ran inside is as incomplete as its own
+        def fails(d, ctx, point_seed):
+            raise at.ContractionError("graph map did not contract")
+
+        predicted, prepare, _ = rt.QUANTITIES["graph_sup"]
+        monkeypatch.setitem(rt.QUANTITIES, "graph_sup", (predicted, prepare, rt.per_point(fails)))
+        code = cli.main(["manifold", "-c", write(tmp_path / "m.ini", self.MANIFOLD_INI),
+                         "--quiet", "--out-root", str(tmp_path / "runs")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("runtime failure: FitError: ")
+        records = [json.loads(path.read_text())
+                   for path in sorted((tmp_path / "runs").glob("*/record.json"))]
+        assert [record["quantity"] for record in records] == ["deflection", "graph_sup"]
+        for record in records:
+            assert record["status"] == "incomplete"
+            assert "verdict" not in record["metrics"]
+
     def test_hausdorff_sweep_with_a_failed_point_says_so(self, tmp_path, monkeypatch, capsys):
         # d = 8 finds no PDE equilibrium; the surviving points pass both checks
         solve = at.find_equilibria_pde
@@ -668,6 +688,26 @@ class TestRunDirectories:
         d2 = next((tmp_path / "r2").iterdir())
         for name in ("points.csv", "fit.csv", "plot.dat", "plot_loglog.dat"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command,ini", [
+        # F = 3u blows up at three of the five d: too few points survive to fit
+        ("decay", "[domain]\nmodes = 16\n[sweep]\nd_eps = 0.01,0.02,0.03,1,2\n"
+                  "[nonlinearity]\nname = linear\nc = 3.0\n"),
+        # tanh with beta = 1 has a degenerate origin: no ODE manifold union exists
+        ("hausdorff-sweep", "[domain]\nmodes = 8\n[sweep]\nd_eps = 16,32,64,128\n"
+                            "[attractor]\nn_tails = 4\nsample_dt = 0.05\narc_dt = 1e-2\n"
+                            "[nonlinearity]\nname = tanh\nbeta = 1.0\n"),
+    ], ids=["fit-error", "non-hyperbolic"])
+    def test_failed_run_keeps_its_resolved_config(self, tmp_path, capsys, command, ini):
+        cfg = write(tmp_path / "a.ini", ini)
+        out_root = str(tmp_path / "runs")
+        assert cli.main([command, "-c", cfg, "--quiet", "--out-root", out_root]) == 3
+        capsys.readouterr()
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert json.loads((run_dir / "record.json").read_text())["status"] == "incomplete"
+        resolved = load_config(cfg)
+        resolved.data["run"].update(quiet=True, out_root=out_root)
+        assert load_config(run_dir / "resolved.ini").data == resolved.data
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write(tmp_path / "a.ini", SMALL)

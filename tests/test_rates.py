@@ -114,10 +114,10 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    def test_resolvent_gap_matches_closed_form(self, tmp_path):
+    def test_resolvent_gap_matches_closed_form(self, tmp_path, sweep):
         cfg = rt.SweepConfig("resolvent_gap", tuple(2.0 ** np.arange(9)),
                              params={"modes": 128, "components": 1, "trials": 8}, seed=7)
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         lam1 = np.pi**2
         oracle_values = (np.array(cfg.d_eps_values) * lam1 + 1.0) ** -0.5
         oracle_slope = np.polyfit(np.log(cfg.d_eps_values), np.log(oracle_values), 1)[0]
@@ -126,24 +126,24 @@ class TestRunSweep:
         assert record.status == "complete"
         assert record.metrics["n_ok"] == 9
 
-    def test_w_decay_rate_affine_in_d(self, tmp_path):
+    def test_w_decay_rate_affine_in_d(self, tmp_path, sweep):
         cfg = rt.SweepConfig("w_decay_rate", (1.0, 2.0, 4.0, 8.0),
                              params={"modes": 8, "components": 1,
                                      "nonlinearity": {"name": "zero"}, "m_horizon": 10.0},
                              seed=1)
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         rates = np.array(record.metrics["values"])
         slope, intercept = np.polyfit(cfg.d_eps_values, rates, 1)
         assert slope == pytest.approx(np.pi**2, rel=1e-2)
         assert intercept == pytest.approx(1.0, abs=0.2)
 
-    def test_decay_blow_up_fails_only_its_own_d(self, tmp_path):
+    def test_decay_blow_up_fails_only_its_own_d(self, tmp_path, sweep):
         # the nine d step as one batch; the oracle evolves each d alone
         d_values = tuple(2.0 ** np.arange(9))
         params = {"modes": 16, "components": 1, "nonlinearity": {"name": "linear", "c": 7.0},
                   "m_horizon": 10.0}
-        _, record = rt.run_sweep(rt.SweepConfig("w_decay_rate", d_values, params=params),
-                                 out_root=tmp_path)
+        _, record = sweep(rt.SweepConfig("w_decay_rate", d_values, params=params),
+                          out_root=tmp_path)
         basis = sp.build_basis(sp.DomainSpec(), 16)
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, 0.5)
         F = dyn.linear_nonlinearity(7.0)
@@ -165,7 +165,7 @@ class TestRunSweep:
         assert open(record.paths["points"]).read().splitlines() == expected
 
     @pytest.mark.parametrize("failure", ["newton", "blow_up"])
-    def test_cloud_sweep_failure_fails_only_its_own_d(self, tmp_path, monkeypatch, failure):
+    def test_cloud_sweep_failure_fails_only_its_own_d(self, tmp_path, sweep, monkeypatch, failure):
         # d = 2 fails in its Newton solve, or its arcs start 1e9 from the origin and
         # blow up in the first step; its row reads as when d = 2 runs alone, and
         # every other row as when that d runs alone
@@ -185,8 +185,8 @@ class TestRunSweep:
                             failing_solve if failure == "newton" else far_directions)
         d_values = (1.0, 2.0, 4.0, 8.0, 16.0)
         params = PARAMS["hausdorff"]
-        _, record = rt.run_sweep(rt.SweepConfig("hausdorff", d_values, params=params, seed=3),
-                                 out_root=tmp_path)
+        _, record = sweep(rt.SweepConfig("hausdorff", d_values, params=params, seed=3),
+                          out_root=tmp_path)
         _, prepare, measure = rt.QUANTITIES["hausdorff"]
         ctx = prepare(3, **params)
         expected = ["d_eps,value,status"]
@@ -202,14 +202,13 @@ class TestRunSweep:
         assert sum(row.endswith(",ok") for row in expected) == 4
         assert open(record.paths["points"]).read().splitlines() == expected
 
-    def test_decay_blow_up_in_the_first_step(self, tmp_path):
+    def test_decay_blow_up_in_the_first_step(self, tmp_path, sweep):
         # d = 1 blows up in the batch's first step, before the rows have their own times
         d_values = (1.0, 2.0, 64.0, 1e6)
         params = {"modes": 8, "components": 1, "nonlinearity": {"name": "linear", "c": 1e7},
                   "m_horizon": 10.0}
         with pytest.raises(rt.FitError):
-            rt.run_sweep(rt.SweepConfig("w_decay_rate", d_values, params=params),
-                         out_root=tmp_path)
+            sweep(rt.SweepConfig("w_decay_rate", d_values, params=params), out_root=tmp_path)
         basis = sp.build_basis(sp.DomainSpec(), 8)
         u0 = sp.constant_field([1.0], basis) + sp.mode_field(basis, 1, 0.5)
         expected = ["d_eps,value,status"]
@@ -223,52 +222,52 @@ class TestRunSweep:
         (points,) = tmp_path.glob("*/points.csv")
         assert points.read_text().splitlines() == expected
 
-    def test_timings_of_every_stage(self, tmp_path):
-        _, record = rt.run_sweep(rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0)),
-                                 out_root=tmp_path)
+    def test_timings_of_every_stage(self, tmp_path, sweep):
+        _, record = sweep(rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0)),
+                          out_root=tmp_path)
         timings = rt.load_run(record.paths["record"]).timings
         assert set(timings) == {"prepare", "measure", "persist", "total"}
         assert all(value >= 0.0 for value in timings.values())
         assert timings["total"] >= timings["prepare"] + timings["measure"] + timings["persist"]
 
-    def test_constant_quantity_slope_zero(self, tmp_path):
+    def test_constant_quantity_slope_zero(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_unit", (1.0, 2.0, 4.0, 8.0))
-        fit, _ = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, _ = sweep(cfg, out_root=tmp_path)
         assert fit.slope == pytest.approx(0.0, abs=1e-14)
 
-    def test_zero_quantity_not_fitted(self, tmp_path):
+    def test_zero_quantity_not_fitted(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_zero", (1.0, 2.0, 4.0, 8.0))
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         assert fit is None
         assert "identically zero" in record.metrics["note"]
         points = (tmp_path / record.paths["points"].split("/")[-2] / "points.csv").read_text()
         assert points.count(",zero") == 4
 
-    def test_below_zero_floor_not_fitted(self, tmp_path):
+    def test_below_zero_floor_not_fitted(self, tmp_path, sweep):
         # one floor classifies sweep points and the CLI verdicts alike
         cfg = rt.SweepConfig("_test_floor", (1.0, 2.0, 4.0, 8.0))
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         assert fit is None
         rows = open(record.paths["points"]).read().splitlines()[1:]
         assert len(rows) == 4 and all(row.endswith(",zero") for row in rows)
         assert record.metrics["n_zero"] == 4
 
-    def test_failures_recorded_and_excluded(self, tmp_path):
+    def test_failures_recorded_and_excluded(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_flaky", (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
-        fit, record = rt.run_sweep(cfg, out_root=tmp_path)
+        fit, record = sweep(cfg, out_root=tmp_path)
         assert record.metrics["n_failed"] == 2
         assert record.metrics["n_ok"] == 4
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
 
-    def test_too_many_failures_refused(self, tmp_path):
+    def test_too_many_failures_refused(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_allfail", (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(rt.FitError):
-            rt.run_sweep(cfg, out_root=tmp_path)
+            sweep(cfg, out_root=tmp_path)
 
-    def test_failed_sweep_keeps_its_points(self, tmp_path):
+    def test_failed_sweep_keeps_its_points(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_allfail", (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(rt.FitError):
-            rt.run_sweep(cfg, out_root=tmp_path)
+            sweep(cfg, out_root=tmp_path)
         (points,) = tmp_path.glob("*/points.csv")
         rows = points.read_text().splitlines()[1:]
         assert len(rows) == 4
@@ -276,11 +275,11 @@ class TestRunSweep:
         (record_path,) = tmp_path.glob("*/record.json")
         assert rt.load_run(record_path).status == "incomplete"
 
-    def test_programmer_error_is_raised_not_recorded(self, tmp_path):
+    def test_programmer_error_is_raised_not_recorded(self, tmp_path, sweep):
         # only domain errors become "failed:" points; a TypeError is a bug
         cfg = rt.SweepConfig("_test_typeerror", (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(TypeError, match="programmer error"):
-            rt.run_sweep(cfg, out_root=tmp_path)
+            sweep(cfg, out_root=tmp_path)
         (record_path,) = tmp_path.glob("*/record.json")
         assert rt.load_run(record_path).status == "incomplete"
         assert not list(tmp_path.glob("*/points.csv"))
@@ -308,23 +307,23 @@ class TestWriteTable:
 
 
 class TestDeterminism:
-    def test_bit_identical_reruns(self, tmp_path):
+    def test_bit_identical_reruns(self, tmp_path, sweep):
         cfg = rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0, 16.0),
                              params={"modes": 32, "components": 1, "trials": 32}, seed=11)
-        _, rec1 = rt.run_sweep(cfg, out_root=tmp_path / "a")
-        _, rec2 = rt.run_sweep(cfg, out_root=tmp_path / "b")
+        _, rec1 = sweep(cfg, out_root=tmp_path / "a")
+        _, rec2 = sweep(cfg, out_root=tmp_path / "b")
         for key in ("points", "fit", "plot", "plot_loglog", "config", "details"):
             a = open(rec1.paths[key], "rb").read()
             b = open(rec2.paths[key], "rb").read()
             assert a == b, key
         assert rec1.metrics == rec2.metrics
 
-    def test_seed_changes_sampled_values(self, tmp_path):
+    def test_seed_changes_sampled_values(self, tmp_path, sweep):
         base = dict(params={"modes": 16, "components": 1, "trials": 4})
-        _, rec1 = rt.run_sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
-                                              seed=1, **base), out_root=tmp_path / "a")
-        _, rec2 = rt.run_sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
-                                              seed=2, **base), out_root=tmp_path / "b")
+        _, rec1 = sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
+                                       seed=1, **base), out_root=tmp_path / "a")
+        _, rec2 = sweep(rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0),
+                                       seed=2, **base), out_root=tmp_path / "b")
         a = open(rec1.paths["details"]).read()
         b = open(rec2.paths["details"]).read()
         assert a != b  # sampled gap depends on the seed
@@ -340,6 +339,14 @@ class TestOpenRun:
         after = rt.load_run(record.paths["record"])
         assert after.status == "incomplete" and after.finished
         assert after.config == {"resolved_ini": f"{record.paths['run_dir']}/resolved.ini"}
+
+    def test_total_time_stamped_at_close(self, tmp_path):
+        # a run with no sweep stages (eigs, example-optimal, attractor) has its total too
+        with rt.open_run(tmp_path, "probe", 3) as record:
+            inside = rt.load_run(record.paths["record"])
+        timings = rt.load_run(record.paths["record"]).timings
+        assert inside.timings == {}
+        assert set(timings) == {"total"} and timings["total"] >= 0.0
 
     def test_record_names_its_environment(self, tmp_path):
         with rt.open_run(tmp_path, "probe", 3) as record:
@@ -360,9 +367,9 @@ class TestOpenRun:
 
 
 class TestRunRecordPersistence:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0))
-        _, record = rt.run_sweep(cfg, out_root=tmp_path)
+        _, record = sweep(cfg, out_root=tmp_path)
         loaded = rt.load_run(record.paths["record"])
         assert loaded == record
 
@@ -376,9 +383,9 @@ class TestRunRecordPersistence:
         with pytest.raises(rt.RecordError, match="line 3"):
             rt.load_run(path)
 
-    def test_run_dir_layout(self, tmp_path):
+    def test_run_dir_layout(self, tmp_path, sweep):
         cfg = rt.SweepConfig("_test_power", (1.0, 2.0, 4.0, 8.0))
-        _, record = rt.run_sweep(cfg, out_root=tmp_path)
+        _, record = sweep(cfg, out_root=tmp_path)
         run_dir = tmp_path / record.paths["points"].split("/")[-2]
         names = {p.name for p in run_dir.iterdir()}
         assert {"points.csv", "fit.csv", "plot.dat", "plot_loglog.dat",
@@ -391,5 +398,5 @@ class TestRunRecordPersistence:
         snap = json.loads((run_dir / "config.json").read_text())
         cfg2 = rt.SweepConfig(snap["quantity"], tuple(snap["d_eps_values"]),
                               params=snap["params"], seed=snap["seed"])
-        fit2, _ = rt.run_sweep(cfg2, out_root=tmp_path / "rerun")
+        fit2, _ = sweep(cfg2, out_root=tmp_path / "rerun")
         assert fit2.slope == pytest.approx(-0.5, abs=1e-12)

@@ -132,6 +132,22 @@ def test_point_errors_are_caught_in_one_funnel():
     assert len(definitions) == 1, definitions
 
 
+def test_every_run_opens_in_one_place():
+    # the CLI opens every study's run in cli._run, and only rates.open_run
+    # writes record.json: once at open, once at close
+    def called(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    sites = []
+    for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        sites += [(module.stem, getattr(outer, "name", None), called(node.func))
+                  for outer in tree.body for node in ast.walk(outer)
+                  if isinstance(node, ast.Call) and called(node.func) in {"open_run", "persist_run"}]
+    assert sorted(sites) == [("cli", "_run", "open_run"), ("rates", "open_run", "persist_run"),
+                             ("rates", "open_run", "persist_run")], sites
+
+
 def test_each_linearization_is_decomposed_in_one_place():
     # every eigendecomposition in attractors sits in _spectrum, which each
     # equilibrium finder calls once per equilibrium; the arc builders read
