@@ -9,17 +9,20 @@ Exit codes are uniform across subcommands:
 
 Every run writes a directory runs/<timestamp>-<name>/ containing the resolved
 configuration (itself a valid config reproducing the run), the measured
-points, fits, plain two-column plot data, and a JSON run record.  Each study
-runs inside `_run`, which writes resolved.ini first and whose `rates.open_run`
-alone sets the record's status; the study stamps its verdict before the run
-closes, so a complete record carries one.  A sweep verdict reads the points
-that survived, with the status `rates.run_sweep` gave each, and any failed
-point fails it (`failed_points=N`).  Verdict lines are machine-greppable
-with the fixed prefix "VERDICT:", and `report` exits 0 only when every run
-it summarizes holds a PASS verdict.  The `attractor` study derives its
-long-time sampling from F and its equilibria (`_auto_burn`), with no config
-key: seeds in the box |v| <= bound(F) + 1, a burn-in until transients
-contract below the dedup cell, then 16 time units.  The environment
+points, fits, plain two-column plot data, and a JSON run record.  `main` is
+the one dispatch: it loads the config, which `load_config` checks whole, so a
+config error exits 2 before any run opens; it then opens the study's run in
+`_run`, which writes resolved.ini first and whose `rates.open_run` alone sets
+the record's status, and calls the study with (args, cfg, record).  The study
+stamps its verdict before the run closes, so a complete record carries one.
+`manifold` opens its second run, graph_sup, inside the first.  A sweep verdict
+reads the points that survived, with the status `rates.run_sweep` gave each,
+and any failed point fails it (`failed_points=N`).  Verdict lines are
+machine-greppable with the fixed prefix "VERDICT:", and `report` exits 0 only
+when every run it summarizes holds a PASS verdict.  The `attractor` study
+derives its long-time sampling from F and its equilibria (`_auto_burn`), with
+no config key: seeds in the box |v| <= bound(F) + 1, a burn-in until
+transients contract below the dedup cell, then 16 time units.  The environment
 variable BIGDIFF_OUT_ROOT overrides [run] out_root; --out-root overrides both.
 """
 
@@ -115,88 +118,80 @@ def _with_failed(detail: str, failed: int) -> str:
 # subcommands
 
 
-def cmd_resolvent_rate(args) -> int:
-    cfg = _load(args)
-    with _run(cfg, "resolvent_gap") as record:
-        fit, rows, failed = _sweep(cfg, record, trials=64)
-        tol = cfg.get("tolerances", "slope")
-        attained = max(abs(row["attained_product"] - 1.0) for row in rows)
-        # no fit when fewer than 4 points lie above the zero floor: no rate was measured
-        slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
-        slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
-        attained_ok = attained <= cfg.get("tolerances", "attained")
-        _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
-        _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
-        detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
-        return _verdict("resolvent-rate", _with_failed(detail, failed),
-                        slope_ok and attained_ok and not failed, record)
+def cmd_resolvent_rate(args, cfg: Config, record: rt.RunRecord) -> int:
+    fit, rows, failed = _sweep(cfg, record, trials=64)
+    tol = cfg.get("tolerances", "slope")
+    attained = max(abs(row["attained_product"] - 1.0) for row in rows)
+    # no fit when fewer than 4 points lie above the zero floor: no rate was measured
+    slope_ok = fit is not None and abs(fit.slope + 0.5) <= tol
+    slope_txt = f"{fit.slope:.6f}" if fit is not None else "none"
+    attained_ok = attained <= cfg.get("tolerances", "attained")
+    _say(args, f"fitted slope {slope_txt} (predicted -0.5, tolerance {tol:g})")
+    _say(args, f"gap * sqrt(d*lam1+1) deviates from 1 by at most {attained:.3e}")
+    detail = f"slope={slope_txt} predicted=-0.5 tol={tol:g} attained_dev={attained:.2e}"
+    return _verdict("resolvent-rate", _with_failed(detail, failed),
+                    slope_ok and attained_ok and not failed, record)
 
 
-def cmd_decay(args) -> int:
-    cfg = _load(args)
+def cmd_decay(args, cfg: Config, record: rt.RunRecord) -> int:
     spec = cfg.nonlinearity_spec()
-    with _run(cfg, "w_decay_rate") as record:
-        _, rows, failed = _sweep(cfg, record, nonlinearity=spec,
-                                 m_horizon=cfg.get("semigroup", "m_horizon"))
-        one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in rows)
-        margin = min(r["fitted_rate"] - r["theoretical_rate"] for r in rows)
-        detail = f"min_margin={margin:.4g}"
-        if spec["name"] == "zero":
-            rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in rows)
-            linear_ok = rel <= cfg.get("tolerances", "decay_rel")
-            detail += f" linear_rel_err={rel:.2e}"
-        else:
-            linear_ok = True
-        for row in rows:
-            _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
-                       f"theoretical {row['theoretical_rate']:.4f}")
-        return _verdict("decay", _with_failed(detail, failed),
-                        one_sided_ok and linear_ok and not failed, record)
+    _, rows, failed = _sweep(cfg, record, nonlinearity=spec,
+                             m_horizon=cfg.get("semigroup", "m_horizon"))
+    one_sided_ok = all(row["fitted_rate"] >= row["theoretical_rate"] - 1e-9 for row in rows)
+    margin = min(r["fitted_rate"] - r["theoretical_rate"] for r in rows)
+    detail = f"min_margin={margin:.4g}"
+    if spec["name"] == "zero":
+        rel = max(abs(row["fitted_rate"] - row["lam2"]) / row["lam2"] for row in rows)
+        linear_ok = rel <= cfg.get("tolerances", "decay_rel")
+        detail += f" linear_rel_err={rel:.2e}"
+    else:
+        linear_ok = True
+    for row in rows:
+        _say(args, f"d={row['d_eps']:g}: fitted {row['fitted_rate']:.4f} >= "
+                   f"theoretical {row['theoretical_rate']:.4f}")
+    return _verdict("decay", _with_failed(detail, failed),
+                    one_sided_ok and linear_ok and not failed, record)
 
 
-def cmd_eigs(args) -> int:
-    cfg = _load(args)
+def cmd_eigs(args, cfg: Config, record: rt.RunRecord) -> int:
     basis = cfg.basis()
     E = cfg.diffusion_spec()
-    with _run(cfg, "eigs") as record:
-        count = min(args.count, E.components * (basis.mode_count + 1))
-        table = el.eigenvalue_table(E, basis, count)
-        print(rt.write_table(os.path.join(record.paths["run_dir"], "eigenvalues.csv"),
-                             ["j", "eigenvalue"], enumerate(table, start=1)), end="")
-        lam2 = E.second_eigenvalue(basis)
-        gains = E.gains(basis)
-        above = np.sort(gains[gains > 1.0])
-        identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
-        record.metrics["table"] = [float(x) for x in table]
-        detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
-        return _verdict("eigs", detail, identity_ok, record)
+    count = min(args.count, E.components * (basis.mode_count + 1))
+    table = el.eigenvalue_table(E, basis, count)
+    print(rt.write_table(os.path.join(record.paths["run_dir"], "eigenvalues.csv"),
+                         ["j", "eigenvalue"], enumerate(table, start=1)), end="")
+    lam2 = E.second_eigenvalue(basis)
+    gains = E.gains(basis)
+    above = np.sort(gains[gains > 1.0])
+    identity_ok = bool(above[0] == lam2) and bool(np.all(table[:E.components] == 1.0))
+    record.metrics["table"] = [float(x) for x in table]
+    detail = f"lam2={lam2:.10g} d*lam1+1={lam2:.10g} count={count}"
+    return _verdict("eigs", detail, identity_ok, record)
 
 
-def cmd_example_optimal(args) -> int:
-    cfg = _load(args)
+def cmd_example_optimal(args, cfg: Config, record: rt.RunRecord) -> int:
     eps_values = args.eps
     basis = cfg.basis()
-    with _run(cfg, "example-optimal") as record:
-        reports = [el.optimal_example_check(e, basis) for e in eps_values]
-        rt.write_table(os.path.join(record.paths["run_dir"], "example.csv"),
-                       ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
-                       [[rep.eps, rep.closed_form_error, rep.seminorm_sq,
-                         rep.seminorm_sq * rep.eps] for rep in reports])
-        worst_err = max(rep.closed_form_error for rep in reports)
-        products = [rep.seminorm_sq * rep.eps for rep in reports]
-        spread = max(products) - min(products)
-        slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
-        record.metrics.update(worst_error=worst_err, spread=spread, exponent=float(slope))
-        first = reports[0]
-        _say(args, f"seminorm^2 at eps={first.eps:g}: {first.seminorm_sq:.7f} "
-                   f"(exact 1/(8 pi^2 eps) = {1 / (8 * np.pi**2 * first.eps):.7f})")
-        print(f"scaling exponent {slope:.3f}")
-        passed = (worst_err <= 1e-12
-                  and spread <= cfg.get("tolerances", "seminorm_const")
-                  and abs(slope + 1.0) < 1e-6)
-        detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
-                  f"exponent={slope:.3f}")
-        return _verdict("example-optimal", detail, passed, record)
+    reports = [el.optimal_example_check(e, basis) for e in eps_values]
+    rt.write_table(os.path.join(record.paths["run_dir"], "example.csv"),
+                   ["eps", "closed_form_error", "seminorm_sq", "seminorm_sq_times_eps"],
+                   [[rep.eps, rep.closed_form_error, rep.seminorm_sq,
+                     rep.seminorm_sq * rep.eps] for rep in reports])
+    worst_err = max(rep.closed_form_error for rep in reports)
+    products = [rep.seminorm_sq * rep.eps for rep in reports]
+    spread = max(products) - min(products)
+    slope = np.polyfit(np.log(eps_values), np.log([r.seminorm_sq for r in reports]), 1)[0]
+    record.metrics.update(worst_error=worst_err, spread=spread, exponent=float(slope))
+    first = reports[0]
+    _say(args, f"seminorm^2 at eps={first.eps:g}: {first.seminorm_sq:.7f} "
+               f"(exact 1/(8 pi^2 eps) = {1 / (8 * np.pi**2 * first.eps):.7f})")
+    print(f"scaling exponent {slope:.3f}")
+    passed = (worst_err <= 1e-12
+              and spread <= cfg.get("tolerances", "seminorm_const")
+              and abs(slope + 1.0) < 1e-6)
+    detail = (f"max_error={worst_err:.2e} seminorm_sq*eps_spread={spread:.2e} "
+              f"exponent={slope:.3f}")
+    return _verdict("example-optimal", detail, passed, record)
 
 
 def _auto_burn(equilibria, box: float, cell: float) -> float:
@@ -211,45 +206,43 @@ def _auto_burn(equilibria, box: float, cell: float) -> float:
     return max(0.0, float(np.log(2 * box / cell) / rate))
 
 
-def cmd_attractor(args) -> int:
-    cfg = _load(args)
-    with _run(cfg, "attractor") as record:
-        run_dir = record.paths["run_dir"]
-        F = cfg.nonlinearity()
-        n = cfg.get("domain", "components")
-        box = at.absorbing_bound(F) + 1.0
-        manifold = at.attractor_ode(F, components=n,
-                                    dt=cfg.get("attractor", "arc_dt"),
-                                    sample_dt=cfg.get("attractor", "sample_dt"))
-        equilibria = manifold.equilibria
-        print("equilibrium,stability,residual")
-        for eq in equilibria:
-            loc = " ".join(f"{x:.8g}" for x in eq.vector())
-            print(f"{loc},{eq.stability},{eq.residual:.2e}")
-        t_burn = _auto_burn(equilibria, box, cfg.get("attractor", "dedup_cell"))
-        t_end = t_burn + 16.0
-        longtime = at.attractor_ode_longtime(
-            F, n_seeds=cfg.get("attractor", "longtime_seeds"), box=box, components=n,
-            t_burn=t_burn, t_end=t_end,
-            dt=cfg.get("attractor", "arc_dt"),
-            sample_dt=cfg.get("attractor", "sample_dt"),
-            dedup_cell=cfg.get("attractor", "dedup_cell"),
-            seed=cfg.get("run", "seed"))
-        at.save_cloud(manifold, os.path.join(run_dir, "manifold_cloud.csv"))
-        at.save_cloud(longtime, os.path.join(run_dir, "longtime_cloud.csv"))
-        res = at.hausdorff_distance(manifold, longtime)
-        resolution = max(res.resolution_a, res.resolution_b)
-        record.metrics.update(d_H=res.sym, a_to_b=res.a_to_b, b_to_a=res.b_to_a,
-                              resolution=resolution, n_equilibria=len(equilibria),
-                              manifold_points=len(manifold), longtime_points=len(longtime),
-                              longtime_samples=longtime.meta["samples"])
-        _say(args, f"manifold cloud: {len(manifold)} points, "
-                   f"longtime cloud: {len(longtime)} points")
-        _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
-        passed = res.sym <= 2 * resolution
-        detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
-                  f"resolution={resolution:.4g}")
-        return _verdict("attractor", detail, passed, record)
+def cmd_attractor(args, cfg: Config, record: rt.RunRecord) -> int:
+    run_dir = record.paths["run_dir"]
+    F = cfg.nonlinearity()
+    n = cfg.get("domain", "components")
+    box = at.absorbing_bound(F) + 1.0
+    manifold = at.attractor_ode(F, components=n,
+                                dt=cfg.get("attractor", "arc_dt"),
+                                sample_dt=cfg.get("attractor", "sample_dt"))
+    equilibria = manifold.equilibria
+    print("equilibrium,stability,residual")
+    for eq in equilibria:
+        loc = " ".join(f"{x:.8g}" for x in eq.vector())
+        print(f"{loc},{eq.stability},{eq.residual:.2e}")
+    t_burn = _auto_burn(equilibria, box, cfg.get("attractor", "dedup_cell"))
+    t_end = t_burn + 16.0
+    longtime = at.attractor_ode_longtime(
+        F, n_seeds=cfg.get("attractor", "longtime_seeds"), box=box, components=n,
+        t_burn=t_burn, t_end=t_end,
+        dt=cfg.get("attractor", "arc_dt"),
+        sample_dt=cfg.get("attractor", "sample_dt"),
+        dedup_cell=cfg.get("attractor", "dedup_cell"),
+        seed=cfg.get("run", "seed"))
+    at.save_cloud(manifold, os.path.join(run_dir, "manifold_cloud.csv"))
+    at.save_cloud(longtime, os.path.join(run_dir, "longtime_cloud.csv"))
+    res = at.hausdorff_distance(manifold, longtime)
+    resolution = max(res.resolution_a, res.resolution_b)
+    record.metrics.update(d_H=res.sym, a_to_b=res.a_to_b, b_to_a=res.b_to_a,
+                          resolution=resolution, n_equilibria=len(equilibria),
+                          manifold_points=len(manifold), longtime_points=len(longtime),
+                          longtime_samples=longtime.meta["samples"])
+    _say(args, f"manifold cloud: {len(manifold)} points, "
+               f"longtime cloud: {len(longtime)} points")
+    _say(args, f"t_burn={t_burn:.3g} t_end={t_end:.3g}")
+    passed = res.sym <= 2 * resolution
+    detail = (f"equilibria={len(equilibria)} d_H={res.sym:.4g} "
+              f"resolution={resolution:.4g}")
+    return _verdict("attractor", detail, passed, record)
 
 
 def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
@@ -262,63 +255,60 @@ def _cloud_params(cfg: Config, t_trans_key: str) -> dict:
             "arc_dt": cfg.get("attractor", "arc_dt")}
 
 
-def cmd_hausdorff_sweep(args) -> int:
-    cfg = _load(args)
+def cmd_hausdorff_sweep(args, cfg: Config, record: rt.RunRecord) -> int:
     params = _cloud_params(cfg, "t_trans")
-    with _run(cfg, "hausdorff") as record:
-        fit, rows, failed = _sweep(cfg, record, **params,
-                                   m_horizon=cfg.get("semigroup", "m_horizon"))
-        values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in rows])
-        nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
-        threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
-                           for row, v in zip(rows, values))
-        bound = cfg.get("tolerances", "hausdorff_slope")
-        if fit is not None:
-            slope_ok, slope_txt = fit.slope <= bound, f"{fit.slope:.4f}"
-        elif any(row["status"] == "ok" for row in rows):
-            slope_ok, slope_txt = False, "none"  # fewer than 4 nonzero points: no rate was fitted
-        else:
-            slope_ok, slope_txt = True, "zero"  # identically zero at cloud resolution
-        for row, v in zip(rows, values):
-            _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
-        detail = (f"slope={slope_txt} bound={bound:g} nonincreasing={nonincreasing} "
-                  f"below_resolution_past_threshold={threshold_ok}")
-        return _verdict("hausdorff-sweep", _with_failed(detail, failed),
-                        nonincreasing and slope_ok and threshold_ok and not failed, record)
+    fit, rows, failed = _sweep(cfg, record, **params,
+                               m_horizon=cfg.get("semigroup", "m_horizon"))
+    values = np.array([max(row["a_to_b"], row["b_to_a"]) for row in rows])
+    nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
+    threshold_ok = all(row["threshold_met"] < 0.5 or v <= row["resolution"]
+                       for row, v in zip(rows, values))
+    bound = cfg.get("tolerances", "hausdorff_slope")
+    if fit is not None:
+        slope_ok, slope_txt = fit.slope <= bound, f"{fit.slope:.4f}"
+    elif any(row["status"] == "ok" for row in rows):
+        slope_ok, slope_txt = False, "none"  # fewer than 4 nonzero points: no rate was fitted
+    else:
+        slope_ok, slope_txt = True, "zero"  # identically zero at cloud resolution
+    for row, v in zip(rows, values):
+        _say(args, f"d={row['d_eps']:g}: d_H = {v:.4e}")
+    detail = (f"slope={slope_txt} bound={bound:g} nonincreasing={nonincreasing} "
+              f"below_resolution_past_threshold={threshold_ok}")
+    return _verdict("hausdorff-sweep", _with_failed(detail, failed),
+                    nonincreasing and slope_ok and threshold_ok and not failed, record)
 
 
-def cmd_manifold(args) -> int:
-    cfg = _load(args)
+def cmd_manifold(args, cfg: Config, record: rt.RunRecord) -> int:
+    """`record` is the deflection run."""
     params = _cloud_params(cfg, "deflection_t_trans")
+    _, defl_rows, defl_failed = _sweep(cfg, record, **params)
     # graph_sup opens once the deflection sweep returned; a failure leaves both incomplete
-    with _run(cfg, "deflection") as defl_record:
-        _, defl_rows, defl_failed = _sweep(cfg, defl_record, **params)
-        with _run(cfg, "graph_sup") as graph_record:
-            _, graph_rows, graph_failed = _sweep(
-                cfg, graph_record, nonlinearity=params["nonlinearity"],
-                grid_points=cfg.get("manifold", "grid_points"),
-                iters=cfg.get("manifold", "iterations"),
-                seed_amplitude=cfg.get("manifold", "seed_amplitude"),
-                m_horizon=cfg.get("semigroup", "m_horizon"))
-            if all(row["status"] == "zero" for row in defl_rows):
-                defl_ok, defl_txt = True, "identically-zero"
-                _say(args, "deflection identically zero at solver tolerance; "
-                           "bound trivially satisfied")
-            else:
-                scaled = [row["deflection"] * np.sqrt(row["d_eps"]) for row in defl_rows
-                          if row["status"] == "ok"]
-                band = max(scaled) / min(scaled)
-                defl_ok, defl_txt = band <= 2.0, f"band_ratio={band:.3f}"
-            factors = [row["contraction_factor"] for row in graph_rows]
-            graph_ok = all(f < 1.0 for f in factors)
-            sup_ok = all(row["status"] == "zero" for row in graph_rows)
-            for row, f in zip(graph_rows, factors):
-                _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
-            detail = (f"deflection={_with_failed(defl_txt, defl_failed)} "
-                      f"contraction_max={_with_failed(f'{max(factors):.4f}', graph_failed)} "
-                      f"graph_sup_zero={sup_ok}")
-            passed = defl_ok and graph_ok and sup_ok and not (defl_failed or graph_failed)
-            return _verdict("manifold", detail, passed, defl_record, graph_record)
+    with _run(cfg, "graph_sup") as graph_record:
+        _, graph_rows, graph_failed = _sweep(
+            cfg, graph_record, nonlinearity=params["nonlinearity"],
+            grid_points=cfg.get("manifold", "grid_points"),
+            iters=cfg.get("manifold", "iterations"),
+            seed_amplitude=cfg.get("manifold", "seed_amplitude"),
+            m_horizon=cfg.get("semigroup", "m_horizon"))
+        if all(row["status"] == "zero" for row in defl_rows):
+            defl_ok, defl_txt = True, "identically-zero"
+            _say(args, "deflection identically zero at solver tolerance; "
+                       "bound trivially satisfied")
+        else:
+            scaled = [row["deflection"] * np.sqrt(row["d_eps"]) for row in defl_rows
+                      if row["status"] == "ok"]
+            band = max(scaled) / min(scaled)
+            defl_ok, defl_txt = band <= 2.0, f"band_ratio={band:.3f}"
+        factors = [row["contraction_factor"] for row in graph_rows]
+        graph_ok = all(f < 1.0 for f in factors)
+        sup_ok = all(row["status"] == "zero" for row in graph_rows)
+        for row, f in zip(graph_rows, factors):
+            _say(args, f"d={row['d_eps']:g}: graph contraction factor {f:.4f}")
+        detail = (f"deflection={_with_failed(defl_txt, defl_failed)} "
+                  f"contraction_max={_with_failed(f'{max(factors):.4f}', graph_failed)} "
+                  f"graph_sup_zero={sup_ok}")
+        passed = defl_ok and graph_ok and sup_ok and not (defl_failed or graph_failed)
+        return _verdict("manifold", detail, passed, record, graph_record)
 
 
 def cmd_report(args) -> int:
@@ -380,19 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bigdiff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # (command, study, the name of the run that main opens for it, help)
     specs = [
-        ("resolvent-rate", cmd_resolvent_rate, "resolvent-gap rate sweep"),
-        ("decay", cmd_decay, "homogenization decay-rate sweep"),
-        ("eigs", cmd_eigs, "operator eigenvalue table"),
-        ("example-optimal", cmd_example_optimal, "sharp-rate elliptic example"),
-        ("attractor", cmd_attractor, "ODE attractor structure study"),
-        ("hausdorff-sweep", cmd_hausdorff_sweep, "attractor Hausdorff-distance sweep"),
-        ("manifold", cmd_manifold, "manifold deflection and graph iteration"),
+        ("resolvent-rate", cmd_resolvent_rate, "resolvent_gap", "resolvent-gap rate sweep"),
+        ("decay", cmd_decay, "w_decay_rate", "homogenization decay-rate sweep"),
+        ("eigs", cmd_eigs, "eigs", "operator eigenvalue table"),
+        ("example-optimal", cmd_example_optimal, "example-optimal", "sharp-rate elliptic example"),
+        ("attractor", cmd_attractor, "attractor", "ODE attractor structure study"),
+        ("hausdorff-sweep", cmd_hausdorff_sweep, "hausdorff", "attractor Hausdorff-distance sweep"),
+        ("manifold", cmd_manifold, "deflection", "manifold deflection and graph iteration"),
     ]
-    for name, handler, help_txt in specs:
+    for name, handler, run_name, help_txt in specs:
         p = sub.add_parser(name, help=help_txt)
         _add_common(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, run_name=run_name)
     sub.choices["eigs"].add_argument("--count", type=_int_at_least(1), default=8,
                                      help="number of eigenvalues to print")
     sub.choices["example-optimal"].add_argument("--eps", type=_eps_list, default="1,4,16,64",
@@ -400,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="summarize one or more run directories")
     p_report.add_argument("run_dirs", nargs="+", help="run directories to summarize")
-    p_report.set_defaults(handler=cmd_report)
     return parser
 
 
@@ -411,7 +401,12 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.handler(args)
+        if args.command == "report":
+            return cmd_report(args)
+        # the whole config is checked before any run opens
+        cfg = _load(args)
+        with _run(cfg, args.run_name) as record:
+            return args.handler(args, cfg, record)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -5,9 +5,12 @@ whose type is the key's type, and is read by at least one command; a config
 file only overrides what it names.  Unknown sections or keys, a `[DEFAULT]`
 section included, are rejected so typos cannot silently fall back to
 defaults.  Values are coerced by the type of their default; empty values
-mean "use the default", and every number must be finite.  The resolved
-configuration can be written back out and re-parsed to reproduce a run
-exactly.
+mean "use the default", and every number must be finite.  `load_config`
+checks everything a study builds from the config, the `[nonlinearity]` name
+and the `[diffusion] eps` count included, so a config error surfaces before
+any study runs and the derived objects of `Config` raise nothing.  The
+resolved configuration can be written back out and re-parsed to reproduce a
+run exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import inspect
 
 import numpy as np
 
-from .dynamics import NONLINEARITIES, Nonlinearity
+from .dynamics import NONLINEARITIES, Nonlinearity, nonlinearity_from_spec
 from .rates import check_d_eps
 from .spectral import CosineBasis, DiffusionSpec, DomainSpec, build_basis, diffusion
 
@@ -124,29 +127,17 @@ class Config:
 
     def diffusion_spec(self) -> DiffusionSpec:
         eps = self.get("diffusion", "eps")
-        n = self.get("domain", "components")
-        if len(eps) == 1 and n > 1:
-            eps = eps * n
-        if len(eps) != n:
-            raise ConfigError(f"[diffusion] eps has {len(eps)} entries for {n} components")
-        return diffusion(eps)
+        # one eps is broadcast to every component; load_config checked the count
+        return diffusion(eps * self.get("domain", "components") if len(eps) == 1 else eps)
 
     def nonlinearity(self) -> Nonlinearity:
-        name = self.get("nonlinearity", "name")
-        factory = NONLINEARITIES.get(name)
-        if factory is None:
-            raise ConfigError(f"[nonlinearity] unknown name {name!r}")
-        # each factory's keyword parameters are keys of [nonlinearity]
-        F = factory(**{key: self.get("nonlinearity", key)
-                       for key in inspect.signature(factory).parameters})
-        n = self.get("domain", "components")
-        if name == "coupled_tanh" and n != 2:
-            raise ConfigError("[nonlinearity] coupled_tanh needs components = 2")
-        return F
+        return nonlinearity_from_spec(**self.nonlinearity_spec())
 
     def nonlinearity_spec(self) -> dict:
-        F = self.nonlinearity()
-        return {"name": F.name, **F.params}
+        """The name and, read from [nonlinearity], the keyword parameters of its factory."""
+        name = self.get("nonlinearity", "name")
+        return {"name": name, **{key: self.get("nonlinearity", key)
+                                 for key in inspect.signature(NONLINEARITIES[name]).parameters}}
 
     # -- persistence ---------------------------------------------------------
 
@@ -220,9 +211,18 @@ def _validate(cfg: Config) -> None:
     for section, key in _POSITIVE:
         if not cfg.get(section, key) > 0:
             raise ConfigError(f"[{section}] {key} must be positive")
-    eps = cfg.get("diffusion", "eps")
+    eps, n = cfg.get("diffusion", "eps"), cfg.get("domain", "components")
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("[diffusion] eps needs at least one entry, all positive")
+    if len(eps) not in (1, n):
+        raise ConfigError(f"[diffusion] eps has {len(eps)} entries for {n} components")
+    # by name and count only: building F here would cost every load its factory
+    name = cfg.get("nonlinearity", "name")
+    if name not in NONLINEARITIES:
+        raise ConfigError(f"[nonlinearity] unknown name {name!r}; known: "
+                          + ", ".join(NONLINEARITIES))
+    if name == "coupled_tanh" and n != 2:
+        raise ConfigError("[nonlinearity] coupled_tanh needs components = 2")
     try:
         check_d_eps(cfg.get("sweep", "d_eps"))
     except ValueError as err:

@@ -367,10 +367,9 @@ def _galerkin_F(F: Nonlinearity, c: np.ndarray, basis: CosineBasis) -> np.ndarra
     result is S(v, w), the grid mean of F(v + w) since phi_0 = 1; the other
     modes are Q(v, w).
     """
-    phi = basis.synthesis_matrix()
     # F takes the component axis first; a batch (rows, n, K+1) has it second
-    values = F((c @ phi).swapaxes(0, -2))
-    return values.swapaxes(0, -2) @ phi.T / basis.quad_points
+    values = F(basis.to_grid(c).swapaxes(0, -2))
+    return basis.to_spectral(values.swapaxes(0, -2))
 
 
 BLOWUP_LIMIT = 1e8  # a larger |coefficient| is a blow-up

@@ -134,12 +134,25 @@ _VALID = {
     ("manifold", "iterations"): st.integers(1, 10**6),
     ("semigroup", "m_horizon"): _POSITIVE,
     ("run", "seed"): st.integers(0, 10**6),
+    ("nonlinearity", "name"): st.sampled_from(sorted(dyn.NONLINEARITIES)),
 }
 
-_DATA = st.fixed_dictionaries({
-    section: st.fixed_dictionaries({key: _VALID.get((section, key), _BY_TYPE[type(default)])
-                                    for key, default in keys.items()})
-    for section, keys in DEFAULTS.items()})
+
+@st.composite
+def _valid_data(draw):
+    """Every key drawn by its strategy, then the keys load_config checks together made to agree."""
+    data = draw(st.fixed_dictionaries({
+        section: st.fixed_dictionaries({key: _VALID.get((section, key), _BY_TYPE[type(default)])
+                                        for key, default in keys.items()})
+        for section, keys in DEFAULTS.items()}))
+    if data["nonlinearity"]["name"] == "coupled_tanh":
+        data["domain"]["components"] = 2
+    size = draw(st.sampled_from([1, data["domain"]["components"]]))
+    data["diffusion"]["eps"] = tuple(draw(st.lists(_POSITIVE, min_size=size, max_size=size)))
+    return data
+
+
+_DATA = _valid_data()
 
 
 class TestConfigRoundTrip:
@@ -370,6 +383,22 @@ class TestBadInput:
         assert cli.main([command, *config, *flags, "--quiet",
                          "--out-root", str(tmp_path / "runs")]) == 2
         capsys.readouterr()
+
+    # each once passed load_config and reached a study: some exited 2 with an
+    # incomplete run directory left behind, others ran to a verdict
+    @pytest.mark.parametrize("ini", [
+        "[nonlinearity]\nname = foo\n",
+        "[nonlinearity]\nname = coupled_tanh\n",
+        "[diffusion]\neps = 1,2,3\n",
+    ], ids=["unknown_name", "coupled_tanh_one_component", "eps_count"])
+    @pytest.mark.parametrize("command", sorted(_TINY))
+    def test_config_error_opens_no_run(self, tmp_path, capsys, command, ini):
+        out_root = tmp_path / "runs"
+        out_root.mkdir()
+        assert cli.main([command, "-c", write(tmp_path / "a.ini", ini), "--quiet",
+                         "--out-root", str(out_root)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(out_root.iterdir()) == []
 
 
 def _statuses(run_dir):

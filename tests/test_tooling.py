@@ -133,19 +133,35 @@ def test_point_errors_are_caught_in_one_funnel():
 
 
 def test_every_run_opens_in_one_place():
-    # the CLI opens every study's run in cli._run, and only rates.open_run
-    # writes record.json: once at open, once at close
+    # cli.main is the one dispatch: it alone loads the config and opens a
+    # study's run in cli._run, and manifold opens its second run inside it;
+    # only rates.open_run writes record.json: once at open, once at close
     def called(func):
         return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
-    sites = []
+    sites, raises, studies = [], set(), {}
     for module in sorted((ROOT / "src" / "bigdiff").glob("*.py")):
         tree = ast.parse(module.read_text())
         sites += [(module.stem, getattr(outer, "name", None), called(node.func))
                   for outer in tree.body for node in ast.walk(outer)
-                  if isinstance(node, ast.Call) and called(node.func) in {"open_run", "persist_run"}]
-    assert sorted(sites) == [("cli", "_run", "open_run"), ("rates", "open_run", "persist_run"),
+                  if isinstance(node, ast.Call)
+                  and called(node.func) in {"open_run", "persist_run", "_load", "_run"}]
+        raises |= {(module.stem, getattr(outer, "name", None))
+                   for outer in tree.body for node in ast.walk(outer)
+                   if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and called(node.exc.func) == "ConfigError"}
+        studies.update({node.name: [arg.arg for arg in node.args.args] for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")})
+    assert sorted(sites) == [("cli", "_run", "open_run"), ("cli", "cmd_manifold", "_run"),
+                             ("cli", "main", "_load"), ("cli", "main", "_run"),
+                             ("rates", "open_run", "persist_run"),
                              ("rates", "open_run", "persist_run")], sites
+    # every config error is found while loading, before any run opens
+    assert raises == {("config", "load_config"), ("config", "_coerce"),
+                      ("config", "_validate")}, raises
+    assert studies.pop("cmd_report") == ["args"]
+    assert len(studies) == 7 and all(
+        params == ["args", "cfg", "record"] for params in studies.values()), studies
 
 
 def test_each_linearization_is_decomposed_in_one_place():
@@ -189,3 +205,10 @@ def test_readme_config_block_is_the_default_config(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(block)
     assert load_config(path).data == default_config().data
+
+
+def test_readme_oracle_list_is_oracles():
+    # the README names every public name that no study calls, and no other
+    text = " ".join((ROOT / "README.md").read_text().split())
+    (sentence,) = re.findall(r"that no study calls are such oracles: (.*?);", text)
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(ORACLES)
