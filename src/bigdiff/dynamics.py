@@ -41,6 +41,7 @@ failure of one d is a POINT_ERRORS error, caught only in `try_point`.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +133,20 @@ def tanh_pitchfork(beta: float = 2.0) -> Nonlinearity:
 def saturated_cubic(gamma: float = 2.0) -> Nonlinearity:
     """Componentwise F(u) = gamma tanh(u - u^3/3); bounded cubic-type forcing."""
 
+    # u * u * u, not u**3: numpy's power calls libm pow on each value, which
+    # takes a slow path for negative bases
     def fn(u):
-        return gamma * np.tanh(u - u**3 / 3.0)
+        return gamma * np.tanh(u - u * u * u / 3.0)
 
     def jac(u):
-        inner = u - u**3 / 3.0
+        inner = u - u * u * u / 3.0
         return _diagonal_jacobian(gamma * (1.0 - np.tanh(inner) ** 2) * (1.0 - u**2))
 
     # |d/du (u - u^3/3)| is unbounded but the tanh saturates; the global
     # Lipschitz constant is attained where (1 - tanh^2(g(u)))|g'(u)| peaks.
     grid = np.linspace(-10, 10, 20001)
-    lip = float(np.max(np.abs(gamma * (1 - np.tanh(grid - grid**3 / 3) ** 2) * (1 - grid**2))))
+    inner = grid - grid * grid * grid / 3
+    lip = float(np.max(np.abs(gamma * (1 - np.tanh(inner) ** 2) * (1 - grid**2))))
     return Nonlinearity("saturated_cubic", {"gamma": gamma}, fn, jac, abs(gamma), lip)
 
 
@@ -360,16 +364,36 @@ def _etd_weights(h, gains):
     return np.exp(z), h * _phi1(z), h * _phi2(z)
 
 
+GEMM_ROWS = 4  # coefficient lines per transform product
+
+
 def _galerkin_F(F: Nonlinearity, c: np.ndarray, basis: CosineBasis) -> np.ndarray:
     """Cosine coefficients of F(u) for the coefficients `c` of u.
 
     `c` is one state (n, K+1) or a batch (rows, n, K+1).  Mode 0 of the
     result is S(v, w), the grid mean of F(v + w) since phi_0 = 1; the other
     modes are Q(v, w).
+
+    Both transforms run as a stack of (GEMM_ROWS, K+1) blocks: the batch is
+    padded with zero states until its coefficient lines fill whole blocks,
+    F runs on the padded grid, and the padding is dropped.  A fixed-shape
+    BLAS product gives a line the same bits at any place in any block, so a
+    row of a batch projects bit for bit as it would alone; one product over
+    all lines would change a line's bits with the line count, and one
+    matrix-vector product per line reads the whole synthesis matrix per line.
     """
-    # F takes the component axis first; a batch (rows, n, K+1) has it second
-    values = F(basis.to_grid(c).swapaxes(0, -2))
-    return basis.to_spectral(values.swapaxes(0, -2))
+    n, modes = c.shape[-2:]
+    batch = c.reshape(-1, n, modes)
+    rows = len(batch)
+    pad = -rows % (GEMM_ROWS // math.gcd(n, GEMM_ROWS))  # zero states to fill the last block
+    if pad:
+        batch = np.zeros((rows + pad, n, modes))
+        batch[:rows] = c
+    grid = basis.to_grid(batch.reshape(-1, GEMM_ROWS, modes))
+    # F takes the component axis first; the batch has it second
+    values = F(grid.reshape(len(batch), n, -1).swapaxes(0, 1)).swapaxes(0, 1)
+    out = basis.to_spectral(values.reshape(grid.shape))
+    return out.reshape(batch.shape)[:rows].reshape(c.shape)
 
 
 BLOWUP_LIMIT = 1e8  # a larger |coefficient| is a blow-up

@@ -27,6 +27,7 @@ trivially satisfied" instead of being forced through a log.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import datetime as _dt
 import inspect
 import json
@@ -357,7 +358,9 @@ class RunRecord:
     `metrics` holds what the run measured, the same for the same config and
     seed; `timings` the seconds the run was open (`total`) and a sweep's
     stages took, and `environment` the Python and numpy versions, the CPU
-    count and the BLAS numpy was built with (`blas`: name, version, or None).
+    count, the BLAS numpy was built with (`blas`: name, version, or None),
+    the kernel OpenBLAS picked (`blas_core`) and numpy's SIMD dispatch target
+    (`simd`): output bits depend on both.
     """
 
     quantity: str
@@ -397,6 +400,33 @@ def _blas() -> dict | None:
     return None if blas is None else {"name": blas.get("name"), "version": blas.get("version")}
 
 
+def _blas_core() -> str | None:
+    """The kernel OpenBLAS picked for this CPU (`SkylakeX`, ...), or None for another BLAS.
+
+    Asked of the library numpy loaded: a symbol lookup on numpy's core
+    extension also searches the libraries it links.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _simd() -> str | None:
+    """numpy's SIMD dispatch target for float64 tanh (`X86_V4`, ...), or None if it names none."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    targets = opt_func_info(func_name="^tanh$", signature="float64").get("tanh", {})
+    return next((target["current"] for target in targets.values()), None)
+
+
 def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
@@ -422,7 +452,8 @@ def open_run(out_root, quantity: str, seed: int):
                        started=_utc_now(), finished="", status="running",
                        paths={"run_dir": run_dir, "record": path}, metrics={},
                        environment={"python": platform.python_version(), "numpy": np.__version__,
-                                    "cpu_count": os.cpu_count(), "blas": _blas()})
+                                    "cpu_count": os.cpu_count(), "blas": _blas(),
+                                    "blas_core": _blas_core(), "simd": _simd()})
     persist_run(record, path)
     status = "incomplete"
     try:

@@ -73,6 +73,9 @@ class CosineBasis:
     band-limited data; `to_spectral` is the discrete L2 projection
     (truncation) otherwise.  Transforms are direct matrix products; at the
     mode counts used here (K <= a few hundred) fast transforms buy nothing.
+    A stack of coefficient blocks runs as one BLAS product per block, whose
+    bits depend on the block's shape: `dynamics._galerkin_F` fixes that
+    shape at (GEMM_ROWS, K+1), so a batched row transforms as it would alone.
     """
 
     def __init__(self, domain: DomainSpec, mode_count: int):

@@ -61,6 +61,42 @@ def pseudospectral_F(u, F):
     return dyn._galerkin_F(F, u.coeffs, u.basis)
 
 
+_BLOCK_F = [(dyn.tanh_pitchfork(2.0), 1), (dyn.coupled_tanh(1.2, 0.6), 2)]
+
+
+class TestGalerkinBlocks:
+    # the transforms run in fixed blocks of GEMM_ROWS coefficient lines, so a
+    # row projects bit for bit alike whatever its place and its block mates
+    @pytest.mark.parametrize("K", [16, 32, 128])
+    @pytest.mark.parametrize("F,n", _BLOCK_F, ids=["tanh", "coupled_tanh"])
+    def test_batch_rows_project_as_alone(self, K, F, n):
+        basis = sp.build_basis(DOM, K)
+        rng = np.random.default_rng(K + n)
+        # 1..13 rows: every remainder of the line count mod GEMM_ROWS
+        for rows in range(1, 14):
+            c = rng.standard_normal((rows, n, K + 1))
+            batch = dyn._galerkin_F(F, c, basis)
+            assert batch.shape == c.shape
+            for i in range(rows):
+                alone = dyn._galerkin_F(F, c[i], basis)
+                assert alone.shape == (n, K + 1)
+                assert np.array_equal(batch[i], alone), (rows, i)
+
+    @pytest.mark.parametrize("K", [16, 32, 128])
+    @pytest.mark.parametrize("F,n", _BLOCK_F, ids=["tanh", "coupled_tanh"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_leaves_the_others(self, K, F, n, bad):
+        # a blown-up row stepping on as ballast shares a block with live rows
+        basis = sp.build_basis(DOM, K)
+        c = np.random.default_rng(K).standard_normal((7, n, K + 1))
+        clean = dyn._galerkin_F(F, c, basis)
+        c[2, n - 1, 3] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            dirty = dyn._galerkin_F(F, c, basis)
+        assert not np.array_equal(dirty[2], clean[2])
+        assert np.array_equal(np.delete(dirty, 2, axis=0), np.delete(clean, 2, axis=0))
+
+
 class TestEvaluateF:
     def test_zero_at_zero(self):
         basis = sp.build_basis(DOM, 8)

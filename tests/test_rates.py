@@ -2,6 +2,9 @@ import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +309,19 @@ class TestWriteTable:
         assert (tmp_path / "plot.dat").read_text() == text
 
 
+ROOT = Path(__file__).resolve().parents[1]
+_BLAS_NAME = (rt._blas() or {}).get("name") or ""
+
+
+def _child(args, env, cwd):
+    """Run `python args` from `cwd` with bigdiff on the path and `env` set in the child only."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path, sweep):
         cfg = rt.SweepConfig("resolvent_gap", (1.0, 2.0, 4.0, 8.0, 16.0),
@@ -317,6 +333,21 @@ class TestDeterminism:
             b = open(rec2.paths[key], "rb").read()
             assert a == b, key
         assert rec1.metrics == rec2.metrics
+
+    @pytest.mark.skipif("openblas" not in _BLAS_NAME.lower(),
+                        reason="numpy's BLAS is not OpenBLAS")
+    def test_blas_threads_leave_csvs_unchanged(self, tmp_path):
+        # OpenBLAS threads a product above about 262k multiply-adds; a transform
+        # block at K=128 is 133k, and a decay sweep's CSVs hold its fitted rates
+        ini = tmp_path / "decay.ini"
+        ini.write_text("[domain]\nmodes = 128\n[sweep]\nd_eps = 1,4,16,64,256\n")
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            _child(["-m", "bigdiff", "decay", "-c", str(ini), "--seed", "7", "--quiet",
+                    "--out-root", str(out)], {"OPENBLAS_NUM_THREADS": threads}, tmp_path)
+            tables.append({path.name: path.read_bytes() for path in out.glob("*/*.csv")})
+        assert tables[0] and tables[0] == tables[1]
 
     def test_seed_changes_sampled_values(self, tmp_path, sweep):
         base = dict(params={"modes": 16, "components": 1, "trials": 4})
@@ -354,10 +385,23 @@ class TestOpenRun:
         with open(record.paths["record"]) as fh:
             raw = json.load(fh)
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        core, simd = raw["environment"].pop("blas_core"), raw["environment"].pop("simd")
         assert raw["environment"] == {"python": platform.python_version(),
                                       "numpy": np.__version__, "cpu_count": os.cpu_count(),
                                       "blas": {"name": blas["name"], "version": blas["version"]}}
         assert "environment" not in raw["metrics"]
+        assert core is None or (isinstance(core, str) and "openblas" in blas["name"])
+        from numpy.lib.introspect import opt_func_info
+        targets = opt_func_info(func_name="^tanh$", signature="float64")["tanh"]
+        assert any(simd in target["available"].split() for target in targets.values())
+
+    @pytest.mark.skipif(rt._blas_core() is None or platform.machine() != "x86_64",
+                        reason="numpy's BLAS names no OpenBLAS x86-64 kernel")
+    def test_blas_core_is_the_kernel_openblas_runs(self, tmp_path):
+        # OPENBLAS_CORETYPE overrides the kernel OpenBLAS picks for the CPU
+        script = "from bigdiff import rates; print(rates._blas_core())"
+        forced = _child(["-c", script], {"OPENBLAS_CORETYPE": "Haswell"}, tmp_path)
+        assert forced.strip() == "Haswell"
 
     def test_environment_without_a_named_blas(self, tmp_path, monkeypatch):
         monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {}})
